@@ -13,7 +13,7 @@ from .config import (AttackerParams, ConfigError, EnergyParams, FlowSpec, NodeSc
                      Protocol, ScenarioConfig, Sophistication, load_config,
                      parse_config_text, serialize_config, validate_config)
 from .engine import (EnergyState, Metrics, RunReport, RunResult, Simulation, debit,
-                     emit_trace, run_scenario, trace_to_text, write_metrics, write_trace)
+                     run_scenario, trace_to_text, write_metrics, write_trace)
 from .medium import Delivery, MediumConfig, broadcast, in_range, tx_delay
 from .mlet import LetConfig, admit_link, annotate
 from .mobility import (Kinematics, LetMode, WaypointState, advance_waypoint,
@@ -21,7 +21,7 @@ from .mobility import (Kinematics, LetMode, WaypointState, advance_waypoint,
                        parked_waypoint, scripted_waypoint)
 from .model import (ATTACK_FID, BROADCAST, CONTROL_FID, CommonHeader, PacketKind,
                     RerrBody, RouteEntry, RrepBody, RreqBody, TraceEvent,
-                    TraceParseError, Vec2, next_uid)
+                    TraceParseError, Vec2)
 from .saodv import (SecurityConfig, VerifyOutcome, draw_random_values, select_channel,
                     verify)
 

@@ -1,14 +1,26 @@
-"""Scenario configuration: flat key=value files, validation, serialization."""
+"""Scenario configuration: flat ``key = value`` files, validation, serialization.
+
+Each key is declared once, by the `_key` default of a dataclass field below.
+`SCHEMA` is derived from those fields and drives known-key checks, parsing,
+defaults and `serialize_config`; `flows`, `nodes` and the checks that span
+several keys are the only hand-written parts.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .mobility import LetMode
+from .mobility import MOBILITY_STEP, LetMode
 from .model import PacketKind, Vec2
+
+#: Most times one periodic timer may fire before ``stop``: the mobility step,
+#: ``hello_interval``, ``metrics_interval`` and ``1 / rate`` of each flow and of
+#: an enabled attacker.  It bounds a run's events and keeps ``t + period > t``.
+MAX_TIMER_FIRINGS = 1_000_000
 
 
 class Protocol(Enum):
@@ -34,26 +46,110 @@ class Sophistication(Enum):
     INSIDER = "INSIDER"              # runs the honest tagging algorithm
 
 
+# Parsers turn one raw string into a value or raise ValueError(*violations).
+_BOUNDS = {">=": operator.ge, ">": operator.gt, "<": operator.lt}
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
+
+
+def _parse(raw: str, default, bounds: tuple, finite: bool):
+    """``raw`` as the type of ``default``: int, float, bool or an enum."""
+    kind = type(default)
+    if kind is bool:
+        if raw.lower() not in _BOOLS:
+            raise ValueError(f"expected true/false, got {raw!r}")
+        return _BOOLS[raw.lower()]
+    if isinstance(default, Enum):
+        try:
+            return kind(raw.upper())
+        except ValueError:
+            names = "|".join(e.value for e in kind)
+            raise ValueError(f"expected one of {names}, got {raw!r}") from None
+    try:
+        value = kind(raw)
+    except ValueError:
+        raise ValueError(f"expected {'an integer' if kind is int else 'a number'}, "
+                         f"got {raw!r}") from None
+    if kind is float and math.isnan(value):
+        raise ValueError("must not be NaN")
+    for op, limit in zip(bounds[::2], bounds[1::2]):
+        if not _BOUNDS[op](value, limit):
+            raise ValueError(f"must be {op} {limit}, got {value}")
+    if finite and kind is float and math.isinf(value):
+        raise ValueError(f"must be finite, got {value}")
+    return value
+
+
+def _battery(raw: str) -> float:
+    """Attacker battery in joules: any positive number, ``inf`` for unlimited."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"expected a number, got {raw!r}") from None
+    if not value > 0.0:
+        raise ValueError(f"must be positive, got {raw!r}")
+    return value
+
+
+def _packet_kinds(raw: str) -> Tuple[PacketKind, ...]:
+    kinds, problems = [], []
+    for token in filter(None, (t.strip().upper() for t in raw.split(","))):
+        try:
+            kind = PacketKind(token)
+        except ValueError:
+            problems.append(f"unknown packet kind {token!r}")
+            continue
+        if kind in (PacketKind.RREQ, PacketKind.RREP, PacketKind.DATA):
+            kinds.append(kind)
+        else:
+            problems.append(f"{token} cannot carry the admission check")
+    if problems:
+        raise ValueError(*problems)
+    return tuple(dict.fromkeys(kinds))
+
+
+def _vec2(raw: str) -> Optional[Vec2]:
+    if raw.lower() == "none":
+        return None
+    parts = [p.strip() for p in raw.split(",")]
+    if len(parts) != 2:
+        raise ValueError(f"expected 'x,y', got {raw!r}")
+    return Vec2(float(parts[0]), float(parts[1]))
+
+
+def _key(default, *bounds, key: Optional[str] = None, finite: bool = True, parse=None):
+    """Declare a config key: its default, bounds as (op, limit) pairs, and its name
+    if not the field's.
+
+    The parser follows the default's type unless ``parse`` is given.  A float key
+    must be finite unless ``finite=False`` lets ``inf`` mean unlimited.
+    """
+    if parse is None:
+        def parse(raw):
+            return _parse(raw, default, bounds, finite)
+    return field(default=default, metadata={"key": key, "parse": parse})
+
+
 @dataclass(frozen=True)
 class EnergyParams:
-    initial: float = 10.0
-    tx_per_byte: float = 60e-6
-    rx_per_byte: float = 30e-6
-    idle_per_sec: float = 1e-3
+    initial: float = _key(10.0, ">", 0.0, finite=False)
+    tx_per_byte: float = _key(60e-6, ">=", 0.0)
+    rx_per_byte: float = _key(30e-6, ">=", 0.0)
+    idle_per_sec: float = _key(1e-3, ">=", 0.0)
 
 
 @dataclass(frozen=True)
 class AttackerParams:
-    enabled: bool = False
-    target: int = 0
-    start: float = 10.0
-    rate: float = 200.0
-    payload: int = 100
-    sophistication: Sophistication = Sophistication.NAIVE_RANDOM
+    enabled: bool = _key(False)
     #: Attackers default to an unlimited battery; a flood at full rate would
     #: otherwise drain the attacker before the victim.
-    energy: float = math.inf
-    pos: Optional[Vec2] = None
+    energy: float = _key(math.inf, parse=_battery)
+    target: int = _key(0, ">=", 0)
+    start: float = _key(10.0, ">=", 0.0)
+    rate: float = _key(200.0, ">", 0.0)
+    payload: int = _key(100, ">=", 1)
+    sophistication: Sophistication = _key(Sophistication.NAIVE_RANDOM)
+    pos: Optional[Vec2] = _key(None, parse=_vec2)
 
 
 @dataclass(frozen=True)
@@ -78,39 +174,56 @@ class NodeScript:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    nn: int = 25
-    area_x: float = 50.0
-    area_y: float = 50.0
-    stop: float = 50.0
-    protocol: Protocol = Protocol.AODV
-    rng_seed: int = 1
-    range_r: float = 15.0
-    num_channels: int = 2
-    let_threshold: float = 0.0
-    let_mode: LetMode = LetMode.STRICT
-    mlet_applies_to: Tuple[PacketKind, ...] = (PacketKind.RREQ,)
-    mlet_annex_bytes: int = 24
-    bitrate: float = 250000.0
-    prop_delay: float = 0.0
-    loss_prob: float = 0.0
-    physical_channels: bool = False
-    paper_range_check: bool = False
-    hello_interval: float = 1.0
-    hello_loss_limit: int = 2
-    speed_min: float = 0.0
-    speed_max: float = 5.0
-    pause: float = 2.0
-    route_lifetime: float = 10.0
-    retry_limit: int = 2
-    retry_timeout: float = 1.0
-    buffer_cap: int = 64
-    rreq_cache_ttl: float = 10.0
-    intermediate_rrep: bool = False
-    metrics_interval: float = 1.0
+    """A validated scenario.  Keys are read, and reported, in field order."""
+
+    nn: int = _key(25, ">=", 1)
+    area_x: float = _key(50.0, ">", 0.0, key="x")
+    area_y: float = _key(50.0, ">", 0.0, key="y")
+    stop: float = _key(50.0, ">", 0.0)
+    protocol: Protocol = _key(Protocol.AODV, key="rp")
+    rng_seed: int = _key(1, key="seed")
+    range_r: float = _key(15.0, ">", 0.0)
+    num_channels: int = _key(2, ">=", 1, key="k")
+    let_mode: LetMode = _key(LetMode.STRICT)
+    let_threshold: float = _key(0.0, ">=", 0.0)  # 5 under *_MLET, see validate_config
+    mlet_applies_to: Tuple[PacketKind, ...] = _key((PacketKind.RREQ,), parse=_packet_kinds)
+    mlet_annex_bytes: int = _key(24, ">=", 0)
+    bitrate: float = _key(250000.0, ">", 0.0)
+    prop_delay: float = _key(0.0, ">=", 0.0)
+    loss_prob: float = _key(0.0, ">=", 0.0, "<", 1.0)
+    physical_channels: bool = _key(False)
+    paper_range_check: bool = _key(False)
+    hello_interval: float = _key(1.0, ">", 0.0)
+    hello_loss_limit: int = _key(2, ">=", 1)
+    speed_min: float = _key(0.0, ">=", 0.0)
+    speed_max: float = _key(5.0, ">=", 0.0)
+    pause: float = _key(2.0, ">=", 0.0)
+    route_lifetime: float = _key(10.0, ">", 0.0)
+    retry_limit: int = _key(2, ">=", 0)
+    retry_timeout: float = _key(1.0, ">", 0.0)
+    buffer_cap: int = _key(64, ">=", 1)
+    rreq_cache_ttl: float = _key(10.0, ">", 0.0)
+    intermediate_rrep: bool = _key(False)
+    metrics_interval: float = _key(1.0, ">", 0.0)
     energy: EnergyParams = EnergyParams()
     attacker: AttackerParams = AttackerParams()
     flows: Tuple[FlowSpec, ...] = ()
     node_scripts: Optional[Tuple[NodeScript, ...]] = None
+
+
+def _schema(cls, group=""):
+    for f in fields(cls):
+        if isinstance(f.default, (EnergyParams, AttackerParams)):
+            yield from _schema(type(f.default), f.name)
+        elif f.metadata:
+            key = f.metadata["key"] or f.name
+            yield (f"{group}.{key}" if group else key, group, f.name,
+                   f.metadata["parse"], f.default)
+
+
+#: (key, group, attribute, parser, default) per key; group is "", "energy" or "attacker".
+SCHEMA = tuple(_schema(ScenarioConfig))
+KNOWN_KEYS = frozenset(entry[0] for entry in SCHEMA) | {"flows", "nodes"}
 
 
 class ConfigError(ValueError):
@@ -121,20 +234,6 @@ class ConfigError(ValueError):
         self.violations = list(violations)
 
 
-_KNOWN_KEYS = (
-    "nn", "x", "y", "stop", "rp", "seed", "range_r", "k",
-    "let_threshold", "let_mode", "mlet_applies_to", "mlet_annex_bytes",
-    "bitrate", "prop_delay", "loss_prob", "physical_channels", "paper_range_check",
-    "hello_interval", "hello_loss_limit", "speed_min", "speed_max", "pause",
-    "route_lifetime", "retry_limit", "retry_timeout", "buffer_cap", "rreq_cache_ttl",
-    "intermediate_rrep", "metrics_interval",
-    "energy.initial", "energy.tx_per_byte", "energy.rx_per_byte", "energy.idle_per_sec",
-    "attacker.enabled", "attacker.target", "attacker.start", "attacker.rate",
-    "attacker.payload", "attacker.sophistication", "attacker.energy", "attacker.pos",
-    "flows", "nodes",
-)
-
-
 def parse_config_text(text: str) -> Dict[str, str]:
     """Parse ``key = value`` lines; ``#`` starts a comment anywhere."""
     raw: Dict[str, str] = {}
@@ -143,180 +242,93 @@ def parse_config_text(text: str) -> Dict[str, str]:
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            problems.append(f"line {lineno}: expected 'key = value', got {line!r}")
-            continue
-        key, value = line.split("=", 1)
+        key, eq, value = line.partition("=")
         key = key.strip()
-        if key in raw:
+        if not eq:
+            problems.append(f"line {lineno}: expected 'key = value', got {line!r}")
+        elif key in raw:
             problems.append(f"line {lineno}: duplicate key {key!r}")
-            continue
-        raw[key] = value.strip()
+        else:
+            raw[key] = value.strip()
     if problems:
         raise ConfigError(problems)
     return raw
 
 
-class _Reader:
-    """Typed access to raw string values, collecting violations as it goes."""
-
-    def __init__(self, data: Mapping[str, str]):
-        self.data = dict(data)
-        self.violations: List[str] = []
-
-    def _get(self, key):
-        return self.data.get(key)
-
-    def fail(self, key: str, message: str):
-        self.violations.append(f"{key}: {message}")
-
-    def integer(self, key, default, minimum=None):
-        raw = self._get(key)
-        if raw is None:
-            return default
-        try:
-            value = int(raw)
-        except ValueError:
-            self.fail(key, f"expected an integer, got {raw!r}")
-            return default
-        if minimum is not None and value < minimum:
-            self.fail(key, f"must be >= {minimum}, got {value}")
-            return default
-        return value
-
-    def real(self, key, default, minimum=None, exclusive=False, below=None):
-        raw = self._get(key)
-        if raw is None:
-            return default
-        try:
-            value = float(raw)
-        except ValueError:
-            self.fail(key, f"expected a number, got {raw!r}")
-            return default
-        if math.isnan(value):
-            self.fail(key, "must not be NaN")
-            return default
-        if minimum is not None:
-            if exclusive and value <= minimum:
-                self.fail(key, f"must be > {minimum}, got {value}")
-                return default
-            if not exclusive and value < minimum:
-                self.fail(key, f"must be >= {minimum}, got {value}")
-                return default
-        if below is not None and value >= below:
-            self.fail(key, f"must be < {below}, got {value}")
-            return default
-        return value
-
-    def boolean(self, key, default):
-        raw = self._get(key)
-        if raw is None:
-            return default
-        token = raw.lower()
-        if token in ("true", "1", "yes", "on"):
-            return True
-        if token in ("false", "0", "no", "off"):
-            return False
-        self.fail(key, f"expected true/false, got {raw!r}")
-        return default
-
-    def choice(self, key, default, enum_cls):
-        raw = self._get(key)
-        if raw is None:
-            return default
-        try:
-            return enum_cls(raw.upper())
-        except ValueError:
-            names = "|".join(e.value for e in enum_cls)
-            self.fail(key, f"expected one of {names}, got {raw!r}")
-            return default
-
-    def vec2(self, key):
-        raw = self._get(key)
-        if raw is None or raw.lower() == "none":
-            return None
-        parts = [p.strip() for p in raw.split(",")]
-        if len(parts) != 2:
-            self.fail(key, f"expected 'x,y', got {raw!r}")
-            return None
-        try:
-            return Vec2(float(parts[0]), float(parts[1]))
-        except ValueError as exc:
-            self.fail(key, str(exc))
-            return None
+def _inside(x: float, y: float, area_x: float, area_y: float) -> bool:
+    return 0.0 <= x <= area_x and 0.0 <= y <= area_y
 
 
-def _parse_flows(reader: _Reader, nn: int) -> Tuple[FlowSpec, ...]:
-    raw = reader._get("flows")
-    if raw is None:
-        # Default background traffic: one constant-bit-rate flow toward node 0.
-        if nn >= 2:
-            return (FlowSpec(src=nn - 1, dst=0, rate=4.0, size=100, start=1.0),)
-        return ()
+def _timer_problem(period: float, stop: float) -> Optional[str]:
+    if stop / period > MAX_TIMER_FIRINGS:
+        return (f"a timer every {period!r} s would fire more than "
+                f"{MAX_TIMER_FIRINGS} times in {stop!r} s")
+    return None
+
+
+def _parse_flows(raw: Optional[str], nn: int, stop: float, fail) -> Tuple[FlowSpec, ...]:
+    if raw is None:  # default background traffic: one CBR flow toward node 0
+        default = FlowSpec(src=nn - 1, dst=0, rate=4.0, size=100, start=1.0)
+        return (default,) if nn >= 2 else ()
     if raw.lower() in ("none", ""):
         return ()
     flows = []
     for i, chunk in enumerate(raw.split(";")):
         parts = [p.strip() for p in chunk.strip().split(":")]
         if len(parts) not in (4, 5):
-            reader.fail("flows", f"entry {i}: expected src:dst:rate:size[:start]")
+            fail("flows", f"entry {i}: expected src:dst:rate:size[:start]")
             continue
         try:
             src, dst = int(parts[0]), int(parts[1])
             rate, size = float(parts[2]), int(parts[3])
             start = float(parts[4]) if len(parts) == 5 else 1.0
         except ValueError:
-            reader.fail("flows", f"entry {i}: non-numeric field in {chunk.strip()!r}")
+            fail("flows", f"entry {i}: non-numeric field in {chunk.strip()!r}")
             continue
         if not (0 <= src < nn and 0 <= dst < nn):
-            reader.fail("flows", f"entry {i}: endpoints must be node ids < {nn}")
-            continue
-        if src == dst:
-            reader.fail("flows", f"entry {i}: src and dst must differ")
-            continue
-        if rate <= 0.0 or size <= 0 or start < 0.0:
-            reader.fail("flows", f"entry {i}: rate/size must be positive, start >= 0")
-            continue
-        flows.append(FlowSpec(src, dst, rate, size, start))
+            fail("flows", f"entry {i}: endpoints must be node ids < {nn}")
+        elif src == dst:
+            fail("flows", f"entry {i}: src and dst must differ")
+        elif rate <= 0.0 or size <= 0 or start < 0.0:
+            fail("flows", f"entry {i}: rate/size must be positive, start >= 0")
+        elif not (math.isfinite(rate) and math.isfinite(start)):
+            fail("flows", f"entry {i}: rate and start must be finite")
+        elif problem := _timer_problem(1.0 / rate, stop):
+            fail("flows", f"entry {i}: {problem}")
+        else:
+            flows.append(FlowSpec(src, dst, rate, size, start))
     return tuple(flows)
 
 
-def _parse_nodes(reader: _Reader, nn: int, area_x: float,
-                 area_y: float) -> Optional[Tuple[NodeScript, ...]]:
-    raw = reader._get("nodes")
+def _parse_nodes(raw: Optional[str], nn: int, area_x: float, area_y: float,
+                 fail) -> Optional[Tuple[NodeScript, ...]]:
     if raw is None or raw.lower() == "none":
         return None
-    scripts = []
     chunks = [c for c in (chunk.strip() for chunk in raw.split(";")) if c]
     if len(chunks) != nn:
-        reader.fail("nodes", f"expected {nn} entries (one per node), got {len(chunks)}")
+        fail("nodes", f"expected {nn} entries (one per node), got {len(chunks)}")
         return None
+    scripts = []
     for i, chunk in enumerate(chunks):
         parts = [p.strip() for p in chunk.split(",")]
         if len(parts) not in (2, 5):
-            reader.fail("nodes", f"entry {i}: expected 'x,y' or 'x,y,tx,ty,speed'")
+            fail("nodes", f"entry {i}: expected 'x,y' or 'x,y,tx,ty,speed'")
             continue
         try:
             numbers = [float(p) for p in parts]
         except ValueError:
-            reader.fail("nodes", f"entry {i}: non-numeric field in {chunk!r}")
+            fail("nodes", f"entry {i}: non-numeric field in {chunk!r}")
             continue
         px, py = numbers[0], numbers[1]
-        inside = 0.0 <= px <= area_x and 0.0 <= py <= area_y
-        target, speed = None, 0.0
-        if len(numbers) == 5:
-            target = Vec2(numbers[2], numbers[3])
-            speed = numbers[4]
-            inside = inside and 0.0 <= target.x <= area_x and 0.0 <= target.y <= area_y
-            if speed < 0.0:
-                reader.fail("nodes", f"entry {i}: speed must be >= 0")
-                continue
-        if not inside:
-            reader.fail("nodes", f"entry {i}: coordinates outside the {area_x}x{area_y} area")
-            continue
-        scripts.append(NodeScript(pos=Vec2(px, py), target=target, speed=speed))
-    if len(scripts) != nn:
-        return None
+        tx, ty, speed = numbers[2:] if len(numbers) == 5 else (px, py, 0.0)
+        # The area is finite, so infinite and NaN coordinates fall outside it.
+        if not speed >= 0.0:
+            fail("nodes", f"entry {i}: speed must be >= 0")
+        elif not (_inside(px, py, area_x, area_y) and _inside(tx, ty, area_x, area_y)):
+            fail("nodes", f"entry {i}: coordinates outside the {area_x}x{area_y} area")
+        else:
+            target = Vec2(tx, ty) if len(numbers) == 5 else None
+            scripts.append(NodeScript(pos=Vec2(px, py), target=target, speed=speed))
     return tuple(scripts)
 
 
@@ -326,192 +338,73 @@ def validate_config(raw: Mapping[str, object]) -> ScenarioConfig:
     violations: List[str] = []
     for key, value in raw.items():
         key = str(key).strip()
-        if key not in _KNOWN_KEYS:
+        if key in KNOWN_KEYS:
+            data[key] = str(value).strip()
+        else:
             violations.append(f"{key}: unknown key")
-            continue
-        data[key] = str(value).strip()
 
-    r = _Reader(data)
-    nn = r.integer("nn", 25, minimum=1)
-    area_x = r.real("x", 50.0, minimum=0.0, exclusive=True)
-    area_y = r.real("y", 50.0, minimum=0.0, exclusive=True)
-    stop = r.real("stop", 50.0, minimum=0.0, exclusive=True)
-    protocol = r.choice("rp", Protocol.AODV, Protocol)
-    seed = r.integer("seed", 1)
-    range_r = r.real("range_r", 15.0, minimum=0.0, exclusive=True)
-    k = r.integer("k", 2, minimum=1)
-    let_mode = r.choice("let_mode", LetMode.STRICT, LetMode)
-    # The admission filter is off unless a *_MLET protocol asks for it.
-    default_threshold = 5.0 if protocol.uses_let else 0.0
-    let_threshold = r.real("let_threshold", default_threshold, minimum=0.0)
+    def fail(key: str, message: str):
+        violations.append(f"{key}: {message}")
 
-    applies_raw = data.get("mlet_applies_to")
-    applies_to: Tuple[PacketKind, ...] = (PacketKind.RREQ,)
-    if applies_raw is not None:
-        kinds = []
-        for token in applies_raw.split(","):
-            token = token.strip().upper()
-            if not token:
-                continue
+    # group -> attribute -> value; a rejected value keeps its default for later checks
+    groups: Dict[str, Dict[str, object]] = {"": {}, "energy": {}, "attacker": {}}
+    for key, group, attr, parse, default in SCHEMA:
+        groups[group][attr] = default
+        if key in data:
             try:
-                kind = PacketKind(token)
-            except ValueError:
-                r.fail("mlet_applies_to", f"unknown packet kind {token!r}")
-                continue
-            if kind not in (PacketKind.RREQ, PacketKind.RREP, PacketKind.DATA):
-                r.fail("mlet_applies_to", f"{token} cannot carry the admission check")
-                continue
-            kinds.append(kind)
-        applies_to = tuple(dict.fromkeys(kinds))
+                groups[group][attr] = parse(data[key])
+            except ValueError as exc:
+                violations.extend(f"{key}: {message}" for message in exc.args)
+    v, atk = groups[""], groups["attacker"]
+    if "let_threshold" not in data and v["protocol"].uses_let:
+        v["let_threshold"] = 5.0  # the admission filter is on by default under *_MLET
 
-    mlet_annex_bytes = r.integer("mlet_annex_bytes", 24, minimum=0)
-    bitrate = r.real("bitrate", 250000.0, minimum=0.0, exclusive=True)
-    prop_delay = r.real("prop_delay", 0.0, minimum=0.0)
-    loss_prob = r.real("loss_prob", 0.0, minimum=0.0, below=1.0)
-    physical_channels = r.boolean("physical_channels", False)
-    paper_range_check = r.boolean("paper_range_check", False)
-    hello_interval = r.real("hello_interval", 1.0, minimum=0.0, exclusive=True)
-    hello_loss_limit = r.integer("hello_loss_limit", 2, minimum=1)
-    speed_min = r.real("speed_min", 0.0, minimum=0.0)
-    speed_max = r.real("speed_max", 5.0, minimum=0.0)
-    pause = r.real("pause", 2.0, minimum=0.0)
-    route_lifetime = r.real("route_lifetime", 10.0, minimum=0.0, exclusive=True)
-    retry_limit = r.integer("retry_limit", 2, minimum=0)
-    retry_timeout = r.real("retry_timeout", 1.0, minimum=0.0, exclusive=True)
-    buffer_cap = r.integer("buffer_cap", 64, minimum=1)
-    rreq_cache_ttl = r.real("rreq_cache_ttl", 10.0, minimum=0.0, exclusive=True)
-    intermediate_rrep = r.boolean("intermediate_rrep", False)
-    metrics_interval = r.real("metrics_interval", 1.0, minimum=0.0, exclusive=True)
-
-    energy = EnergyParams(
-        initial=r.real("energy.initial", 10.0, minimum=0.0, exclusive=True),
-        tx_per_byte=r.real("energy.tx_per_byte", 60e-6, minimum=0.0),
-        rx_per_byte=r.real("energy.rx_per_byte", 30e-6, minimum=0.0),
-        idle_per_sec=r.real("energy.idle_per_sec", 1e-3, minimum=0.0),
-    )
-
-    atk_enabled = r.boolean("attacker.enabled", False)
-    atk_energy_raw = data.get("attacker.energy")
-    if atk_energy_raw is None:
-        atk_energy = math.inf
-    else:
-        try:
-            atk_energy = float(atk_energy_raw)
-            if math.isnan(atk_energy) or atk_energy <= 0.0:
-                r.fail("attacker.energy", f"must be positive, got {atk_energy_raw!r}")
-                atk_energy = math.inf
-        except ValueError:
-            r.fail("attacker.energy", f"expected a number, got {atk_energy_raw!r}")
-            atk_energy = math.inf
-    attacker = AttackerParams(
-        enabled=atk_enabled,
-        target=r.integer("attacker.target", 0, minimum=0),
-        start=r.real("attacker.start", 10.0, minimum=0.0),
-        rate=r.real("attacker.rate", 200.0, minimum=0.0, exclusive=True),
-        payload=r.integer("attacker.payload", 100, minimum=1),
-        sophistication=r.choice("attacker.sophistication",
-                                Sophistication.NAIVE_RANDOM, Sophistication),
-        energy=atk_energy,
-        pos=r.vec2("attacker.pos"),
-    )
-
-    if speed_max < speed_min:
-        r.fail("speed_max", f"must be >= speed_min ({speed_min}), got {speed_max}")
-    if attacker.enabled and attacker.target >= nn:
-        r.fail("attacker.target", f"must name an honest node (< {nn})")
-    if attacker.pos is not None and not (0.0 <= attacker.pos.x <= area_x
-                                         and 0.0 <= attacker.pos.y <= area_y):
-        r.fail("attacker.pos", f"outside the {area_x}x{area_y} area")
-
-    flows = _parse_flows(r, nn)
-    node_scripts = _parse_nodes(r, nn, area_x, area_y)
-
-    violations.extend(r.violations)
+    if v["speed_max"] < v["speed_min"]:
+        fail("speed_max", f"must be >= speed_min ({v['speed_min']}), got {v['speed_max']}")
+    if atk["enabled"] and atk["target"] >= v["nn"]:
+        fail("attacker.target", f"must name an honest node (< {v['nn']})")
+    if atk["pos"] is not None and not _inside(atk["pos"].x, atk["pos"].y,
+                                               v["area_x"], v["area_y"]):
+        fail("attacker.pos", f"outside the {v['area_x']}x{v['area_y']} area")
+    timers = [("stop", MOBILITY_STEP), ("hello_interval", v["hello_interval"]),
+              ("metrics_interval", v["metrics_interval"])]
+    if atk["enabled"]:
+        timers.append(("attacker.rate", 1.0 / atk["rate"]))
+    for key, period in timers:
+        if problem := _timer_problem(period, v["stop"]):
+            fail(key, problem)
+    flows = _parse_flows(data.get("flows"), v["nn"], v["stop"], fail)
+    nodes = _parse_nodes(data.get("nodes"), v["nn"], v["area_x"], v["area_y"], fail)
     if violations:
         raise ConfigError(violations)
-
-    return ScenarioConfig(
-        nn=nn, area_x=area_x, area_y=area_y, stop=stop, protocol=protocol,
-        rng_seed=seed, range_r=range_r, num_channels=k,
-        let_threshold=let_threshold, let_mode=let_mode,
-        mlet_applies_to=applies_to, mlet_annex_bytes=mlet_annex_bytes,
-        bitrate=bitrate, prop_delay=prop_delay, loss_prob=loss_prob,
-        physical_channels=physical_channels, paper_range_check=paper_range_check,
-        hello_interval=hello_interval, hello_loss_limit=hello_loss_limit,
-        speed_min=speed_min, speed_max=speed_max, pause=pause,
-        route_lifetime=route_lifetime, retry_limit=retry_limit,
-        retry_timeout=retry_timeout, buffer_cap=buffer_cap,
-        rreq_cache_ttl=rreq_cache_ttl, intermediate_rrep=intermediate_rrep,
-        metrics_interval=metrics_interval, energy=energy, attacker=attacker,
-        flows=flows, node_scripts=node_scripts,
-    )
+    return ScenarioConfig(**v, energy=EnergyParams(**groups["energy"]),
+                          attacker=AttackerParams(**atk), flows=flows, node_scripts=nodes)
 
 
-def _fmt_vec(v: Vec2) -> str:
-    return f"{v.x!r},{v.y!r}"
+def _format(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, Vec2):
+        return f"{value.x!r},{value.y!r}"
+    if isinstance(value, tuple):
+        return ",".join(_format(item) for item in value)
+    return "none" if value is None else repr(value)
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Emit every field as a ``key = value`` line; re-validating reproduces cfg."""
-    lines = [
-        f"nn = {cfg.nn}",
-        f"x = {cfg.area_x!r}",
-        f"y = {cfg.area_y!r}",
-        f"stop = {cfg.stop!r}",
-        f"rp = {cfg.protocol.value}",
-        f"seed = {cfg.rng_seed}",
-        f"range_r = {cfg.range_r!r}",
-        f"k = {cfg.num_channels}",
-        f"let_threshold = {cfg.let_threshold!r}",
-        f"let_mode = {cfg.let_mode.value}",
-        f"mlet_applies_to = {','.join(k.value for k in cfg.mlet_applies_to)}",
-        f"mlet_annex_bytes = {cfg.mlet_annex_bytes}",
-        f"bitrate = {cfg.bitrate!r}",
-        f"prop_delay = {cfg.prop_delay!r}",
-        f"loss_prob = {cfg.loss_prob!r}",
-        f"physical_channels = {'true' if cfg.physical_channels else 'false'}",
-        f"paper_range_check = {'true' if cfg.paper_range_check else 'false'}",
-        f"hello_interval = {cfg.hello_interval!r}",
-        f"hello_loss_limit = {cfg.hello_loss_limit}",
-        f"speed_min = {cfg.speed_min!r}",
-        f"speed_max = {cfg.speed_max!r}",
-        f"pause = {cfg.pause!r}",
-        f"route_lifetime = {cfg.route_lifetime!r}",
-        f"retry_limit = {cfg.retry_limit}",
-        f"retry_timeout = {cfg.retry_timeout!r}",
-        f"buffer_cap = {cfg.buffer_cap}",
-        f"rreq_cache_ttl = {cfg.rreq_cache_ttl!r}",
-        f"intermediate_rrep = {'true' if cfg.intermediate_rrep else 'false'}",
-        f"metrics_interval = {cfg.metrics_interval!r}",
-        f"energy.initial = {cfg.energy.initial!r}",
-        f"energy.tx_per_byte = {cfg.energy.tx_per_byte!r}",
-        f"energy.rx_per_byte = {cfg.energy.rx_per_byte!r}",
-        f"energy.idle_per_sec = {cfg.energy.idle_per_sec!r}",
-        f"attacker.enabled = {'true' if cfg.attacker.enabled else 'false'}",
-        f"attacker.target = {cfg.attacker.target}",
-        f"attacker.start = {cfg.attacker.start!r}",
-        f"attacker.rate = {cfg.attacker.rate!r}",
-        f"attacker.payload = {cfg.attacker.payload}",
-        f"attacker.sophistication = {cfg.attacker.sophistication.value}",
-        f"attacker.energy = {cfg.attacker.energy!r}",
-        f"attacker.pos = {_fmt_vec(cfg.attacker.pos) if cfg.attacker.pos else 'none'}",
-    ]
-    if cfg.flows:
-        entries = ";".join(f"{f.src}:{f.dst}:{f.rate!r}:{f.size}:{f.start!r}"
-                           for f in cfg.flows)
-    else:
-        entries = "none"
-    lines.append(f"flows = {entries}")
-    if cfg.node_scripts is None:
-        lines.append("nodes = none")
-    else:
-        entries = []
-        for s in cfg.node_scripts:
-            if s.target is None:
-                entries.append(_fmt_vec(s.pos))
-            else:
-                entries.append(f"{_fmt_vec(s.pos)},{_fmt_vec(s.target)},{s.speed!r}")
-        lines.append(f"nodes = {'; '.join(entries)}")
+    lines = []
+    for key, group, attr, _, _ in SCHEMA:
+        owner = getattr(cfg, group) if group else cfg
+        lines.append(f"{key} = {_format(getattr(owner, attr))}")
+    flows = ";".join(f"{f.src}:{f.dst}:{f.rate!r}:{f.size}:{f.start!r}" for f in cfg.flows)
+    lines.append(f"flows = {flows or 'none'}")
+    nodes = "none" if cfg.node_scripts is None else "; ".join(
+        _format(s.pos if s.target is None else (s.pos, s.target, s.speed))
+        for s in cfg.node_scripts)
+    lines.append(f"nodes = {nodes}")
     return "\n".join(lines) + "\n"
 
 

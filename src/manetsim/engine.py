@@ -8,20 +8,21 @@ scenario seed, so a (config, seed) pair always reproduces the same trace bytes.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from random import Random
-from typing import Dict, List, Optional, TextIO, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .aodv import AodvNode, AodvParams, Drop, StartRetry, Tx
 from .config import ScenarioConfig, Sophistication
 from .medium import MediumConfig, broadcast
 from .mlet import LetConfig, admit_link, annotate
-from .mobility import (Kinematics, advance_waypoint, due_for_advance, initial_waypoint,
-                       kinematics_at, parked_waypoint, scripted_waypoint)
+from .mobility import (MOBILITY_STEP, Kinematics, advance_waypoint, due_for_advance,
+                       initial_waypoint, kinematics_at, parked_waypoint, scripted_waypoint)
 from .model import (ATTACK_FID, BROADCAST, HEADER_RX_BYTES, CommonHeader, PacketKind,
-                    TraceEvent, Vec2, next_uid)
+                    TraceEvent, Vec2)
 from .saodv import SecurityConfig, VerifyOutcome, draw_random_values, select_channel, verify
 
 # Event kinds, dispatched on by the main loop.
@@ -33,10 +34,6 @@ ATTACK_STEP = "ATTACK_STEP"
 RETRY_TIMER = "RETRY_TIMER"
 METRIC_SAMPLE = "METRIC_SAMPLE"
 STOP = "STOP"
-
-#: Kinematics used by the medium are resampled on this grid; positions in
-#: between are exact, so the grid only quantizes neighbor-set changes.
-MOBILITY_STEP = 0.1
 
 # Engine-level drop reasons (protocol-level ones live in aodv).
 DEAD_SENDER = "DEAD_SENDER"
@@ -186,7 +183,7 @@ class Simulation:
         self.victim = cfg.attacker.target
         self.loss_rng = Random(f"{cfg.rng_seed}/loss")
         self.attacker_rng = Random(f"{cfg.rng_seed}/attacker")
-        self.uid_state = 0
+        self._alloc_uid = itertools.count().__next__
         self.heap: List[Tuple[float, int, str, tuple]] = []
         self.event_seq = 0
         self.trace: List[TraceEvent] = []
@@ -240,14 +237,19 @@ class Simulation:
             self._schedule(flow.start, APP_SEND, (i,))
         if cfg.attacker.enabled:
             self._schedule(cfg.attacker.start, ATTACK_STEP, ())
-        n_samples = int(math.floor(cfg.stop / cfg.metrics_interval + 1e-9))
-        for j in range(1, n_samples + 1):
-            self._schedule(j * cfg.metrics_interval, METRIC_SAMPLE, ())
+        # Samples are queued one ahead: sample j+1 is pushed when sample j runs,
+        # under a sequence number reserved here, so the (time, seq) order is the
+        # one that queueing every sample up front would give.
+        self.n_samples = int(math.floor(cfg.stop / cfg.metrics_interval + 1e-9))
+        self.sample_seq = self.event_seq
+        if self.n_samples:
+            self._push_sample(1)
+        self.event_seq = self.sample_seq + self.n_samples
         self._schedule(cfg.stop, STOP, ())
 
-    def _alloc_uid(self) -> int:
-        uid, self.uid_state = next_uid(self.uid_state)
-        return uid
+    def _push_sample(self, j: int):
+        heapq.heappush(self.heap, (j * self.cfg.metrics_interval, self.sample_seq + j - 1,
+                                   METRIC_SAMPLE, (j,)))
 
     def _schedule(self, t: float, kind: str, payload: tuple):
         heapq.heappush(self.heap, (t, self.event_seq, kind, payload))
@@ -493,7 +495,9 @@ class Simulation:
         if node.energy.alive:
             self._process(nid, node.aodv.on_retry(dst, attempt, bid, t), t)
 
-    def _metric_sample(self, t: float):
+    def _metric_sample(self, j: int, t: float):
+        if j < self.n_samples:
+            self._push_sample(j + 1)
         for nid in sorted(self.nodes):
             self._sync_idle(self.nodes[nid], t)
         self.metrics.sample(t, self.nodes[self.victim].energy.remaining)
@@ -520,7 +524,7 @@ class Simulation:
             elif kind == RETRY_TIMER:
                 self._retry_timer(payload[0], payload[1], payload[2], payload[3], t)
             elif kind == METRIC_SAMPLE:
-                self._metric_sample(t)
+                self._metric_sample(payload[0], t)
             else:
                 raise RuntimeError(f"unknown event kind {kind!r}")
         for nid in sorted(self.nodes):
@@ -536,11 +540,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     return Simulation(cfg).run()
 
 
-def emit_trace(event: TraceEvent, sink: TextIO):
-    """Append one formatted trace line to an open text sink."""
-    sink.write(event.format_line() + "\n")
-
-
 def trace_to_text(events: List[TraceEvent]) -> str:
     return "".join(e.format_line() + "\n" for e in events)
 
@@ -548,7 +547,7 @@ def trace_to_text(events: List[TraceEvent]) -> str:
 def write_trace(path: str, events: List[TraceEvent]):
     with open(path, "w", encoding="utf-8") as fh:
         for event in events:
-            emit_trace(event, fh)
+            fh.write(event.format_line() + "\n")
 
 
 def write_metrics(path: str, metrics: Metrics):

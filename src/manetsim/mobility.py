@@ -9,6 +9,10 @@ from random import Random
 
 from .model import Vec2
 
+#: Kinematics used by the medium are resampled on this grid; positions in
+#: between are exact, so the grid only quantizes neighbor-set changes.
+MOBILITY_STEP = 0.1
+
 
 class LetMode(Enum):
     PAPER = "PAPER"

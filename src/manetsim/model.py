@@ -62,11 +62,6 @@ class Vec2:
         return math.hypot(self.x, self.y)
 
 
-def next_uid(state: int) -> Tuple[int, int]:
-    """Return (uid, successor state). Successive calls yield strictly increasing uids."""
-    return state, state + 1
-
-
 @dataclass(frozen=True)
 class CommonHeader:
     """Per-packet metadata shared by every packet kind.

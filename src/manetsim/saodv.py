@@ -26,10 +26,9 @@ class VerifyOutcome(Enum):
 
 @dataclass(frozen=True)
 class SecurityConfig:
-    """Channel count and whether the k>2 generalized mapping is enabled."""
+    """Number of frequency channels."""
 
     k: int = 2
-    generalized: bool = True
 
     def __post_init__(self):
         if self.k < 1:
@@ -63,8 +62,6 @@ def select_channel(rv1: float, rv2: float, cfg: SecurityConfig) -> int:
     """
     if not (0.0 <= rv1 <= 1.0 and 0.0 <= rv2 <= 1.0):
         raise ValueError(f"random values must lie in [0, 1], got ({rv1}, {rv2})")
-    if cfg.k > 2 and not cfg.generalized:
-        raise ValueError("k > 2 requires the generalized mapping")
     return _implied_channel(rv1, rv2, cfg.k)
 
 

@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,3 +225,35 @@ def test_shipped_configs_run_end_to_end(tmp_path, capsys):
     summary = capsys.readouterr().out
     assert "DROP_MISMATCH" in summary  # the flood is rejected at the victim
     assert main(["analyze", "--trace", str(out / "trace.tr")]) == 0
+
+
+# Each of these crashed with a traceback or hung before validation required
+# finite values and capped the timers; now each is a config error.
+REJECTED_CONFIGS = [
+    ("stop = inf", "stop: must be finite"),
+    ("x = inf", "x: must be finite"),
+    ("flows = 0:1:inf:100:1", "flows: entry 0: rate and start must be finite"),
+    ("attacker.enabled = true\nattacker.rate = inf", "attacker.rate: must be finite"),
+    ("metrics_interval = 1e-7", "metrics_interval: a timer every 1e-07 s"),
+    ("hello_interval = 1e-300\nenergy.tx_per_byte = 0\nenergy.rx_per_byte = 0\n"
+     "energy.idle_per_sec = 0", "hello_interval: a timer every 1e-300 s"),
+    ("flows = 0:1:4:100:nan", "flows: entry 0: rate and start must be finite"),
+    ("flows = 0:1:4:100:inf", "flows: entry 0: rate and start must be finite"),
+    ("nodes = 10,10,20,10,nan; 20,10", "nodes: entry 0: speed must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("lines,violation", REJECTED_CONFIGS)
+def test_unrunnable_config_exits_2_without_traceback(tmp_path, lines, violation):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"nn = 2\n{lines}\n")
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "manetsim", "run", "--config", str(cfg),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert f"config error: {violation}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()

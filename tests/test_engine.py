@@ -4,9 +4,9 @@ from dataclasses import replace
 
 import pytest
 
-from manetsim import (EnergyParams, run_scenario,
+from manetsim import (EnergyParams, Simulation, run_scenario,
                       trace_to_text, validate_config)
-from manetsim.engine import EnergyState, debit
+from manetsim.engine import METRIC_SAMPLE, EnergyState, debit
 
 
 # -- energy accounting -----------------------------------------------------------
@@ -279,3 +279,13 @@ def test_control_overhead_counter_counts_routing_packets():
     from_trace = sum(1 for e in result.trace
                      if e.pkt_type in ("RREQ", "RREP", "RERR") and e.event in ("s", "f"))
     assert result.metrics.ctrl_overhead == from_trace
+
+
+def test_metric_samples_are_queued_one_ahead():
+    cfg = validate_config({"nn": 2, "stop": 5, "metrics_interval": 0.001,
+                           "flows": "none", "nodes": "10,10; 20,10"})
+    sim = Simulation(cfg)
+    assert [event[2] for event in sim.heap].count(METRIC_SAMPLE) == 1
+    rows = sim.run().metrics.rows
+    assert len(rows) == 5000
+    assert [row[0] for row in rows[:3]] == [0.001, 0.002, 0.003]

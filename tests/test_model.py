@@ -4,18 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from manetsim import TraceEvent, TraceParseError, Vec2, next_uid
-
-
-def test_next_uid_returns_state_then_increments():
-    assert next_uid(0) == (0, 1)
-    assert next_uid(41) == (41, 42)
-
-
-def test_next_uid_successive_calls_are_distinct():
-    uid1, state = next_uid(7)
-    uid2, state = next_uid(state)
-    assert uid2 > uid1
+from manetsim import TraceEvent, TraceParseError, Vec2
 
 
 def test_vec2_rejects_non_finite_components():
