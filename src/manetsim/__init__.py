@@ -14,7 +14,7 @@ from .config import (AttackerParams, ConfigError, EnergyParams, FlowSpec, NodeSc
                      parse_config_text, serialize_config, validate_config)
 from .engine import (EnergyState, Metrics, RunReport, RunResult, Simulation, debit,
                      run_scenario, trace_to_text, write_metrics, write_trace)
-from .medium import Delivery, MediumConfig, broadcast, in_range, tx_delay
+from .medium import CellGrid, Delivery, MediumConfig, broadcast, in_range, tx_delay
 from .mlet import LetConfig, admit_link, annotate
 from .mobility import (Kinematics, LetMode, WaypointState, advance_waypoint,
                        initial_waypoint, kinematics_at, link_expiration_time,

@@ -59,16 +59,44 @@ def interval_series(events: Sequence[TraceEvent], interval: float,
     return rows
 
 
+class MetricsParseError(ValueError):
+    """A metrics CSV line that does not parse; ``lineno`` counts from 1."""
+
+    def __init__(self, lineno: int, message: str):
+        super().__init__(f"line {lineno}: {message}")
+        self.lineno = lineno
+
+
 def parse_metrics_csv(text: str) -> List[Dict[str, float]]:
-    """Read a metrics CSV back into one dict per row, keyed by header names."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        return []
-    header = lines[0].split(",")
-    rows = []
-    for ln in lines[1:]:
-        values = ln.split(",")
-        rows.append({name: float(v) for name, v in zip(header, values)})
+    """Read a metrics CSV back into one dict per row, keyed by header names.
+
+    The header must name ``t`` and ``victim_energy``; each row needs one number
+    per column, with finite and non-decreasing ``t``.  Blank lines are skipped.
+    """
+    header: Optional[List[str]] = None
+    rows: List[Dict[str, float]] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        values = line.split(",")
+        if header is None:
+            missing = [name for name in ("t", "victim_energy") if name not in values]
+            if missing:
+                raise MetricsParseError(lineno, f"header lacks {', '.join(missing)}")
+            header = values
+            continue
+        if len(values) != len(header):
+            raise MetricsParseError(lineno, f"expected {len(header)} fields, got {len(values)}")
+        row = {}
+        for name, value in zip(header, values):
+            try:
+                row[name] = float(value)
+            except ValueError:
+                raise MetricsParseError(lineno, f"{name} is not a number: {value!r}") from None
+        if not math.isfinite(row["t"]) or (rows and row["t"] < rows[-1]["t"]):
+            raise MetricsParseError(lineno, f"t must be finite and non-decreasing, "
+                                            f"got {row['t']!r}")
+        rows.append(row)
     return rows
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: run scenarios, analyze traces, sweep channels, compute LET.
 
-Exit codes: 0 success, 2 usage/config errors, 3 I/O failures, 4 malformed traces.
+Exit codes: 0 success, 2 usage/config errors, 3 I/O failures, 4 malformed traces
+or metrics files.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import sys
 from dataclasses import replace
 from typing import List, Optional
 
-from .analyze import interval_series, parse_metrics_csv, read_trace, victim_energy_at
-from .config import ConfigError, ScenarioConfig, load_config
+from .analyze import (MetricsParseError, interval_series, parse_metrics_csv, read_trace,
+                      victim_energy_at)
+from .config import MAX_COUNT, ConfigError, ScenarioConfig, load_config
 from .engine import run_scenario, write_metrics, write_trace
 from .mobility import Kinematics, LetMode, link_expiration_time
 from .model import TraceParseError, Vec2
@@ -68,8 +70,12 @@ def cmd_analyze(args) -> int:
     metrics_path = os.path.join(os.path.dirname(os.path.abspath(args.trace)),
                                 "metrics.csv")
     if os.path.isfile(metrics_path):
-        with open(metrics_path, "r", encoding="utf-8") as fh:
-            metrics_rows = parse_metrics_csv(fh.read())
+        try:
+            with open(metrics_path, "r", encoding="utf-8") as fh:
+                metrics_rows = parse_metrics_csv(fh.read())
+        except (MetricsParseError, UnicodeDecodeError) as exc:
+            print(f"metrics error: {metrics_path}: {exc}", file=sys.stderr)
+            return EXIT_TRACE
     header = "t,drops,drop_bytes,receives,cum_data_loss"
     if metrics_rows is not None:
         header += ",victim_energy"
@@ -116,8 +122,8 @@ def cmd_sweep(args) -> int:
         print(f"error: --k expects a comma-separated integer list, got {args.k!r}",
               file=sys.stderr)
         return EXIT_USAGE
-    if not k_values or any(k < 1 for k in k_values):
-        print("error: every k must be >= 1", file=sys.stderr)
+    if not k_values or any(not 1 <= k <= MAX_COUNT for k in k_values):
+        print(f"error: every k must be in 1..{MAX_COUNT}", file=sys.stderr)
         return EXIT_USAGE
     if args.reps < 1:
         print("error: --reps must be >= 1", file=sys.stderr)

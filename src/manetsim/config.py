@@ -21,6 +21,13 @@ from .model import PacketKind, Vec2
 #: ``hello_interval``, ``metrics_interval`` and ``1 / rate`` of each flow and of
 #: an enabled attacker.  It bounds a run's events and keeps ``t + period > t``.
 MAX_TIMER_FIRINGS = 1_000_000
+#: Most honest nodes.  Every node beacons at the same instants, so a dense area
+#: queues about nn * nn deliveries at once; this keeps that near a million.
+MAX_NODES = 1000
+#: Largest packet, payload or annex, in bytes: the IPv4 datagram limit.
+MAX_PACKET_BYTES = 65_535
+#: Largest channel count, retry count, buffer size and missed-beacon limit.
+MAX_COUNT = 1_000_000
 
 
 class Protocol(Enum):
@@ -47,7 +54,7 @@ class Sophistication(Enum):
 
 
 # Parsers turn one raw string into a value or raise ValueError(*violations).
-_BOUNDS = {">=": operator.ge, ">": operator.gt, "<": operator.lt}
+_BOUNDS = {">=": operator.ge, ">": operator.gt, "<": operator.lt, "<=": operator.le}
 _BOOLS = {"true": True, "1": True, "yes": True, "on": True,
           "false": False, "0": False, "no": False, "off": False}
 
@@ -144,10 +151,10 @@ class AttackerParams:
     #: Attackers default to an unlimited battery; a flood at full rate would
     #: otherwise drain the attacker before the victim.
     energy: float = _key(math.inf, parse=_battery)
-    target: int = _key(0, ">=", 0)
+    target: int = _key(0, ">=", 0, "<", MAX_NODES)
     start: float = _key(10.0, ">=", 0.0)
     rate: float = _key(200.0, ">", 0.0)
-    payload: int = _key(100, ">=", 1)
+    payload: int = _key(100, ">=", 1, "<=", MAX_PACKET_BYTES)
     sophistication: Sophistication = _key(Sophistication.NAIVE_RANDOM)
     pos: Optional[Vec2] = _key(None, parse=_vec2)
 
@@ -176,32 +183,32 @@ class NodeScript:
 class ScenarioConfig:
     """A validated scenario.  Keys are read, and reported, in field order."""
 
-    nn: int = _key(25, ">=", 1)
+    nn: int = _key(25, ">=", 1, "<=", MAX_NODES)
     area_x: float = _key(50.0, ">", 0.0, key="x")
     area_y: float = _key(50.0, ">", 0.0, key="y")
     stop: float = _key(50.0, ">", 0.0)
     protocol: Protocol = _key(Protocol.AODV, key="rp")
     rng_seed: int = _key(1, key="seed")
     range_r: float = _key(15.0, ">", 0.0)
-    num_channels: int = _key(2, ">=", 1, key="k")
+    num_channels: int = _key(2, ">=", 1, "<=", MAX_COUNT, key="k")
     let_mode: LetMode = _key(LetMode.STRICT)
     let_threshold: float = _key(0.0, ">=", 0.0)  # 5 under *_MLET, see validate_config
     mlet_applies_to: Tuple[PacketKind, ...] = _key((PacketKind.RREQ,), parse=_packet_kinds)
-    mlet_annex_bytes: int = _key(24, ">=", 0)
+    mlet_annex_bytes: int = _key(24, ">=", 0, "<=", MAX_PACKET_BYTES)
     bitrate: float = _key(250000.0, ">", 0.0)
     prop_delay: float = _key(0.0, ">=", 0.0)
     loss_prob: float = _key(0.0, ">=", 0.0, "<", 1.0)
     physical_channels: bool = _key(False)
     paper_range_check: bool = _key(False)
     hello_interval: float = _key(1.0, ">", 0.0)
-    hello_loss_limit: int = _key(2, ">=", 1)
+    hello_loss_limit: int = _key(2, ">=", 1, "<=", MAX_COUNT)
     speed_min: float = _key(0.0, ">=", 0.0)
     speed_max: float = _key(5.0, ">=", 0.0)
     pause: float = _key(2.0, ">=", 0.0)
     route_lifetime: float = _key(10.0, ">", 0.0)
-    retry_limit: int = _key(2, ">=", 0)
+    retry_limit: int = _key(2, ">=", 0, "<=", MAX_COUNT)
     retry_timeout: float = _key(1.0, ">", 0.0)
-    buffer_cap: int = _key(64, ">=", 1)
+    buffer_cap: int = _key(64, ">=", 1, "<=", MAX_COUNT)
     rreq_cache_ttl: float = _key(10.0, ">", 0.0)
     intermediate_rrep: bool = _key(False)
     metrics_interval: float = _key(1.0, ">", 0.0)
@@ -291,6 +298,8 @@ def _parse_flows(raw: Optional[str], nn: int, stop: float, fail) -> Tuple[FlowSp
             fail("flows", f"entry {i}: src and dst must differ")
         elif rate <= 0.0 or size <= 0 or start < 0.0:
             fail("flows", f"entry {i}: rate/size must be positive, start >= 0")
+        elif size > MAX_PACKET_BYTES:
+            fail("flows", f"entry {i}: size must be <= {MAX_PACKET_BYTES}")
         elif not (math.isfinite(rate) and math.isfinite(start)):
             fail("flows", f"entry {i}: rate and start must be finite")
         elif problem := _timer_problem(1.0 / rate, stop):
@@ -361,7 +370,7 @@ def validate_config(raw: Mapping[str, object]) -> ScenarioConfig:
 
     if v["speed_max"] < v["speed_min"]:
         fail("speed_max", f"must be >= speed_min ({v['speed_min']}), got {v['speed_max']}")
-    if atk["enabled"] and atk["target"] >= v["nn"]:
+    if atk["target"] >= v["nn"]:  # the victim's energy is sampled, attack or not
         fail("attacker.target", f"must name an honest node (< {v['nn']})")
     if atk["pos"] is not None and not _inside(atk["pos"].x, atk["pos"].y,
                                                v["area_x"], v["area_y"]):

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .aodv import AodvNode, AodvParams, Drop, StartRetry, Tx
 from .config import ScenarioConfig, Sophistication
-from .medium import MediumConfig, broadcast
+from .medium import CellGrid, MediumConfig, broadcast
 from .mlet import LetConfig, admit_link, annotate
 from .mobility import (MOBILITY_STEP, Kinematics, advance_waypoint, due_for_advance,
                        initial_waypoint, kinematics_at, parked_waypoint, scripted_waypoint)
@@ -210,8 +210,9 @@ class Simulation:
                                     waypoint=waypoint,
                                     energy=EnergyState(initial, initial > 0.0),
                                     mob_rng=mob_rng, tag_rng=tag_rng)
-        self.kin: Dict[int, Kinematics] = {
-            nid: kinematics_at(node.waypoint, 0.0) for nid, node in self.nodes.items()}
+        self.grid = CellGrid(cfg.range_r)
+        for nid, node in self.nodes.items():
+            self.grid.place(nid, kinematics_at(node.waypoint, 0.0))
         self._schedule_initial()
 
     # -- setup ---------------------------------------------------------------
@@ -264,7 +265,7 @@ class Simulation:
         if was_alive and not node.energy.alive:
             frozen = kinematics_at(node.waypoint, t).pos
             node.waypoint = parked_waypoint(frozen)
-            self.kin[node.nid] = Kinematics(pos=frozen, vel=Vec2(0.0, 0.0))
+            self.grid.place(node.nid, Kinematics(pos=frozen, vel=Vec2(0.0, 0.0)))
             self.report.depletion_times[node.nid] = t
             return True
         return False
@@ -333,7 +334,7 @@ class Simulation:
             header = replace(header, rv1=rv1, rv2=rv2,
                              channel=select_channel(rv1, rv2, self.sec))
         if self.cfg.protocol.uses_let and header.kind in self.let_cfg.applies_to:
-            header = annotate(header, self.kin[nid], self.cfg.mlet_annex_bytes)
+            header = annotate(header, self.grid.kin[nid], self.cfg.mlet_annex_bytes)
         self._debit(node, "tx", header.size, t)
         self._emit("f" if tx.forward else "s", t, nid, tx.link_dst, header)
         if header.kind in _CONTROL_KINDS:
@@ -341,9 +342,9 @@ class Simulation:
             self.report.control_tx[header.kind] += 1
         if self._is_honest_data(header) and not tx.forward:
             self.report.honest_data_sent += 1
-        deliveries = broadcast(nid, header, t, self.kin, self.med, self.loss_rng)
-        if (self._is_honest_data(header) and tx.link_dst != BROADCAST
-                and all(d.receiver != tx.link_dst for d in deliveries)):
+        deliveries = broadcast(nid, header, tx.link_dst, t, self.grid, self.med,
+                               self.loss_rng)
+        if self._is_honest_data(header) and tx.link_dst != BROADCAST and not deliveries:
             self._count_honest_loss()  # next hop unreachable: the packet is gone
         frame = _Frame(header=header, body=tx.body, link_dst=tx.link_dst)
         for d in deliveries:
@@ -367,8 +368,6 @@ class Simulation:
     def _deliver(self, receiver: int, frame: _Frame, t: float):
         node = self.nodes[receiver]
         header = frame.header
-        if frame.link_dst != BROADCAST and frame.link_dst != receiver:
-            return  # overheard unicast: filtered before any processing
         if not node.energy.alive:
             if self._is_honest_data(header):
                 self._count_honest_loss()
@@ -391,7 +390,7 @@ class Simulation:
             return
         if (self.cfg.protocol.uses_let and header.kind in self.let_cfg.applies_to
                 and header.sender_kin is not None):
-            if not admit_link(header.sender_kin, self.kin[receiver],
+            if not admit_link(header.sender_kin, self.grid.kin[receiver],
                               self.cfg.range_r, self.let_cfg, self.cfg.let_mode):
                 self._drop(receiver, header, header.prev_hop, LET_REJECT, t)
                 return
@@ -442,7 +441,7 @@ class Simulation:
                                                  cfg.area_x, cfg.area_y,
                                                  cfg.speed_min, cfg.speed_max,
                                                  cfg.pause)
-            self.kin[nid] = kinematics_at(node.waypoint, t)
+            self.grid.place(nid, kinematics_at(node.waypoint, t))
         nxt = t + MOBILITY_STEP
         if nxt <= cfg.stop:
             self._schedule(nxt, MOBILITY_UPDATE, ())

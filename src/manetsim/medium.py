@@ -5,10 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from .mobility import Kinematics
-from .model import CommonHeader, Vec2
+from .model import BROADCAST, CommonHeader, Vec2
 from .saodv import _implied_channel
 
 
@@ -35,7 +35,66 @@ class MediumConfig:
 class Delivery:
     receiver: int
     arrival_time: float
-    header: CommonHeader
+
+
+Cell = Tuple[int, int]
+
+
+class CellGrid:
+    """Node kinematics, indexed by a uniform grid of cells as wide as the range.
+
+    These are the cell lists of Allen & Tildesley (*Computer Simulation of
+    Liquids*, 1987): a node within ``range_r`` of another lies in the same cell
+    or in one of the eight around it, so a neighbour search reads 3x3 cells and
+    not every node.  The side is padded so that no pair passing the float range
+    test sits two cells apart; ``//`` floors the exact quotient.  Cells are
+    keyed by integer coordinates, so positions outside the area need no clamp.
+    """
+
+    def __init__(self, range_r: float):
+        self.range_r = range_r
+        self.side = range_r * (1.0 + 1e-9)
+        self.kin: Dict[int, Kinematics] = {}
+        self._cell: Dict[int, Cell] = {}
+        self._members: Dict[Cell, List[int]] = {}
+        #: The sorted ids of each cell's 3x3 neighbourhood, until one of its
+        #: cells gains or loses a node.
+        self._near: Dict[Cell, List[int]] = {}
+
+    def place(self, nid: int, kin: Kinematics):
+        """Record a node's kinematics; move it to another cell if it left its own."""
+        self.kin[nid] = kin
+        cell = (int(kin.pos.x // self.side), int(kin.pos.y // self.side))
+        old = self._cell.get(nid)
+        if cell == old:
+            return
+        self._cell[nid] = cell
+        if old is not None:
+            members = self._members[old]
+            members.remove(nid)
+            if not members:
+                del self._members[old]
+            self._forget(old)
+        self._members.setdefault(cell, []).append(nid)
+        self._forget(cell)
+
+    def _forget(self, cell: Cell):
+        cx, cy = cell
+        for x in (cx - 1, cx, cx + 1):
+            for y in (cy - 1, cy, cy + 1):
+                self._near.pop((x, y), None)
+
+    def near(self, nid: int) -> List[int]:
+        """Ids in the 3x3 cells around ``nid``'s cell, ``nid`` included, ascending."""
+        cell = self._cell[nid]
+        ids = self._near.get(cell)
+        if ids is None:
+            cx, cy = cell
+            members = self._members
+            ids = sorted(m for x in (cx - 1, cx, cx + 1) for y in (cy - 1, cy, cy + 1)
+                         for m in members.get((x, y), ()))
+            self._near[cell] = ids
+        return ids
 
 
 def in_range(a: Vec2, b: Vec2, r: float) -> bool:
@@ -52,17 +111,21 @@ def tx_delay(size: int, bitrate: float) -> float:
     return size * 8.0 / bitrate
 
 
-def broadcast(sender: int, header: CommonHeader, t: float,
-              node_kinematics: Dict[int, Kinematics], cfg: MediumConfig,
-              rng: Random) -> List[Delivery]:
+def broadcast(sender: int, header: CommonHeader, link_dst: int, t: float,
+              grid: CellGrid, cfg: MediumConfig, rng: Random) -> List[Delivery]:
     """Deliveries for one transmission at time t.
 
-    Every node other than the sender that is within range at send time gets a
-    delivery at t + tx_delay + prop_delay, independently dropped with
-    ``loss_prob`` (draws consumed in ascending node id order).  The channel
-    index does not gate delivery unless ``physical_channels`` is set: the
-    receiver-side verification decides acceptance.
+    Every node other than the sender that is within range at send time hears
+    the frame at t + tx_delay + prop_delay, independently lost with
+    ``loss_prob``: one draw per such node, in ascending node id order, whoever
+    the frame is addressed to.  Only the nodes that process the frame get a
+    delivery: every hearer of a ``BROADCAST`` frame, and otherwise the
+    addressed receiver alone.  The channel index does not gate delivery unless
+    ``physical_channels`` is set: the receiver-side verification decides
+    acceptance.  ``grid`` must be built with ``cfg.range_r``.
     """
+    if grid.range_r != cfg.range_r:
+        raise ValueError(f"grid built for range {grid.range_r}, medium has {cfg.range_r}")
     if cfg.physical_channels:
         valid = (math.isfinite(header.rv1) and math.isfinite(header.rv2)
                  and header.channel == _implied_channel(header.rv1, header.rv2,
@@ -70,14 +133,19 @@ def broadcast(sender: int, header: CommonHeader, t: float,
         if not valid:
             return []
     arrival = t + tx_delay(header.size, cfg.bitrate) + cfg.prop_delay
-    sender_pos = node_kinematics[sender].pos
+    kin = grid.kin
+    sender_pos = kin[sender].pos
+    lossy = cfg.loss_prob > 0.0
+    if link_dst == BROADCAST or lossy:
+        candidates = grid.near(sender)
+    else:  # no loss draws to keep in step: only the addressee can hear it
+        candidates = (link_dst,) if link_dst in kin else ()
     deliveries = []
-    for nid in sorted(node_kinematics):
-        if nid == sender:
+    for nid in candidates:
+        if nid == sender or not in_range(sender_pos, kin[nid].pos, cfg.range_r):
             continue
-        if not in_range(sender_pos, node_kinematics[nid].pos, cfg.range_r):
+        if lossy and rng.random() < cfg.loss_prob:
             continue
-        if cfg.loss_prob > 0.0 and rng.random() < cfg.loss_prob:
-            continue
-        deliveries.append(Delivery(receiver=nid, arrival_time=arrival, header=header))
+        if link_dst == BROADCAST or nid == link_dst:
+            deliveries.append(Delivery(receiver=nid, arrival_time=arrival))
     return deliveries

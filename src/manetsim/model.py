@@ -181,6 +181,8 @@ class TraceEvent:
             raise TraceParseError(lineno, f"time is not a number: {tokens[1]!r}") from None
         if not math.isfinite(time):
             raise TraceParseError(lineno, f"time is not finite: {tokens[1]!r}")
+        if time < 0.0:
+            raise TraceParseError(lineno, f"time is negative: {tokens[1]!r}")
         values = {}
         for idx, name in _INT_FIELDS:
             try:

@@ -1,8 +1,8 @@
 import pytest
 
 from manetsim import TraceParseError, run_scenario, trace_to_text, validate_config
-from manetsim.analyze import (interval_series, parse_metrics_csv, parse_trace_text,
-                              read_trace, victim_energy_at)
+from manetsim.analyze import (MetricsParseError, interval_series, parse_metrics_csv,
+                              parse_trace_text, read_trace, victim_energy_at)
 
 from .conftest import DATA_DIR
 
@@ -26,6 +26,16 @@ def test_malformed_line_reports_its_number():
         parse_trace_text(text)
     assert exc.value.lineno == 2
     assert "expected 12 fields" in str(exc.value)
+
+
+def test_negative_time_is_rejected_not_binned_last():
+    # Negative indexing once counted this drop in the last window.
+    text = ("d -0.500000 0 1 DATA 100 --- 1 0 1 0 0\n"
+            "d 2.500000 0 1 DATA 100 --- 1 0 1 0 1\n")
+    with pytest.raises(TraceParseError) as exc:
+        parse_trace_text(text)
+    assert exc.value.lineno == 1
+    assert "time is negative" in str(exc.value)
 
 
 def test_blank_lines_are_ignored():
@@ -68,3 +78,17 @@ def test_metrics_csv_round_trip_helpers():
     assert len(rows) == len(metrics.rows)
     assert victim_energy_at(rows, 2.0) == pytest.approx(metrics.rows[1][3])
     assert victim_energy_at(rows, 0.5) is None
+
+
+@pytest.mark.parametrize("text,lineno,message", [
+    ("t,victim_energy\n0.5,abc\n", 2, "victim_energy is not a number: 'abc'"),
+    ("t,energy\n1,2\n", 1, "header lacks victim_energy"),
+    ("t,victim_energy\n\n1,2,3\n", 3, "expected 2 fields, got 3"),
+    ("t,victim_energy\n2,1\n1,1\n", 3, "t must be finite and non-decreasing, got 1.0"),
+    ("t,victim_energy\ninf,1\n", 2, "t must be finite and non-decreasing, got inf"),
+])
+def test_malformed_metrics_csv_reports_its_line(text, lineno, message):
+    with pytest.raises(MetricsParseError) as exc:
+        parse_metrics_csv(text)
+    assert exc.value.lineno == lineno
+    assert str(exc.value) == f"line {lineno}: {message}"

@@ -111,6 +111,29 @@ def test_analyze_malformed_trace_exits_4(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def _cli(*args):
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "manetsim", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("content,error", [
+    (b"t,victim_energy\n1.000000,9.9\n2.000000,n/a\n",
+     "line 3: victim_energy is not a number: 'n/a'"),
+    (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+])
+def test_analyze_malformed_metrics_exits_4_without_traceback(tmp_path, content, error):
+    trace = tmp_path / "trace.tr"
+    trace.write_text("s 0.100000 0 1 DATA 100 --- 1 0 1 0 0\n")
+    (tmp_path / "metrics.csv").write_bytes(content)
+    proc = _cli("analyze", "--trace", str(trace))
+    assert proc.returncode == 4
+    assert proc.stderr == f"metrics error: {tmp_path / 'metrics.csv'}: {error}\n"
+    assert proc.stdout == ""
+
+
 def test_analyze_empty_trace_is_fine(tmp_path, capsys):
     trace = tmp_path / "empty.tr"
     trace.write_text("")
@@ -134,6 +157,7 @@ def test_sweep_rejects_bad_k_list(capsys):
     assert main(["sweep", "--config", cfg, "--k", "0,2", "--reps", "2"]) == 2
     assert main(["sweep", "--config", cfg, "--k", "abc", "--reps", "2"]) == 2
     assert main(["sweep", "--config", cfg, "--k", "2", "--reps", "0"]) == 2
+    assert main(["sweep", "--config", cfg, "--k", "2,1000001", "--reps", "2"]) == 2
 
 
 def test_sweep_prints_sorted_table(tmp_path, capsys):
@@ -240,19 +264,24 @@ REJECTED_CONFIGS = [
     ("flows = 0:1:4:100:nan", "flows: entry 0: rate and start must be finite"),
     ("flows = 0:1:4:100:inf", "flows: entry 0: rate and start must be finite"),
     ("nodes = 10,10,20,10,nan; 20,10", "nodes: entry 0: speed must be >= 0"),
+    # Integers beyond their upper bounds: an OverflowError, a KeyError for a
+    # victim that is no node, and a MemoryError.
+    pytest.param(f"mlet_annex_bytes = {10**400}\nrp = AODV_MLET",
+                 "mlet_annex_bytes: must be <= 65535", id="huge-mlet_annex_bytes"),
+    pytest.param(f"hello_loss_limit = {10**400}", "hello_loss_limit: must be <= 1000000",
+                 id="huge-hello_loss_limit"),
+    pytest.param(f"k = {10**400}\nrp = SAODV", "k: must be <= 1000000", id="huge-k"),
+    ("flows = 0:1:4:100000", "flows: entry 0: size must be <= 65535"),
+    ("attacker.target = 7", "attacker.target: must name an honest node (< 2)"),
+    ("nn = 3000000\nstop = 1", "nn: must be <= 1000, got 3000000"),
 ]
 
 
 @pytest.mark.parametrize("lines,violation", REJECTED_CONFIGS)
 def test_unrunnable_config_exits_2_without_traceback(tmp_path, lines, violation):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"nn = 2\n{lines}\n")
-    src = str(Path(__file__).parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "manetsim", "run", "--config", str(cfg),
-                           "--out", str(tmp_path / "out")],
-                          capture_output=True, text=True, env=env, timeout=60)
+    cfg.write_text(f"{lines}\n" if lines.startswith("nn =") else f"nn = 2\n{lines}\n")
+    proc = _cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert proc.returncode == 2
     assert f"config error: {violation}" in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -9,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from manetsim import ConfigError, ScenarioConfig, Simulation, validate_config
-from manetsim.config import KNOWN_KEYS, MAX_TIMER_FIRINGS
+from manetsim.config import (KNOWN_KEYS, MAX_COUNT, MAX_NODES, MAX_PACKET_BYTES,
+                             MAX_TIMER_FIRINGS)
 from manetsim.mobility import MOBILITY_STEP
 
 README = Path(__file__).parents[1] / "README.md"
@@ -142,6 +143,40 @@ def test_non_finite_values_and_runaway_timers_are_rejected(raw, expected):
     with pytest.raises(ConfigError) as exc:
         validate_config(raw)
     assert exc.value.violations == expected
+
+
+# Integers that validated before the upper bounds, then ended a run in an
+# OverflowError, a MemoryError or a KeyError.
+HUGE = 10**400
+UNBOUNDED_BEFORE = [
+    ({"nn": 3000000}, ["nn: must be <= 1000, got 3000000"]),
+    ({"mlet_annex_bytes": HUGE}, [f"mlet_annex_bytes: must be <= 65535, got {HUGE}"]),
+    ({"attacker.payload": 65536}, ["attacker.payload: must be <= 65535, got 65536"]),
+    ({"hello_loss_limit": HUGE}, [f"hello_loss_limit: must be <= 1000000, got {HUGE}"]),
+    ({"k": HUGE}, [f"k: must be <= 1000000, got {HUGE}"]),
+    ({"retry_limit": 1000001}, ["retry_limit: must be <= 1000000, got 1000001"]),
+    ({"buffer_cap": 1000001}, ["buffer_cap: must be <= 1000000, got 1000001"]),
+    ({"attacker.target": 1000}, ["attacker.target: must be < 1000, got 1000"]),
+    ({"attacker.target": 25}, ["attacker.target: must name an honest node (< 25)"]),
+    ({"flows": f"0:1:4:{HUGE}"}, ["flows: entry 0: size must be <= 65535"]),
+]
+
+
+@pytest.mark.parametrize("raw,expected", UNBOUNDED_BEFORE)
+def test_integer_keys_have_upper_bounds(raw, expected):
+    with pytest.raises(ConfigError) as exc:
+        validate_config(raw)
+    assert exc.value.violations == expected
+
+
+def test_upper_bounds_admit_their_limits():
+    cfg = validate_config({
+        "nn": MAX_NODES, "k": MAX_COUNT, "mlet_annex_bytes": MAX_PACKET_BYTES,
+        "hello_loss_limit": MAX_COUNT, "retry_limit": MAX_COUNT, "buffer_cap": MAX_COUNT,
+        "attacker.target": MAX_NODES - 1, "attacker.payload": MAX_PACKET_BYTES,
+        "flows": f"0:1:4:{MAX_PACKET_BYTES}"})
+    assert (cfg.nn, cfg.attacker.target, cfg.flows[0].size) == (
+        MAX_NODES, MAX_NODES - 1, MAX_PACKET_BYTES)
 
 
 def test_batteries_may_be_unlimited():

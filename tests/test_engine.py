@@ -2,11 +2,18 @@ import math
 from collections import Counter
 from dataclasses import replace
 
-import pytest
+from random import Random
 
-from manetsim import (EnergyParams, Simulation, run_scenario,
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from manetsim import (BROADCAST, EnergyParams, Simulation, in_range, run_scenario,
                       trace_to_text, validate_config)
-from manetsim.engine import METRIC_SAMPLE, EnergyState, debit
+from manetsim import engine
+from manetsim.engine import DELIVER, METRIC_SAMPLE, EnergyState, debit
+
+from .conftest import scan_broadcast
 
 
 # -- energy accounting -----------------------------------------------------------
@@ -289,3 +296,67 @@ def test_metric_samples_are_queued_one_ahead():
     rows = sim.run().metrics.rows
     assert len(rows) == 5000
     assert [row[0] for row in rows[:3]] == [0.001, 0.002, 0.003]
+
+
+def test_no_delivery_is_queued_for_an_overheard_unicast(monkeypatch):
+    # Node 1 hears the attacker's unicast flood to node 0, yet only node 0
+    # gets a DELIVER for it.
+    sim = Simulation(_attack_config(rp="SAODV", stop=15))
+    overheard = []
+    real_broadcast = engine.broadcast
+
+    def broadcast(sender, header, link_dst, t, grid, cfg, rng):
+        pos = grid.kin[sender].pos
+        overheard.extend(nid for nid, k in grid.kin.items()
+                         if link_dst not in (BROADCAST, nid) and nid != sender
+                         and in_range(pos, k.pos, cfg.range_r))
+        return real_broadcast(sender, header, link_dst, t, grid, cfg, rng)
+
+    monkeypatch.setattr(engine, "broadcast", broadcast)
+    real_schedule = sim._schedule
+    delivered = []
+
+    def schedule(t, kind, payload):
+        if kind == DELIVER:
+            delivered.append(payload)
+        real_schedule(t, kind, payload)
+
+    sim._schedule = schedule
+    sim.run()
+    assert len(overheard) > 100
+    assert delivered
+    assert all(frame.link_dst in (BROADCAST, receiver) for receiver, frame in delivered)
+
+
+@settings(max_examples=6)
+@given(seed=st.integers(0, 2**31))
+def test_engine_neighbour_search_matches_a_full_scan(seed):
+    # Fast, never pausing nodes on small batteries die mid-leg and are frozen
+    # where they stand; every search must still match a scan of all nodes.
+    cfg = validate_config({
+        "nn": 30, "x": 60, "y": 60, "stop": 12, "seed": seed, "range_r": 12,
+        "speed_min": 5, "speed_max": 15, "pause": 0, "loss_prob": 0.1,
+        "energy.initial": 0.02, "flows": "0:29:8:100:0.5; 5:20:8:100:1"})
+    sim = Simulation(cfg)
+    real_broadcast = engine.broadcast
+    calls = []
+
+    def broadcast(sender, header, link_dst, t, grid, cfg, rng):
+        twin = Random()
+        twin.setstate(rng.getstate())
+        expected = scan_broadcast(sender, header, link_dst, t, dict(grid.kin), cfg, twin)
+        got = real_broadcast(sender, header, link_dst, t, grid, cfg, rng)
+        assert got == expected and rng.getstate() == twin.getstate()
+        for nid, node in sim.nodes.items():
+            if not node.energy.alive:  # frozen where its battery ran out
+                assert grid.kin[nid].pos == node.waypoint.current
+        calls.append(link_dst)
+        return got
+
+    engine.broadcast = broadcast  # hypothesis runs no function-scoped monkeypatch
+    try:
+        report = sim.run().report
+    finally:
+        engine.broadcast = real_broadcast
+    assert report.depletion_times
+    assert BROADCAST in calls and any(dst != BROADCAST for dst in calls)
