@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .model import PacketKind, TraceEvent
+from .model import PacketKind, TraceEvent, TraceParseError, read_utf8
 
 
 def parse_trace_text(text: str) -> List[TraceEvent]:
@@ -19,8 +19,7 @@ def parse_trace_text(text: str) -> List[TraceEvent]:
 
 
 def read_trace(path: str) -> List[TraceEvent]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_trace_text(fh.read())
+    return parse_trace_text(read_utf8(path, TraceParseError))
 
 
 def interval_series(events: Sequence[TraceEvent], interval: float,

@@ -12,6 +12,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
+from .config import ScenarioConfig
 from .model import (BROADCAST, CONTROL_FID, HELLO_BYTES, RERR_BYTES, RREP_BYTES,
                     RREQ_BYTES, CommonHeader, PacketKind, RerrBody, RouteEntry,
                     RrepBody, RreqBody)
@@ -21,6 +22,9 @@ NO_ROUTE = "NO_ROUTE"
 NO_REVERSE_ROUTE = "NO_REVERSE_ROUTE"
 BUFFER_OVERFLOW = "BUFFER_OVERFLOW"
 RETRY_EXHAUSTED = "RETRY_EXHAUSTED"
+
+#: Size of ``AodvNode.rreq_seen`` that triggers its first sweep of expired entries.
+RREQ_SWEEP_MIN = 64
 
 
 @dataclass
@@ -60,18 +64,6 @@ class StartRetry:
 Action = object
 
 
-@dataclass(frozen=True)
-class AodvParams:
-    route_lifetime: float = 10.0
-    retry_limit: int = 2
-    retry_timeout: float = 1.0
-    buffer_cap: int = 64
-    rreq_cache_ttl: float = 10.0
-    hello_interval: float = 1.0
-    hello_loss_limit: int = 2
-    intermediate_rrep: bool = False
-
-
 @dataclass
 class _Discovery:
     bid: int
@@ -81,15 +73,16 @@ class _Discovery:
 class AodvNode:
     """Routing table, discovery state, pending traffic, and neighbor monitor."""
 
-    def __init__(self, nid: int, params: AodvParams, alloc_uid: Callable[[], int]):
+    def __init__(self, nid: int, cfg: ScenarioConfig, alloc_uid: Callable[[], int]):
         self.nid = nid
-        self.params = params
+        self.cfg = cfg
         self.alloc_uid = alloc_uid
         self.routes: Dict[int, RouteEntry] = {}
         self.own_seq = 0
         self.next_broadcast_id = 0
         self.pkt_seq = 0
         self.rreq_seen: Dict[Tuple[int, int], float] = {}
+        self._rreq_sweep_at = RREQ_SWEEP_MIN
         self.pending: Dict[int, Deque[CommonHeader]] = {}
         self.discovery: Dict[int, _Discovery] = {}
         self.last_hello: Dict[int, float] = {}
@@ -114,7 +107,7 @@ class AodvNode:
         return None
 
     def refresh_route(self, entry: RouteEntry, t: float):
-        entry.expiry = max(entry.expiry, t + self.params.route_lifetime)
+        entry.expiry = max(entry.expiry, t + self.cfg.route_lifetime)
 
     def _update_route(self, dest: int, next_hop: int, hop_count: int,
                       dest_seq: int, t: float):
@@ -127,22 +120,36 @@ class AodvNode:
                 or (dest_seq == entry.dest_seq and hop_count < entry.hop_count)):
             self.routes[dest] = RouteEntry(dest=dest, next_hop=next_hop,
                                            hop_count=hop_count, dest_seq=dest_seq,
-                                           expiry=t + self.params.route_lifetime)
+                                           expiry=t + self.cfg.route_lifetime)
         elif (dest_seq == entry.dest_seq and hop_count == entry.hop_count
                 and next_hop == entry.next_hop):
             self.refresh_route(entry, t)
 
     def _rreq_duplicate(self, orig: int, bid: int, t: float) -> bool:
         seen = self.rreq_seen.get((orig, bid))
-        if seen is not None and t - seen <= self.params.rreq_cache_ttl:
+        if seen is not None and t - seen <= self.cfg.rreq_cache_ttl:
             return True
-        self.rreq_seen[(orig, bid)] = t
+        self._remember_rreq(orig, bid, t)
         return False
+
+    def _remember_rreq(self, orig: int, bid: int, t: float):
+        """Mark a flood seen at t; sweep out expired entries when the cache doubles.
+
+        An entry older than ``rreq_cache_ttl`` is one a lookup already treats as
+        missing, and event times never decrease, so the sweep (RFC 3561 section
+        6.3) changes no outcome; it keeps the cache from growing with ``stop``.
+        """
+        self.rreq_seen[(orig, bid)] = t
+        if len(self.rreq_seen) >= self._rreq_sweep_at:
+            ttl = self.cfg.rreq_cache_ttl
+            self.rreq_seen = {key: seen for key, seen in self.rreq_seen.items()
+                              if t - seen <= ttl}
+            self._rreq_sweep_at = 2 * max(len(self.rreq_seen), RREQ_SWEEP_MIN)
 
     def _flood_rreq(self, dst: int, t: float) -> Tx:
         bid = self.next_broadcast_id
         self.next_broadcast_id += 1
-        self.rreq_seen[(self.nid, bid)] = t  # suppress echoes of our own flood
+        self._remember_rreq(self.nid, bid, t)  # suppress echoes of our own flood
         known = self.routes.get(dst)
         body = RreqBody(broadcast_id=bid, orig_seq=self.own_seq, dest=dst,
                         dest_seq_known=known.dest_seq if known else None)
@@ -169,7 +176,7 @@ class AodvNode:
             return [Tx(header=header, link_dst=route.next_hop)]
         actions: List[Action] = []
         queue = self.pending.setdefault(dst, deque())
-        if len(queue) >= self.params.buffer_cap:
+        if len(queue) >= self.cfg.buffer_cap:
             oldest = queue.popleft()
             actions.append(Drop(header=oldest, reason=BUFFER_OVERFLOW,
                                 neighbor=oldest.dst))
@@ -185,7 +192,7 @@ class AodvNode:
         if self.valid_route(dst, t) is not None:
             del self.discovery[dst]
             return []
-        if disc.attempt <= self.params.retry_limit:
+        if disc.attempt <= self.cfg.retry_limit:
             tx = self._flood_rreq(dst, t)
             disc.bid = tx.body.broadcast_id
             disc.attempt += 1
@@ -209,7 +216,7 @@ class AodvNode:
             self.own_seq = max(self.own_seq, body.dest_seq_known or 0)
             return self._reply(orig=header.src, dest=self.nid,
                                dest_seq=self.own_seq, hop_count=0, t=t)
-        if self.params.intermediate_rrep:
+        if self.cfg.intermediate_rrep:
             cached = self.valid_route(body.dest, t)
             wanted = body.dest_seq_known or 0
             if cached is not None and cached.dest_seq >= wanted:
@@ -283,7 +290,7 @@ class AodvNode:
 
     def detect_breaks(self, t: float) -> List[Action]:
         """Invalidate routes through silent neighbors; announce them once."""
-        limit = self.params.hello_loss_limit * self.params.hello_interval
+        limit = self.cfg.hello_loss_limit * self.cfg.hello_interval
         lost = {n for n, last in self.last_hello.items() if t - last > limit}
         if not lost:
             return []

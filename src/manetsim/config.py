@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .mobility import MOBILITY_STEP, LetMode
-from .model import PacketKind, Vec2
+from .model import PacketKind, Vec2, read_utf8
 
 #: Most times one periodic timer may fire before ``stop``: the mobility step,
 #: ``hello_interval``, ``metrics_interval`` and ``1 / rate`` of each flow and of
@@ -194,6 +194,7 @@ class ScenarioConfig:
     let_mode: LetMode = _key(LetMode.STRICT)
     let_threshold: float = _key(0.0, ">=", 0.0)  # 5 under *_MLET, see validate_config
     mlet_applies_to: Tuple[PacketKind, ...] = _key((PacketKind.RREQ,), parse=_packet_kinds)
+    #: Bytes a kinematics annex adds to a packet: 4 floats plus framing.
     mlet_annex_bytes: int = _key(24, ">=", 0, "<=", MAX_PACKET_BYTES)
     bitrate: float = _key(250000.0, ">", 0.0)
     prop_delay: float = _key(0.0, ">=", 0.0)
@@ -418,5 +419,5 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 
 
 def load_config(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return validate_config(parse_config_text(fh.read()))
+    text = read_utf8(path, lambda lineno, message: ConfigError([f"line {lineno}: {message}"]))
+    return validate_config(parse_config_text(text))

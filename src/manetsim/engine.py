@@ -15,15 +15,16 @@ from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
-from .aodv import AodvNode, AodvParams, Drop, StartRetry, Tx
-from .config import ScenarioConfig, Sophistication
-from .medium import CellGrid, MediumConfig, broadcast
-from .mlet import LetConfig, admit_link, annotate
+from .aodv import AodvNode, Drop, StartRetry, Tx
+from .config import (ScenarioConfig, Sophistication, parse_config_text, serialize_config,
+                     validate_config)
+from .medium import CellGrid, broadcast
+from .mlet import admit_link, annotate
 from .mobility import (MOBILITY_STEP, Kinematics, advance_waypoint, due_for_advance,
                        initial_waypoint, kinematics_at, parked_waypoint, scripted_waypoint)
 from .model import (ATTACK_FID, BROADCAST, HEADER_RX_BYTES, CommonHeader, PacketKind,
                     TraceEvent, Vec2)
-from .saodv import SecurityConfig, VerifyOutcome, draw_random_values, select_channel, verify
+from .saodv import VerifyOutcome, draw_random_values, select_channel, verify
 
 # Event kinds, dispatched on by the main loop.
 DELIVER = "DELIVER"
@@ -42,54 +43,33 @@ LET_REJECT = "LET_REJECT"
 _CONTROL_KINDS = (PacketKind.RREQ, PacketKind.RREP, PacketKind.RERR)
 
 
-@dataclass(frozen=True)
-class EnergyState:
-    remaining: float
-    alive: bool = True
+def debit(remaining: float, cost: float) -> float:
+    """Energy left after spending ``cost`` joules; crossing zero clamps to 0.0.
 
-
-def debit(state: EnergyState, kind: str, amount: float, params) -> EnergyState:
-    """Charge a node for tx/rx bytes or idle seconds; dead nodes are no-ops.
-
-    Crossing zero clamps the remaining energy to 0 and marks the node dead.
+    A node is alive while its energy is above 0.0, so a dead node stays dead.
     """
-    if not state.alive:
-        return state
-    if kind == "tx":
-        cost = params.tx_per_byte * amount
-    elif kind == "rx":
-        cost = params.rx_per_byte * amount
-    elif kind == "idle":
-        cost = params.idle_per_sec * amount
-    else:
-        raise ValueError(f"unknown debit kind {kind!r}")
-    remaining = state.remaining - cost
-    if remaining <= 0.0:
-        return EnergyState(0.0, False)
-    return EnergyState(remaining, True)
+    remaining -= cost
+    return 0.0 if remaining <= 0.0 else remaining
 
 
 METRICS_HEADER = "t,malicious_drops,malicious_accepts,victim_energy,cum_loss,ctrl_overhead,delivered"
 
 
 class Metrics:
-    """Per-interval time series plus the cumulative counters they sample."""
+    """Per-interval time series, sampled from the run's `RunReport`."""
 
-    def __init__(self, interval: float):
-        self.interval = interval
+    def __init__(self):
         self.rows: List[Tuple[float, int, int, float, int, int, int]] = []
-        self.window_mal_drops = 0
-        self.window_mal_accepts = 0
-        self.cum_loss = 0
-        self.ctrl_overhead = 0
-        self.delivered = 0
+        #: The victim's malicious drops and accepts at the last sample.
+        self.last_drops = 0
+        self.last_accepts = 0
 
-    def sample(self, t: float, victim_energy: float):
-        self.rows.append((t, self.window_mal_drops, self.window_mal_accepts,
-                          victim_energy, self.cum_loss, self.ctrl_overhead,
-                          self.delivered))
-        self.window_mal_drops = 0
-        self.window_mal_accepts = 0
+    def sample(self, t: float, victim_energy: float, report: RunReport):
+        drops, accepts = report.victim_malicious_drops, report.victim_malicious_accepts
+        self.rows.append((t, drops - self.last_drops, accepts - self.last_accepts,
+                          victim_energy, report.honest_data_lost,
+                          sum(report.control_tx.values()), report.honest_data_delivered))
+        self.last_drops, self.last_accepts = drops, accepts
 
     def to_csv_text(self) -> str:
         lines = [METRICS_HEADER]
@@ -171,14 +151,9 @@ class Simulation:
     """One scenario run; build it from a validated config and call run()."""
 
     def __init__(self, cfg: ScenarioConfig):
+        # A config built in code gets the checks a config file gets.
+        validate_config(parse_config_text(serialize_config(cfg)))
         self.cfg = cfg
-        self.sec = SecurityConfig(k=cfg.num_channels)
-        self.med = MediumConfig(range_r=cfg.range_r, bitrate=cfg.bitrate,
-                                prop_delay=cfg.prop_delay, loss_prob=cfg.loss_prob,
-                                physical_channels=cfg.physical_channels,
-                                num_channels=cfg.num_channels)
-        self.let_cfg = LetConfig(threshold=cfg.let_threshold,
-                                 applies_to=frozenset(cfg.mlet_applies_to))
         self.attacker_id: Optional[int] = cfg.nn if cfg.attacker.enabled else None
         self.victim = cfg.attacker.target
         self.loss_rng = Random(f"{cfg.rng_seed}/loss")
@@ -187,28 +162,18 @@ class Simulation:
         self.heap: List[Tuple[float, int, str, tuple]] = []
         self.event_seq = 0
         self.trace: List[TraceEvent] = []
-        self.metrics = Metrics(cfg.metrics_interval)
+        self.metrics = Metrics()
         self.report = RunReport(protocol=cfg.protocol.value, seed=cfg.rng_seed,
                                 victim=self.victim)
-        params = AodvParams(route_lifetime=cfg.route_lifetime,
-                            retry_limit=cfg.retry_limit,
-                            retry_timeout=cfg.retry_timeout,
-                            buffer_cap=cfg.buffer_cap,
-                            rreq_cache_ttl=cfg.rreq_cache_ttl,
-                            hello_interval=cfg.hello_interval,
-                            hello_loss_limit=cfg.hello_loss_limit,
-                            intermediate_rrep=cfg.intermediate_rrep)
         self.nodes: Dict[int, _Node] = {}
         total = cfg.nn + (1 if cfg.attacker.enabled else 0)
         for nid in range(total):
             mob_rng = Random(f"{cfg.rng_seed}/mobility/{nid}")
             tag_rng = Random(f"{cfg.rng_seed}/tags/{nid}")
             waypoint = self._initial_waypoint(nid, mob_rng)
-            initial = cfg.attacker.energy if nid == self.attacker_id else cfg.energy.initial
-            self.nodes[nid] = _Node(nid=nid,
-                                    aodv=AodvNode(nid, params, self._alloc_uid),
-                                    waypoint=waypoint,
-                                    energy=EnergyState(initial, initial > 0.0),
+            energy = cfg.attacker.energy if nid == self.attacker_id else cfg.energy.initial
+            self.nodes[nid] = _Node(nid=nid, aodv=AodvNode(nid, cfg, self._alloc_uid),
+                                    waypoint=waypoint, energy=energy,
                                     mob_rng=mob_rng, tag_rng=tag_rng)
         self.grid = CellGrid(cfg.range_r)
         for nid, node in self.nodes.items():
@@ -258,11 +223,11 @@ class Simulation:
 
     # -- energy ----------------------------------------------------------------
 
-    def _debit(self, node: _Node, kind: str, amount: float, t: float) -> bool:
-        """Apply one debit; returns True when it kills the node."""
-        was_alive = node.energy.alive
-        node.energy = debit(node.energy, kind, amount, self.cfg.energy)
-        if was_alive and not node.energy.alive:
+    def _debit(self, node: _Node, cost: float, t: float) -> bool:
+        """Charge ``cost`` joules; returns True when it kills the node."""
+        was_alive = node.energy > 0.0
+        node.energy = debit(node.energy, cost)
+        if was_alive and node.energy == 0.0:
             frozen = kinematics_at(node.waypoint, t).pos
             node.waypoint = parked_waypoint(frozen)
             self.grid.place(node.nid, Kinematics(pos=frozen, vel=Vec2(0.0, 0.0)))
@@ -274,7 +239,7 @@ class Simulation:
         elapsed = t - node.last_sync
         if elapsed > 0.0:
             node.last_sync = t
-            self._debit(node, "idle", elapsed, t)
+            self._debit(node, self.cfg.energy.idle_per_sec * elapsed, t)
 
     # -- trace / accounting ------------------------------------------------------
 
@@ -289,21 +254,15 @@ class Simulation:
     def _is_honest_data(self, header: CommonHeader) -> bool:
         return header.kind is PacketKind.DATA and header.src != self.attacker_id
 
-    def _count_honest_loss(self):
-        self.metrics.cum_loss += 1
-        self.report.honest_data_lost += 1
-
     def _drop(self, nid: int, header: CommonHeader, neighbor: int, reason: str,
               t: float):
         self._emit("d", t, nid, neighbor, header)
         self.report.drops_by_reason[reason] += 1
         if header.kind is PacketKind.DATA:
-            if header.src == self.attacker_id:
-                if nid == self.victim:
-                    self.metrics.window_mal_drops += 1
-                    self.report.victim_malicious_drops += 1
-            else:
-                self._count_honest_loss()
+            if header.src != self.attacker_id:
+                self.report.honest_data_lost += 1
+            elif nid == self.victim:
+                self.report.victim_malicious_drops += 1
 
     # -- transmission -----------------------------------------------------------
 
@@ -318,11 +277,11 @@ class Simulation:
             rv2 = self.attacker_rng.random()
             return rv1, rv2, self.attacker_rng.randint(1, k)
         rv1, rv2 = draw_random_values(self.attacker_rng)
-        return rv1, rv2, select_channel(rv1, rv2, self.sec)
+        return rv1, rv2, select_channel(rv1, rv2, k)
 
     def _transmit(self, nid: int, tx: Tx, t: float):
         node = self.nodes[nid]
-        if not node.energy.alive:
+        if node.energy <= 0.0:
             self._drop(nid, tx.header, tx.link_dst, DEAD_SENDER, t)
             return
         self._sync_idle(node, t)
@@ -332,20 +291,19 @@ class Simulation:
         if not tx.pretagged:
             rv1, rv2 = draw_random_values(node.tag_rng)
             header = replace(header, rv1=rv1, rv2=rv2,
-                             channel=select_channel(rv1, rv2, self.sec))
-        if self.cfg.protocol.uses_let and header.kind in self.let_cfg.applies_to:
+                             channel=select_channel(rv1, rv2, self.cfg.num_channels))
+        if self.cfg.protocol.uses_let and header.kind in self.cfg.mlet_applies_to:
             header = annotate(header, self.grid.kin[nid], self.cfg.mlet_annex_bytes)
-        self._debit(node, "tx", header.size, t)
+        self._debit(node, self.cfg.energy.tx_per_byte * header.size, t)
         self._emit("f" if tx.forward else "s", t, nid, tx.link_dst, header)
         if header.kind in _CONTROL_KINDS:
-            self.metrics.ctrl_overhead += 1
             self.report.control_tx[header.kind] += 1
         if self._is_honest_data(header) and not tx.forward:
             self.report.honest_data_sent += 1
-        deliveries = broadcast(nid, header, tx.link_dst, t, self.grid, self.med,
+        deliveries = broadcast(nid, header, tx.link_dst, t, self.grid, self.cfg,
                                self.loss_rng)
         if self._is_honest_data(header) and tx.link_dst != BROADCAST and not deliveries:
-            self._count_honest_loss()  # next hop unreachable: the packet is gone
+            self.report.honest_data_lost += 1  # next hop unreachable: the packet is gone
         frame = _Frame(header=header, body=tx.body, link_dst=tx.link_dst)
         for d in deliveries:
             if d.arrival_time <= self.cfg.stop:
@@ -368,41 +326,39 @@ class Simulation:
     def _deliver(self, receiver: int, frame: _Frame, t: float):
         node = self.nodes[receiver]
         header = frame.header
-        if not node.energy.alive:
+        rx_per_byte = self.cfg.energy.rx_per_byte
+        if node.energy <= 0.0:
             if self._is_honest_data(header):
-                self._count_honest_loss()
+                self.report.honest_data_lost += 1
             return
         self._sync_idle(node, t)
         header_cost = min(header.size, HEADER_RX_BYTES)
-        if self._debit(node, "rx", header_cost, t):
+        if self._debit(node, rx_per_byte * header_cost, t):
             if self._is_honest_data(header):
-                self._count_honest_loss()
+                self.report.honest_data_lost += 1
             return
         if self.cfg.protocol.verifies:
-            outcome = verify(header, self.sec, self.cfg.paper_range_check)
+            outcome = verify(header, self.cfg.num_channels, self.cfg.paper_range_check)
             if outcome is not VerifyOutcome.ACCEPT:
                 # Rejected before the payload is read: header RX cost only.
                 self._drop(receiver, header, header.prev_hop, outcome.value, t)
                 return
-        if self._debit(node, "rx", header.size - header_cost, t):
+        if self._debit(node, rx_per_byte * (header.size - header_cost), t):
             if self._is_honest_data(header):
-                self._count_honest_loss()
+                self.report.honest_data_lost += 1
             return
-        if (self.cfg.protocol.uses_let and header.kind in self.let_cfg.applies_to
+        if (self.cfg.protocol.uses_let and header.kind in self.cfg.mlet_applies_to
                 and header.sender_kin is not None):
             if not admit_link(header.sender_kin, self.grid.kin[receiver],
-                              self.cfg.range_r, self.let_cfg, self.cfg.let_mode):
+                              self.cfg.range_r, self.cfg.let_threshold, self.cfg.let_mode):
                 self._drop(receiver, header, header.prev_hop, LET_REJECT, t)
                 return
         self._emit("r", t, receiver, header.prev_hop, header)
         if header.kind is PacketKind.DATA and header.dst == receiver:
-            if header.src == self.attacker_id:
-                if receiver == self.victim:
-                    self.metrics.window_mal_accepts += 1
-                    self.report.victim_malicious_accepts += 1
-            else:
-                self.metrics.delivered += 1
+            if header.src != self.attacker_id:
                 self.report.honest_data_delivered += 1
+            elif receiver == self.victim:
+                self.report.victim_malicious_accepts += 1
         aodv = node.aodv
         if header.kind is PacketKind.HELLO:
             actions = aodv.handle_hello(header, t)
@@ -420,11 +376,9 @@ class Simulation:
 
     def _hello_timer(self, nid: int, t: float):
         node = self.nodes[nid]
-        if not node.energy.alive:
-            return  # depleted nodes stop their timers
         self._sync_idle(node, t)
-        if not node.energy.alive:
-            return
+        if node.energy <= 0.0:
+            return  # depleted nodes stop their timers
         self._process(nid, node.aodv.on_hello_tick(t), t)
         nxt = t + self.cfg.hello_interval
         if nxt <= self.cfg.stop:
@@ -434,7 +388,7 @@ class Simulation:
         cfg = self.cfg
         for nid in sorted(self.nodes):
             node = self.nodes[nid]
-            if not node.energy.alive:
+            if node.energy <= 0.0:
                 continue
             if due_for_advance(node.waypoint, t):
                 node.waypoint = advance_waypoint(node.waypoint, node.mob_rng, t,
@@ -449,10 +403,10 @@ class Simulation:
     def _app_send(self, flow_idx: int, t: float):
         flow = self.cfg.flows[flow_idx]
         node = self.nodes[flow.src]
-        if not node.energy.alive:
+        if node.energy <= 0.0:
             return
         self._sync_idle(node, t)
-        if node.energy.alive:
+        if node.energy > 0.0:
             actions = node.aodv.originate_data(flow.dst, flow.size, flow_idx + 1, t)
             self._process(flow.src, actions, t)
         nxt = t + 1.0 / flow.rate
@@ -461,10 +415,8 @@ class Simulation:
 
     def _attack_step(self, t: float):
         node = self.nodes[self.attacker_id]
-        if not node.energy.alive:
-            return
         self._sync_idle(node, t)
-        if not node.energy.alive:
+        if node.energy <= 0.0:
             return
         target = self.cfg.attacker.target
         route = node.aodv.valid_route(target, t)
@@ -488,10 +440,10 @@ class Simulation:
 
     def _retry_timer(self, nid: int, dst: int, attempt: int, bid: int, t: float):
         node = self.nodes[nid]
-        if not node.energy.alive:
+        if node.energy <= 0.0:
             return
         self._sync_idle(node, t)
-        if node.energy.alive:
+        if node.energy > 0.0:
             self._process(nid, node.aodv.on_retry(dst, attempt, bid, t), t)
 
     def _metric_sample(self, j: int, t: float):
@@ -499,7 +451,7 @@ class Simulation:
             self._push_sample(j + 1)
         for nid in sorted(self.nodes):
             self._sync_idle(self.nodes[nid], t)
-        self.metrics.sample(t, self.nodes[self.victim].energy.remaining)
+        self.metrics.sample(t, self.nodes[self.victim].energy, self.report)
 
     # -- main loop ----------------------------------------------------------------
 
@@ -528,7 +480,7 @@ class Simulation:
                 raise RuntimeError(f"unknown event kind {kind!r}")
         for nid in sorted(self.nodes):
             self._sync_idle(self.nodes[nid], cfg.stop)
-        self.report.victim_final_energy = self.nodes[self.victim].energy.remaining
+        self.report.victim_final_energy = self.nodes[self.victim].energy
         return RunResult(trace=self.trace, metrics=self.metrics, report=self.report,
                          nodes={nid: node.aodv for nid, node in self.nodes.items()},
                          config=cfg)

@@ -7,28 +7,10 @@ from dataclasses import dataclass
 from random import Random
 from typing import Dict, List, Tuple
 
+from .config import ScenarioConfig
 from .mobility import Kinematics
 from .model import BROADCAST, CommonHeader, Vec2
 from .saodv import _implied_channel
-
-
-@dataclass(frozen=True)
-class MediumConfig:
-    range_r: float
-    bitrate: float
-    prop_delay: float = 0.0
-    loss_prob: float = 0.0
-    #: When true, a frame is only heard on its implied channel: packets whose
-    #: announced channel mismatches their tags reach nobody.  Default keeps
-    #: channels as header values checked in software by the receiver.
-    physical_channels: bool = False
-    num_channels: int = 2
-
-    def __post_init__(self):
-        if self.range_r <= 0.0 or self.bitrate <= 0.0:
-            raise ValueError("range_r and bitrate must be positive")
-        if self.prop_delay < 0.0 or not 0.0 <= self.loss_prob < 1.0:
-            raise ValueError("prop_delay must be >= 0 and loss_prob in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -112,7 +94,7 @@ def tx_delay(size: int, bitrate: float) -> float:
 
 
 def broadcast(sender: int, header: CommonHeader, link_dst: int, t: float,
-              grid: CellGrid, cfg: MediumConfig, rng: Random) -> List[Delivery]:
+              grid: CellGrid, cfg: ScenarioConfig, rng: Random) -> List[Delivery]:
     """Deliveries for one transmission at time t.
 
     Every node other than the sender that is within range at send time hears
@@ -121,8 +103,10 @@ def broadcast(sender: int, header: CommonHeader, link_dst: int, t: float,
     the frame is addressed to.  Only the nodes that process the frame get a
     delivery: every hearer of a ``BROADCAST`` frame, and otherwise the
     addressed receiver alone.  The channel index does not gate delivery unless
-    ``physical_channels`` is set: the receiver-side verification decides
-    acceptance.  ``grid`` must be built with ``cfg.range_r``.
+    ``physical_channels`` is set, in which case a frame whose announced channel
+    mismatches its tags reaches nobody; otherwise the receiver-side
+    verification decides acceptance.  ``grid`` must be built with
+    ``cfg.range_r``.
     """
     if grid.range_r != cfg.range_r:
         raise ValueError(f"grid built for range {grid.range_r}, medium has {cfg.range_r}")

@@ -2,33 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import FrozenSet
+from dataclasses import replace
 
 from .mobility import Kinematics, LetMode, link_expiration_time
-from .model import CommonHeader, PacketKind
+from .model import CommonHeader
 
-#: Bytes added to a packet that carries a kinematics annex (4 floats + framing).
-DEFAULT_ANNEX_BYTES = 24
-
-
-@dataclass(frozen=True)
-class LetConfig:
-    """Admission threshold in seconds and the packet kinds it applies to."""
-
-    threshold: float = 0.0
-    applies_to: FrozenSet[PacketKind] = frozenset({PacketKind.RREQ})
-
-    def __post_init__(self):
-        if self.threshold < 0.0:
-            raise ValueError(f"threshold must be >= 0, got {self.threshold}")
-        allowed = {PacketKind.RREQ, PacketKind.RREP, PacketKind.DATA}
-        if not set(self.applies_to) <= allowed:
-            raise ValueError(f"applies_to must be a subset of {allowed}")
-
-
-def annotate(header: CommonHeader, sender_kin: Kinematics,
-             annex_bytes: int = DEFAULT_ANNEX_BYTES) -> CommonHeader:
+def annotate(header: CommonHeader, sender_kin: Kinematics, annex_bytes: int) -> CommonHeader:
     """Attach the transmitter's kinematics to a header.
 
     The annex enlarges the packet once; re-annotating a forwarded packet
@@ -39,6 +18,6 @@ def annotate(header: CommonHeader, sender_kin: Kinematics,
 
 
 def admit_link(sender_kin: Kinematics, receiver_kin: Kinematics, r: float,
-               cfg: LetConfig, mode: LetMode = LetMode.STRICT) -> bool:
+               threshold: float, mode: LetMode = LetMode.STRICT) -> bool:
     """True iff the predicted link lifetime meets the threshold (inf always does)."""
-    return link_expiration_time(sender_kin, receiver_kin, r, mode) >= cfg.threshold
+    return link_expiration_time(sender_kin, receiver_kin, r, mode) >= threshold

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 if TYPE_CHECKING:
     from .mobility import Kinematics
@@ -126,6 +126,17 @@ class TraceParseError(ValueError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
+
+
+def read_utf8(path: str, error: Callable[[int, str], Exception]) -> str:
+    """A file's text; a byte that is not UTF-8 raises ``error(lineno, message)``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise error(lineno, f"not UTF-8 ({exc.reason})") from None
 
 
 _EVENT_SYMBOLS = ("s", "r", "d", "f")

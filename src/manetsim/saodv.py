@@ -10,7 +10,6 @@ flooder that picks its channel independently is accepted with probability 1/k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from random import Random
 from typing import Tuple
@@ -22,17 +21,6 @@ class VerifyOutcome(Enum):
     ACCEPT = "ACCEPT"
     DROP_RANGE = "DROP_RANGE"
     DROP_MISMATCH = "DROP_MISMATCH"
-
-
-@dataclass(frozen=True)
-class SecurityConfig:
-    """Number of frequency channels."""
-
-    k: int = 2
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"channel count must be >= 1, got {self.k}")
 
 
 def draw_random_values(rng: Random) -> Tuple[float, float]:
@@ -53,7 +41,7 @@ def _implied_channel(rv1: float, rv2: float, k: int) -> int:
     return 1 + min(k - 1, max(0, math.floor(k * h)))
 
 
-def select_channel(rv1: float, rv2: float, cfg: SecurityConfig) -> int:
+def select_channel(rv1: float, rv2: float, k: int) -> int:
     """Channel index in 1..k implied by the two random tags.
 
     k = 2 uses the two-frequency rule (rv1 <= rv2 selects channel 1, ties
@@ -62,11 +50,10 @@ def select_channel(rv1: float, rv2: float, cfg: SecurityConfig) -> int:
     """
     if not (0.0 <= rv1 <= 1.0 and 0.0 <= rv2 <= 1.0):
         raise ValueError(f"random values must lie in [0, 1], got ({rv1}, {rv2})")
-    return _implied_channel(rv1, rv2, cfg.k)
+    return _implied_channel(rv1, rv2, k)
 
 
-def verify(header: CommonHeader, cfg: SecurityConfig,
-           paper_range_check: bool = False) -> VerifyOutcome:
+def verify(header: CommonHeader, k: int, paper_range_check: bool = False) -> VerifyOutcome:
     """Receiver-side check of a packet's random tags and announced channel.
 
     Range check first: by default each tag must lie in [0, 1] (their sum then
@@ -83,6 +70,6 @@ def verify(header: CommonHeader, cfg: SecurityConfig,
         in_range = 0.0 <= rv1 <= 1.0 and 0.0 <= rv2 <= 1.0
     if not in_range:
         return VerifyOutcome.DROP_RANGE
-    if header.channel != _implied_channel(rv1, rv2, cfg.k):
+    if header.channel != _implied_channel(rv1, rv2, k):
         return VerifyOutcome.DROP_MISMATCH
     return VerifyOutcome.ACCEPT

@@ -13,7 +13,7 @@ from manetsim import (Protocol, link_expiration_time, run_scenario, trace_to_tex
 from manetsim.analyze import interval_series, parse_trace_text
 from manetsim.cli import sweep_accept_fractions
 from manetsim.mobility import LetMode
-from manetsim.saodv import SecurityConfig, VerifyOutcome, select_channel, verify
+from manetsim.saodv import VerifyOutcome, select_channel, verify
 from manetsim.model import CommonHeader, PacketKind
 
 from .conftest import (CONFIG_DIR, DATA_DIR, bfs_hops, kin,
@@ -79,19 +79,17 @@ def test_c2_saodv_soundness():
     grid = [i / 40.0 for i in range(41)]  # dense grid including both endpoints
     total = 0
     for k in range(1, 17):
-        cfg = SecurityConfig(k=k)
         for rv1 in grid:
             for rv2 in grid:
-                channel = select_channel(rv1, rv2, cfg)
-                assert verify(_tagged(rv1, rv2, channel), cfg) is VerifyOutcome.ACCEPT
+                channel = select_channel(rv1, rv2, k)
+                assert verify(_tagged(rv1, rv2, channel), k) is VerifyOutcome.ACCEPT
                 total += 1
     rng = random.Random(0xC2)
     for _ in range(100_000):
         k = rng.randint(1, 16)
-        cfg = SecurityConfig(k=k)
         rv1, rv2 = rng.random(), rng.random()
-        channel = select_channel(rv1, rv2, cfg)
-        assert verify(_tagged(rv1, rv2, channel), cfg) is VerifyOutcome.ACCEPT
+        channel = select_channel(rv1, rv2, k)
+        assert verify(_tagged(rv1, rv2, channel), k) is VerifyOutcome.ACCEPT
         total += 1
     _passed(f"criterion 2: verify(select_channel(..)) accepted 100% of {total} honest tags")
 

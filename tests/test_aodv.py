@@ -3,16 +3,16 @@ import random
 
 
 from manetsim import (BROADCAST, CommonHeader, PacketKind, RouteEntry, RrepBody,
-                      RreqBody, run_scenario, validate_config)
-from manetsim.aodv import (BUFFER_OVERFLOW, NO_ROUTE, RETRY_EXHAUSTED, AodvNode,
-                           AodvParams, Drop, StartRetry, Tx)
+                      RreqBody, ScenarioConfig, run_scenario, validate_config)
+from manetsim.aodv import (BUFFER_OVERFLOW, NO_ROUTE, RETRY_EXHAUSTED, RREQ_SWEEP_MIN,
+                           AodvNode, Drop, StartRetry, Tx)
 
 from .conftest import bfs_hops, random_connected_topology, static_topology_config
 
 
 def make_node(nid=1, **over):
     counter = itertools.count()
-    return AodvNode(nid, AodvParams(**over), lambda: next(counter))
+    return AodvNode(nid, ScenarioConfig(**over), lambda: next(counter))
 
 
 def _route(node, dest, next_hop, hop_count=1, dest_seq=0, t=0.0):
@@ -122,6 +122,21 @@ def test_duplicate_rreq_is_silently_ignored():
     header, body = _rreq(src=0, prev=1, bid=7)
     assert node.handle_rreq(header, body, 0.0) != []
     assert node.handle_rreq(header, body, 0.1) == []
+
+
+def test_expired_rreq_entries_are_swept():
+    node = make_node(nid=9, rreq_cache_ttl=10.0)
+    old = RREQ_SWEEP_MIN // 2
+    for bid in range(RREQ_SWEEP_MIN - 1):  # one short of the first sweep
+        node.handle_rreq(*_rreq(src=0, prev=1, bid=bid), t=0.0 if bid < old else 5.0)
+    assert len(node.rreq_seen) == RREQ_SWEEP_MIN - 1
+    header, body = _rreq(src=2, prev=1, bid=0)
+    assert node.handle_rreq(header, body, 10.5) != []  # the sweep runs here
+    assert set(node.rreq_seen) == ({(0, bid) for bid in range(old, RREQ_SWEEP_MIN - 1)}
+                                   | {(2, 0)})
+    assert node.handle_rreq(header, body, 20.5) == []  # still suppressed at the TTL
+    assert node.handle_rreq(*_rreq(src=0, prev=1, bid=old), t=15.0) == []
+    assert node.handle_rreq(*_rreq(src=0, prev=1, bid=0), t=15.0) != []
 
 
 def test_intermediate_rebroadcasts_first_copy_with_incremented_hop():

@@ -134,6 +134,20 @@ def test_analyze_malformed_metrics_exits_4_without_traceback(tmp_path, content, 
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("content,error", [
+    (b"\xffs 0.100000 0 1 DATA 100 --- 1 0 1 0 0\n", "line 1: not UTF-8 (invalid start byte)"),
+    (b"s 0.100000 0 1 DATA 100 --- 1 0 1 0 0\ns 0.2\xc3 0 1\n",
+     "line 2: not UTF-8 (invalid continuation byte)"),
+], ids=["first-byte", "line-2"])
+def test_analyze_non_utf8_trace_exits_4_without_traceback(tmp_path, content, error):
+    trace = tmp_path / "trace.tr"
+    trace.write_bytes(content)
+    proc = _cli("analyze", "--trace", str(trace))
+    assert proc.returncode == 4
+    assert proc.stderr == f"trace error: {error}\n"
+    assert proc.stdout == ""
+
+
 def test_analyze_empty_trace_is_fine(tmp_path, capsys):
     trace = tmp_path / "empty.tr"
     trace.write_text("")
@@ -274,13 +288,16 @@ REJECTED_CONFIGS = [
     ("flows = 0:1:4:100000", "flows: entry 0: size must be <= 65535"),
     ("attacker.target = 7", "attacker.target: must name an honest node (< 2)"),
     ("nn = 3000000\nstop = 1", "nn: must be <= 1000, got 3000000"),
+    # A byte that is not UTF-8 ended in a UnicodeDecodeError traceback.
+    pytest.param("\udcff = 1", "line 2: not UTF-8 (invalid start byte)", id="non-utf8"),
 ]
 
 
 @pytest.mark.parametrize("lines,violation", REJECTED_CONFIGS)
 def test_unrunnable_config_exits_2_without_traceback(tmp_path, lines, violation):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"{lines}\n" if lines.startswith("nn =") else f"nn = 2\n{lines}\n")
+    text = f"{lines}\n" if lines.startswith("nn =") else f"nn = 2\n{lines}\n"
+    cfg.write_text(text, errors="surrogateescape")  # "\udcff" is the raw byte 0xff
     proc = _cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert proc.returncode == 2
     assert f"config error: {violation}" in proc.stderr

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manetsim import (BROADCAST, EnergyParams, Simulation, in_range, run_scenario,
-                      trace_to_text, validate_config)
+from manetsim import (BROADCAST, ConfigError, EnergyParams, PacketKind, Simulation, in_range,
+                      load_config, run_scenario, trace_to_text, validate_config)
 from manetsim import engine
-from manetsim.engine import DELIVER, METRIC_SAMPLE, EnergyState, debit
+from manetsim.analyze import parse_metrics_csv
+from manetsim.config import MAX_NODES
+from manetsim.engine import DELIVER, METRIC_SAMPLE, debit
 
-from .conftest import scan_broadcast
+from .conftest import CONFIG_DIR, scan_broadcast
 
 
 # -- energy accounting -----------------------------------------------------------
@@ -23,35 +25,27 @@ PARAMS = EnergyParams(initial=10.0, tx_per_byte=60e-6, rx_per_byte=30e-6,
 
 
 def test_rx_debit_is_linear_in_bytes():
-    state = debit(EnergyState(10.0), "rx", 100, PARAMS)
-    assert state.remaining == pytest.approx(10.0 - 100 * 30e-6)
-    assert state.alive
+    assert debit(10.0, PARAMS.rx_per_byte * 100) == pytest.approx(10.0 - 100 * 30e-6)
 
 
 def test_tx_and_idle_debits():
-    assert debit(EnergyState(10.0), "tx", 100, PARAMS).remaining == pytest.approx(10.0 - 0.006)
-    assert debit(EnergyState(10.0), "idle", 2.0, PARAMS).remaining == pytest.approx(10.0 - 0.002)
+    assert debit(10.0, PARAMS.tx_per_byte * 100) == pytest.approx(10.0 - 0.006)
+    assert debit(10.0, PARAMS.idle_per_sec * 2.0) == pytest.approx(10.0 - 0.002)
 
 
 def test_crossing_zero_clamps_and_kills():
-    state = debit(EnergyState(0.001), "rx", 100, PARAMS)  # costs 0.003 J
-    assert state.remaining == 0.0
-    assert not state.alive
+    remaining = debit(0.001, PARAMS.rx_per_byte * 100)  # costs 0.003 J
+    assert remaining == 0.0 and math.copysign(1.0, remaining) == 1.0
+    assert math.copysign(1.0, debit(0.5, 0.5)) == 1.0  # never -0.0 in metrics.csv
 
 
 def test_debit_on_dead_node_is_noop():
-    dead = EnergyState(0.0, alive=False)
-    assert debit(dead, "rx", 1000, PARAMS) == dead
-
-
-def test_debit_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        debit(EnergyState(1.0), "listen", 1, PARAMS)
+    assert debit(0.0, PARAMS.rx_per_byte * 1000) == 0.0
+    assert debit(0.0, 0.0) == 0.0
 
 
 def test_infinite_battery_never_depletes():
-    state = debit(EnergyState(math.inf), "rx", 10**9, PARAMS)
-    assert math.isinf(state.remaining) and state.alive
+    assert math.isinf(debit(math.inf, PARAMS.rx_per_byte * 10**9))
 
 
 # -- whole-run behavior ------------------------------------------------------------
@@ -285,7 +279,35 @@ def test_control_overhead_counter_counts_routing_packets():
     result = run_scenario(cfg)
     from_trace = sum(1 for e in result.trace
                      if e.pkt_type in ("RREQ", "RREP", "RERR") and e.event in ("s", "f"))
-    assert result.metrics.ctrl_overhead == from_trace
+    assert sum(result.report.control_tx.values()) == from_trace
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
+def test_metrics_csv_agrees_with_the_run_summary(path):
+    result = run_scenario(load_config(str(path)))
+    report = result.report
+    rows = parse_metrics_csv(result.metrics.to_csv_text())
+    assert sum(row["malicious_drops"] for row in rows) == report.victim_malicious_drops
+    assert sum(row["malicious_accepts"] for row in rows) == report.victim_malicious_accepts
+    assert rows[-1]["cum_loss"] == report.honest_data_lost
+    assert rows[-1]["ctrl_overhead"] == sum(report.control_tx.values())
+    assert rows[-1]["delivered"] == report.honest_data_delivered
+
+
+@pytest.mark.parametrize("name,value,key", [
+    ("num_channels", 0, "k"),
+    ("range_r", 0.0, "range_r"),
+    ("bitrate", 0.0, "bitrate"),
+    ("prop_delay", -1.0, "prop_delay"),
+    ("loss_prob", 1.0, "loss_prob"),
+    ("let_threshold", -1.0, "let_threshold"),
+    ("mlet_applies_to", (PacketKind.HELLO,), "mlet_applies_to"),
+    ("nn", MAX_NODES + 1, "nn"),
+])
+def test_simulation_checks_a_config_built_in_code(name, value, key):
+    with pytest.raises(ConfigError) as info:
+        Simulation(replace(validate_config({}), **{name: value}))
+    assert [v for v in info.value.violations if v.startswith(f"{key}: ")]
 
 
 def test_metric_samples_are_queued_one_ahead():
@@ -348,7 +370,7 @@ def test_engine_neighbour_search_matches_a_full_scan(seed):
         got = real_broadcast(sender, header, link_dst, t, grid, cfg, rng)
         assert got == expected and rng.getstate() == twin.getstate()
         for nid, node in sim.nodes.items():
-            if not node.energy.alive:  # frozen where its battery ran out
+            if node.energy <= 0.0:  # frozen where its battery ran out
                 assert grid.kin[nid].pos == node.waypoint.current
         calls.append(link_dst)
         return got

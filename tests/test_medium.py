@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from manetsim import (BROADCAST, CellGrid, CommonHeader, MediumConfig, PacketKind, Vec2,
+from manetsim import (BROADCAST, CellGrid, CommonHeader, PacketKind, ScenarioConfig, Vec2,
                       broadcast, in_range, tx_delay)
 
 from .conftest import kin, scan_broadcast
@@ -57,7 +57,7 @@ def test_tx_delay_rejects_bad_args():
 def _cfg(**over):
     base = dict(range_r=15.0, bitrate=250000.0)
     base.update(over)
-    return MediumConfig(**base)
+    return ScenarioConfig(**base)
 
 
 def _grid(kins, r=15.0):
@@ -188,10 +188,3 @@ def test_grid_rejects_a_medium_of_another_range():
     with pytest.raises(ValueError):
         broadcast(0, _header(), BROADCAST, 0.0, _grid({0: kin(0, 0)}, r=10.0), _cfg(),
                   random.Random(1))
-
-
-def test_medium_config_validation():
-    with pytest.raises(ValueError):
-        MediumConfig(range_r=0.0, bitrate=250000.0)
-    with pytest.raises(ValueError):
-        MediumConfig(range_r=15.0, bitrate=250000.0, loss_prob=1.0)

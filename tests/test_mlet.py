@@ -1,9 +1,8 @@
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from manetsim import CommonHeader, LetConfig, PacketKind, admit_link, annotate
+from manetsim import CommonHeader, PacketKind, admit_link, annotate
 from manetsim.mobility import LetMode
 
 from .conftest import kin
@@ -19,7 +18,7 @@ def _header(size=24, sender_kin=None):
 
 def test_annotate_round_trips_kinematics():
     k = kin(1.0, 2.0, 3.0, 4.0)
-    assert annotate(_header(), k).sender_kin == k
+    assert annotate(_header(), k, annex_bytes=24).sender_kin == k
 
 
 def test_annotate_grows_size_by_annex_once():
@@ -36,31 +35,24 @@ def test_annotate_with_zero_annex_keeps_size():
     assert annotate(_header(size=24), kin(0, 0), annex_bytes=0).size == 24
 
 
-def test_let_config_validation():
-    with pytest.raises(ValueError):
-        LetConfig(threshold=-1.0)
-    with pytest.raises(ValueError):
-        LetConfig(threshold=1.0, applies_to=frozenset({PacketKind.HELLO}))
-
-
 def test_stationary_pair_admitted_at_any_threshold():
-    cfg = LetConfig(threshold=1e6)
-    assert admit_link(kin(0, 0), kin(5, 5), 15.0, cfg, LetMode.STRICT)
+    threshold = 1e6
+    assert admit_link(kin(0, 0), kin(5, 5), 15.0, threshold, LetMode.STRICT)
 
 
 def test_fleeing_receiver_rejected_above_lifetime():
     # Co-located, receiver fleeing at 10 m/s with r=250: lifetime is 25 s.
     sender, receiver = kin(0, 0), kin(0, 0, 10.0, 0.0)
-    assert not admit_link(sender, receiver, 250.0, LetConfig(threshold=30.0))
-    assert admit_link(sender, receiver, 250.0, LetConfig(threshold=20.0))
+    assert not admit_link(sender, receiver, 250.0, 30.0)
+    assert admit_link(sender, receiver, 250.0, 20.0)
 
 
 @given(sx=coords, sy=coords, rx=coords, ry=coords,
        svx=vels, svy=vels, rvx=vels, rvy=vels)
 def test_threshold_zero_admits_everything_in_strict_mode(sx, sy, rx, ry,
                                                          svx, svy, rvx, rvy):
-    cfg = LetConfig(threshold=0.0)
-    assert admit_link(kin(sx, sy, svx, svy), kin(rx, ry, rvx, rvy), 15.0, cfg,
+    threshold = 0.0
+    assert admit_link(kin(sx, sy, svx, svy), kin(rx, ry, rvx, rvy), 15.0, threshold,
                       LetMode.STRICT)
 
 
@@ -73,9 +65,9 @@ def test_admission_is_monotone_in_threshold(sx, sy, rx, ry, svx, svy, rvx, rvy,
     if low > high:
         low, high = high, low
     sender, receiver = kin(sx, sy, svx, svy), kin(rx, ry, rvx, rvy)
-    if admit_link(sender, receiver, 15.0, LetConfig(threshold=high)):
-        assert admit_link(sender, receiver, 15.0, LetConfig(threshold=low))
+    if admit_link(sender, receiver, 15.0, high):
+        assert admit_link(sender, receiver, 15.0, low)
 
 
 def test_infinite_lifetime_beats_every_threshold():
-    assert admit_link(kin(0, 0), kin(1, 1), 15.0, LetConfig(threshold=1e9))
+    assert admit_link(kin(0, 0), kin(1, 1), 15.0, 1e9)
