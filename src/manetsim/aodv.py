@@ -9,8 +9,8 @@ energy, or random streams themselves.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from .config import ScenarioConfig
 from .model import (BROADCAST, CONTROL_FID, HELLO_BYTES, RERR_BYTES, RREP_BYTES,
@@ -27,8 +27,7 @@ RETRY_EXHAUSTED = "RETRY_EXHAUSTED"
 RREQ_SWEEP_MIN = 64
 
 
-@dataclass
-class Tx:
+class Tx(NamedTuple):
     """A transmission the engine should perform on behalf of a node."""
 
     header: CommonHeader
@@ -38,8 +37,7 @@ class Tx:
     pretagged: bool = False
 
 
-@dataclass
-class Drop:
+class Drop(NamedTuple):
     """A packet discarded at this node, to be traced as a 'd' event."""
 
     header: CommonHeader
@@ -47,8 +45,7 @@ class Drop:
     neighbor: int
 
 
-@dataclass
-class StartRetry:
+class StartRetry(NamedTuple):
     """Ask the engine to schedule a discovery-retry timer.
 
     Carries the broadcast id it was armed for, so a stale timer left over
@@ -242,7 +239,7 @@ class AodvNode:
         reverse = self.valid_route(body.orig, t)
         if reverse is None:
             return [Drop(header=header, reason=NO_REVERSE_ROUTE, neighbor=header.prev_hop)]
-        forwarded = replace(body, hop_count=body.hop_count + 1)
+        forwarded = body._replace(hop_count=body.hop_count + 1)
         return [Tx(header=header, link_dst=reverse.next_hop, body=forwarded, forward=True)]
 
     def _flush_pending(self, dst: int, t: float) -> List[Action]:

@@ -121,7 +121,10 @@ def _vec2(raw: str) -> Optional[Vec2]:
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 2:
         raise ValueError(f"expected 'x,y', got {raw!r}")
-    return Vec2(float(parts[0]), float(parts[1]))
+    x, y = float(parts[0]), float(parts[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"Vec2 components must be finite, got ({x}, {y})")
+    return Vec2(x, y)
 
 
 def _key(default, *bounds, key: Optional[str] = None, finite: bool = True, parse=None):
@@ -396,7 +399,7 @@ def _format(value) -> str:
         return "true" if value else "false"
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, Vec2):
+    if isinstance(value, Vec2):  # before the tuple test: a Vec2 is a tuple
         return f"{value.x!r},{value.y!r}"
     if isinstance(value, tuple):
         return ",".join(_format(item) for item in value)

@@ -11,9 +11,9 @@ import heapq
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from random import Random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .aodv import AodvNode, Drop, StartRetry, Tx
 from .config import (ScenarioConfig, Sophistication, parse_config_text, serialize_config,
@@ -127,8 +127,7 @@ class RunResult:
     config: ScenarioConfig
 
 
-@dataclass
-class _Frame:
+class _Frame(NamedTuple):
     header: CommonHeader
     body: object
     link_dst: int
@@ -246,7 +245,7 @@ class Simulation:
     def _emit(self, event: str, t: float, source: int, neighbor: int,
               header: CommonHeader):
         self.trace.append(TraceEvent(
-            event=event, time=t, source=source, destination=neighbor,
+            event=event, time=round(t, 6), source=source, destination=neighbor,
             pkt_type=header.kind.value, pkt_size=header.size, flags="---",
             fid=header.fid, src_addr=header.src, dst_addr=header.dst,
             seq_num=header.seq, pkt_id=header.uid))
@@ -254,15 +253,19 @@ class Simulation:
     def _is_honest_data(self, header: CommonHeader) -> bool:
         return header.kind is PacketKind.DATA and header.src != self.attacker_id
 
+    def _lose(self, header: CommonHeader):
+        """Count a packet that goes no further; only honest DATA counts as loss."""
+        if self._is_honest_data(header):
+            self.report.honest_data_lost += 1
+
     def _drop(self, nid: int, header: CommonHeader, neighbor: int, reason: str,
               t: float):
         self._emit("d", t, nid, neighbor, header)
         self.report.drops_by_reason[reason] += 1
-        if header.kind is PacketKind.DATA:
-            if header.src != self.attacker_id:
-                self.report.honest_data_lost += 1
-            elif nid == self.victim:
-                self.report.victim_malicious_drops += 1
+        self._lose(header)
+        if (nid == self.victim and header.kind is PacketKind.DATA
+                and header.src == self.attacker_id):
+            self.report.victim_malicious_drops += 1
 
     # -- transmission -----------------------------------------------------------
 
@@ -287,11 +290,11 @@ class Simulation:
         self._sync_idle(node, t)
         header = tx.header
         if tx.forward:
-            header = replace(header, prev_hop=nid, hop_count=header.hop_count + 1)
+            header = header._replace(prev_hop=nid, hop_count=header.hop_count + 1)
         if not tx.pretagged:
             rv1, rv2 = draw_random_values(node.tag_rng)
-            header = replace(header, rv1=rv1, rv2=rv2,
-                             channel=select_channel(rv1, rv2, self.cfg.num_channels))
+            header = header._replace(rv1=rv1, rv2=rv2,
+                                     channel=select_channel(rv1, rv2, self.cfg.num_channels))
         if self.cfg.protocol.uses_let and header.kind in self.cfg.mlet_applies_to:
             header = annotate(header, self.grid.kin[nid], self.cfg.mlet_annex_bytes)
         self._debit(node, self.cfg.energy.tx_per_byte * header.size, t)
@@ -302,8 +305,8 @@ class Simulation:
             self.report.honest_data_sent += 1
         deliveries = broadcast(nid, header, tx.link_dst, t, self.grid, self.cfg,
                                self.loss_rng)
-        if self._is_honest_data(header) and tx.link_dst != BROADCAST and not deliveries:
-            self.report.honest_data_lost += 1  # next hop unreachable: the packet is gone
+        if tx.link_dst != BROADCAST and not deliveries:
+            self._lose(header)  # next hop unreachable: the packet is gone
         frame = _Frame(header=header, body=tx.body, link_dst=tx.link_dst)
         for d in deliveries:
             if d.arrival_time <= self.cfg.stop:
@@ -327,15 +330,13 @@ class Simulation:
         node = self.nodes[receiver]
         header = frame.header
         rx_per_byte = self.cfg.energy.rx_per_byte
+        self._sync_idle(node, t)  # idle drain may kill the node at this very instant
         if node.energy <= 0.0:
-            if self._is_honest_data(header):
-                self.report.honest_data_lost += 1
+            self._lose(header)
             return
-        self._sync_idle(node, t)
         header_cost = min(header.size, HEADER_RX_BYTES)
         if self._debit(node, rx_per_byte * header_cost, t):
-            if self._is_honest_data(header):
-                self.report.honest_data_lost += 1
+            self._lose(header)
             return
         if self.cfg.protocol.verifies:
             outcome = verify(header, self.cfg.num_channels, self.cfg.paper_range_check)
@@ -344,8 +345,7 @@ class Simulation:
                 self._drop(receiver, header, header.prev_hop, outcome.value, t)
                 return
         if self._debit(node, rx_per_byte * (header.size - header_cost), t):
-            if self._is_honest_data(header):
-                self.report.honest_data_lost += 1
+            self._lose(header)
             return
         if (self.cfg.protocol.uses_let and header.kind in self.cfg.mlet_applies_to
                 and header.sender_kin is not None):

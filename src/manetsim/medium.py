@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from random import Random
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .config import ScenarioConfig
 from .mobility import Kinematics
@@ -13,8 +12,7 @@ from .model import BROADCAST, CommonHeader, Vec2
 from .saodv import _implied_channel
 
 
-@dataclass(frozen=True)
-class Delivery:
+class Delivery(NamedTuple):
     receiver: int
     arrival_time: float
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .mobility import Kinematics, LetMode, link_expiration_time
 from .model import CommonHeader
 
@@ -14,7 +12,7 @@ def annotate(header: CommonHeader, sender_kin: Kinematics, annex_bytes: int) -> 
     replaces the kinematics without growing it again.
     """
     grow = annex_bytes if header.sender_kin is None else 0
-    return replace(header, sender_kin=sender_kin, size=header.size + grow)
+    return header._replace(sender_kin=sender_kin, size=header.size + grow)
 
 
 def admit_link(sender_kin: Kinematics, receiver_kin: Kinematics, r: float,

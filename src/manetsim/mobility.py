@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from random import Random
+from typing import NamedTuple
 
 from .model import Vec2
 
@@ -19,16 +19,14 @@ class LetMode(Enum):
     STRICT = "STRICT"
 
 
-@dataclass(frozen=True)
-class Kinematics:
+class Kinematics(NamedTuple):
     """A node's position and velocity at one instant."""
 
     pos: Vec2
     vel: Vec2
 
 
-@dataclass(frozen=True)
-class WaypointState:
+class WaypointState(NamedTuple):
     """One leg of random-waypoint motion: travel current -> target, then pause.
 
     ``pause_until`` marks the earliest time a new leg may start (arrival time

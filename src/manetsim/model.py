@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Tuple
 
 if TYPE_CHECKING:
     from .mobility import Kinematics
@@ -38,16 +38,15 @@ class PacketKind(Enum):
     DATA = "DATA"
 
 
-@dataclass(frozen=True)
-class Vec2:
-    """2-D position (m) or velocity (m/s); components must be finite."""
+class Vec2(NamedTuple):
+    """2-D position (m) or velocity (m/s).
+
+    Components are finite: coordinates are checked where they enter the
+    program (the config, the ``let`` command), not on every arithmetic result.
+    """
 
     x: float
     y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"Vec2 components must be finite, got ({self.x}, {self.y})")
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x + other.x, self.y + other.y)
@@ -62,8 +61,7 @@ class Vec2:
         return math.hypot(self.x, self.y)
 
 
-@dataclass(frozen=True)
-class CommonHeader:
+class CommonHeader(NamedTuple):
     """Per-packet metadata shared by every packet kind.
 
     rv1/rv2 are the per-hop random tags and ``channel`` the frequency index
@@ -88,24 +86,21 @@ class CommonHeader:
     sender_kin: Optional["Kinematics"] = None
 
 
-@dataclass(frozen=True)
-class RreqBody:
+class RreqBody(NamedTuple):
     broadcast_id: int
     orig_seq: int
     dest: int
     dest_seq_known: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class RrepBody:
+class RrepBody(NamedTuple):
     dest: int
     dest_seq: int
     hop_count: int
     orig: int
 
 
-@dataclass(frozen=True)
-class RerrBody:
+class RerrBody(NamedTuple):
     #: (destination, its bumped sequence number) per unreachable destination
     unreachable: Tuple[Tuple[int, int], ...]
 
@@ -146,12 +141,13 @@ _INT_FIELDS = ((2, "source"), (3, "destination"), (5, "pkt_size"), (7, "fid"),
                (8, "src_addr"), (9, "dst_addr"), (10, "seq_num"), (11, "pkt_id"))
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One 12-field trace record, the simulator's canonical output line.
 
     Field order is fixed: event time source destination pkt_type pkt_size
-    flags fid src_addr dst_addr seq_num pkt_id.
+    flags fid src_addr dst_addr seq_num pkt_id.  ``time`` is quantized to the
+    6 decimals the text format carries wherever a record is made (the engine's
+    ``_emit`` and ``parse_line``), so a trace read back equals the one written.
     """
 
     event: str
@@ -166,11 +162,6 @@ class TraceEvent:
     dst_addr: int
     seq_num: int
     pkt_id: int
-
-    def __post_init__(self):
-        # Quantize to the 6 decimals the text format carries so that
-        # format_line/parse_line round-trips compare equal.
-        object.__setattr__(self, "time", round(self.time, 6))
 
     def format_line(self) -> str:
         return (f"{self.event} {self.time:.6f} {self.source} {self.destination} "
@@ -200,4 +191,5 @@ class TraceEvent:
                 values[name] = int(tokens[idx])
             except ValueError:
                 raise TraceParseError(lineno, f"{name} is not an integer: {tokens[idx]!r}") from None
-        return cls(event=tokens[0], time=time, pkt_type=tokens[4], flags=tokens[6], **values)
+        return cls(event=tokens[0], time=round(time, 6), pkt_type=tokens[4],
+                   flags=tokens[6], **values)

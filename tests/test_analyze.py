@@ -1,10 +1,11 @@
 import pytest
 
-from manetsim import TraceParseError, run_scenario, trace_to_text, validate_config
+from manetsim import (TraceParseError, load_config, run_scenario, trace_to_text,
+                      validate_config, write_trace)
 from manetsim.analyze import (MetricsParseError, interval_series, parse_metrics_csv,
                               parse_trace_text, read_trace, victim_energy_at)
 
-from .conftest import DATA_DIR
+from .conftest import CONFIG_DIR, DATA_DIR
 
 
 def test_golden_trace_parses_line_by_line():
@@ -17,6 +18,17 @@ def test_simulator_output_round_trips_through_parser():
     cfg = validate_config({"stop": 5, "seed": 13})
     result = run_scenario(cfg)
     assert parse_trace_text(trace_to_text(result.trace)) == result.trace
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
+def test_series_of_the_run_equals_series_of_its_written_trace(path, tmp_path):
+    # Record times are quantized where they are made, so windows agree exactly.
+    cfg = load_config(str(path))
+    trace = run_scenario(cfg).trace
+    write_trace(str(tmp_path / "trace.tr"), trace)
+    written = read_trace(str(tmp_path / "trace.tr"))
+    victim = cfg.attacker.target
+    assert interval_series(written, 0.1, victim) == interval_series(trace, 0.1, victim)
 
 
 def test_malformed_line_reports_its_number():

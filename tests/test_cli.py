@@ -253,6 +253,18 @@ def test_let_rejects_non_positive_range(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--sx", "nan"), ("--rvx", "inf")])
+def test_let_non_finite_input_exits_2_without_traceback(flag, value):
+    # Vec2 does not check its components; this command is the only guard here.
+    args = {"--sx": "0", "--sy": "0", "--svx": "0", "--svy": "0",
+            "--rx": "1", "--ry": "1", "--rvx": "0", "--rvy": "0", "--r": "250"}
+    args[flag] = value
+    proc = _cli("let", *(token for pair in args.items() for token in pair))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: all kinematics inputs must be finite\n"
+    assert proc.stdout == ""
+
+
 def test_shipped_configs_run_end_to_end(tmp_path, capsys):
     # attack_demo is the slowest shipped config the suite runs here; the
     # table1 pair is covered by the acceptance tests.

@@ -92,13 +92,6 @@ def test_non_positive_range_rejected():
         link_expiration_time(kin(0, 0), kin(1, 1), 0.0)
 
 
-def test_non_finite_components_rejected_at_construction():
-    with pytest.raises(ValueError):
-        kin(math.nan, 0.0)
-    with pytest.raises(ValueError):
-        kin(0.0, 0.0, math.inf, 0.0)
-
-
 def test_matches_stepping_oracle_on_random_cases():
     rng = random.Random(20240811)
     r = 15.0
