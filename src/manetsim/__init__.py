@@ -13,8 +13,8 @@ from .config import (AttackerParams, ConfigError, EnergyParams, FlowSpec, NodeSc
                      Protocol, ScenarioConfig, Sophistication, load_config,
                      parse_config_text, serialize_config, validate_config)
 from .engine import (Metrics, RunReport, RunResult, Simulation, debit, run_scenario,
-                     trace_to_text, write_metrics, write_trace)
-from .medium import CellGrid, Delivery, broadcast, in_range, tx_delay
+                     write_metrics, write_trace)
+from .medium import CellGrid, broadcast, in_range, tx_delay
 from .mlet import admit_link, annotate
 from .mobility import (Kinematics, LetMode, WaypointState, advance_waypoint,
                        initial_waypoint, kinematics_at, link_expiration_time,

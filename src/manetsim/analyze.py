@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .config import MAX_TIMER_FIRINGS
 from .model import PacketKind, TraceEvent, TraceParseError, read_utf8
 
 
@@ -28,13 +29,18 @@ def interval_series(events: Sequence[TraceEvent], interval: float,
 
     Each row is (window_end, drops_at_node, drop_bytes_at_node,
     receives_at_node, cum_data_loss) where cum_data_loss counts DATA 'd'
-    events network-wide up to the window end.
+    events network-wide up to the window end.  A trace that needs more than
+    ``MAX_TIMER_FIRINGS`` windows raises ``ValueError``, as a timer would.
     """
-    if interval <= 0.0:
-        raise ValueError("interval must be positive")
+    if not (interval > 0.0 and math.isfinite(interval)):
+        raise ValueError(f"interval must be finite and positive, got {interval!r}")
     if not events:
         return []
-    n_bins = int(math.floor(max(e.time for e in events) / interval)) + 1
+    last = max(e.time for e in events)
+    if last / interval > MAX_TIMER_FIRINGS:  # a float test: the quotient may be inf
+        raise ValueError(f"interval {interval!r} s over a trace ending at {last!r} s "
+                         f"gives more than {MAX_TIMER_FIRINGS} windows")
+    n_bins = int(math.floor(last / interval)) + 1
     drops = [0] * n_bins
     drop_bytes = [0] * n_bins
     receives = [0] * n_bins

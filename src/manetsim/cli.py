@@ -61,11 +61,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.interval <= 0.0:
-        print("error: --interval must be positive", file=sys.stderr)
+    if not (args.interval > 0.0 and math.isfinite(args.interval)):
+        print(f"error: --interval must be finite and positive, got {args.interval!r}",
+              file=sys.stderr)
         return EXIT_USAGE
     events = read_trace(args.trace)
-    rows = interval_series(events, args.interval, args.node)
+    try:
+        rows = interval_series(events, args.interval, args.node)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     metrics_rows = None
     metrics_path = os.path.join(os.path.dirname(os.path.abspath(args.trace)),
                                 "metrics.csv")

@@ -87,17 +87,6 @@ def _parse(raw: str, default, bounds: tuple, finite: bool):
     return value
 
 
-def _battery(raw: str) -> float:
-    """Attacker battery in joules: any positive number, ``inf`` for unlimited."""
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"expected a number, got {raw!r}") from None
-    if not value > 0.0:
-        raise ValueError(f"must be positive, got {raw!r}")
-    return value
-
-
 def _packet_kinds(raw: str) -> Tuple[PacketKind, ...]:
     kinds, problems = [], []
     for token in filter(None, (t.strip().upper() for t in raw.split(","))):
@@ -153,7 +142,7 @@ class AttackerParams:
     enabled: bool = _key(False)
     #: Attackers default to an unlimited battery; a flood at full rate would
     #: otherwise drain the attacker before the victim.
-    energy: float = _key(math.inf, parse=_battery)
+    energy: float = _key(math.inf, ">", 0.0, finite=False)
     target: int = _key(0, ">=", 0, "<", MAX_NODES)
     start: float = _key(10.0, ">=", 0.0)
     rate: float = _key(200.0, ">", 0.0)

@@ -13,12 +13,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from random import Random
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .aodv import AodvNode, Drop, StartRetry, Tx
 from .config import (ScenarioConfig, Sophistication, parse_config_text, serialize_config,
                      validate_config)
-from .medium import CellGrid, broadcast
+from .medium import CellGrid, broadcast, tx_delay
 from .mlet import admit_link, annotate
 from .mobility import (MOBILITY_STEP, Kinematics, advance_waypoint, due_for_advance,
                        initial_waypoint, kinematics_at, parked_waypoint, scripted_waypoint)
@@ -127,12 +127,6 @@ class RunResult:
     config: ScenarioConfig
 
 
-class _Frame(NamedTuple):
-    header: CommonHeader
-    body: object
-    link_dst: int
-
-
 class _Node:
     __slots__ = ("nid", "aodv", "waypoint", "energy", "last_sync", "mob_rng", "tag_rng")
 
@@ -196,7 +190,7 @@ class Simulation:
     def _schedule_initial(self):
         cfg = self.cfg
         self._schedule(MOBILITY_STEP, MOBILITY_UPDATE, ())
-        for nid in sorted(self.nodes):
+        for nid in self.nodes:
             self._schedule(cfg.hello_interval, HELLO_TIMER, (nid,))
         for i, flow in enumerate(cfg.flows):
             self._schedule(flow.start, APP_SEND, (i,))
@@ -220,6 +214,12 @@ class Simulation:
         heapq.heappush(self.heap, (t, self.event_seq, kind, payload))
         self.event_seq += 1
 
+    def _every(self, period: float, t: float, kind: str, payload: tuple):
+        """Re-arm a periodic event at ``t + period`` unless that is past the stop."""
+        nxt = t + period
+        if nxt <= self.cfg.stop:
+            self._schedule(nxt, kind, payload)
+
     # -- energy ----------------------------------------------------------------
 
     def _debit(self, node: _Node, cost: float, t: float) -> bool:
@@ -234,11 +234,13 @@ class Simulation:
             return True
         return False
 
-    def _sync_idle(self, node: _Node, t: float):
+    def _alive(self, node: _Node, t: float) -> bool:
+        """Charge idle drain up to ``t``; True while the node has energy left."""
         elapsed = t - node.last_sync
         if elapsed > 0.0:
             node.last_sync = t
             self._debit(node, self.cfg.energy.idle_per_sec * elapsed, t)
+        return node.energy > 0.0
 
     # -- trace / accounting ------------------------------------------------------
 
@@ -287,7 +289,7 @@ class Simulation:
         if node.energy <= 0.0:
             self._drop(nid, tx.header, tx.link_dst, DEAD_SENDER, t)
             return
-        self._sync_idle(node, t)
+        # Every caller has run _alive for this node at t: no idle drain is due.
         header = tx.header
         if tx.forward:
             header = header._replace(prev_hop=nid, hop_count=header.hop_count + 1)
@@ -303,14 +305,14 @@ class Simulation:
             self.report.control_tx[header.kind] += 1
         if self._is_honest_data(header) and not tx.forward:
             self.report.honest_data_sent += 1
-        deliveries = broadcast(nid, header, tx.link_dst, t, self.grid, self.cfg,
-                               self.loss_rng)
-        if tx.link_dst != BROADCAST and not deliveries:
+        receivers = broadcast(nid, header, tx.link_dst, self.grid, self.cfg, self.loss_rng)
+        if tx.link_dst != BROADCAST and not receivers:
             self._lose(header)  # next hop unreachable: the packet is gone
-        frame = _Frame(header=header, body=tx.body, link_dst=tx.link_dst)
-        for d in deliveries:
-            if d.arrival_time <= self.cfg.stop:
-                self._schedule(d.arrival_time, DELIVER, (d.receiver, frame))
+        arrival = t + tx_delay(header.size, self.cfg.bitrate) + self.cfg.prop_delay
+        if arrival <= self.cfg.stop:
+            frame = tx._replace(header=header)
+            for receiver in receivers:
+                self._schedule(arrival, DELIVER, (receiver, frame))
 
     def _process(self, nid: int, actions, t: float):
         for action in actions:
@@ -326,12 +328,11 @@ class Simulation:
 
     # -- reception ----------------------------------------------------------------
 
-    def _deliver(self, receiver: int, frame: _Frame, t: float):
+    def _deliver(self, receiver: int, frame: Tx, t: float):
         node = self.nodes[receiver]
         header = frame.header
         rx_per_byte = self.cfg.energy.rx_per_byte
-        self._sync_idle(node, t)  # idle drain may kill the node at this very instant
-        if node.energy <= 0.0:
+        if not self._alive(node, t):  # idle drain may kill it at this very instant
             self._lose(header)
             return
         header_cost = min(header.size, HEADER_RX_BYTES)
@@ -376,18 +377,14 @@ class Simulation:
 
     def _hello_timer(self, nid: int, t: float):
         node = self.nodes[nid]
-        self._sync_idle(node, t)
-        if node.energy <= 0.0:
+        if not self._alive(node, t):
             return  # depleted nodes stop their timers
         self._process(nid, node.aodv.on_hello_tick(t), t)
-        nxt = t + self.cfg.hello_interval
-        if nxt <= self.cfg.stop:
-            self._schedule(nxt, HELLO_TIMER, (nid,))
+        self._every(self.cfg.hello_interval, t, HELLO_TIMER, (nid,))
 
     def _mobility_update(self, t: float):
         cfg = self.cfg
-        for nid in sorted(self.nodes):
-            node = self.nodes[nid]
+        for nid, node in self.nodes.items():
             if node.energy <= 0.0:
                 continue
             if due_for_advance(node.waypoint, t):
@@ -396,27 +393,21 @@ class Simulation:
                                                  cfg.speed_min, cfg.speed_max,
                                                  cfg.pause)
             self.grid.place(nid, kinematics_at(node.waypoint, t))
-        nxt = t + MOBILITY_STEP
-        if nxt <= cfg.stop:
-            self._schedule(nxt, MOBILITY_UPDATE, ())
+        self._every(MOBILITY_STEP, t, MOBILITY_UPDATE, ())
 
     def _app_send(self, flow_idx: int, t: float):
         flow = self.cfg.flows[flow_idx]
         node = self.nodes[flow.src]
         if node.energy <= 0.0:
-            return
-        self._sync_idle(node, t)
-        if node.energy > 0.0:
+            return  # a source that idle drain kills below still re-arms once
+        if self._alive(node, t):
             actions = node.aodv.originate_data(flow.dst, flow.size, flow_idx + 1, t)
             self._process(flow.src, actions, t)
-        nxt = t + 1.0 / flow.rate
-        if nxt <= self.cfg.stop:
-            self._schedule(nxt, APP_SEND, (flow_idx,))
+        self._every(1.0 / flow.rate, t, APP_SEND, (flow_idx,))
 
     def _attack_step(self, t: float):
         node = self.nodes[self.attacker_id]
-        self._sync_idle(node, t)
-        if node.energy <= 0.0:
+        if not self._alive(node, t):
             return
         target = self.cfg.attacker.target
         route = node.aodv.valid_route(target, t)
@@ -434,23 +425,18 @@ class Simulation:
         else:
             # Re-enter discovery: the attacker runs ordinary, honestly tagged AODV.
             self._process(node.nid, node.aodv.ensure_discovery(target, t), t)
-        nxt = t + 1.0 / self.cfg.attacker.rate
-        if nxt <= self.cfg.stop:
-            self._schedule(nxt, ATTACK_STEP, ())
+        self._every(1.0 / self.cfg.attacker.rate, t, ATTACK_STEP, ())
 
     def _retry_timer(self, nid: int, dst: int, attempt: int, bid: int, t: float):
         node = self.nodes[nid]
-        if node.energy <= 0.0:
-            return
-        self._sync_idle(node, t)
-        if node.energy > 0.0:
+        if self._alive(node, t):
             self._process(nid, node.aodv.on_retry(dst, attempt, bid, t), t)
 
     def _metric_sample(self, j: int, t: float):
         if j < self.n_samples:
             self._push_sample(j + 1)
-        for nid in sorted(self.nodes):
-            self._sync_idle(self.nodes[nid], t)
+        for node in self.nodes.values():
+            self._alive(node, t)
         self.metrics.sample(t, self.nodes[self.victim].energy, self.report)
 
     # -- main loop ----------------------------------------------------------------
@@ -478,8 +464,8 @@ class Simulation:
                 self._metric_sample(payload[0], t)
             else:
                 raise RuntimeError(f"unknown event kind {kind!r}")
-        for nid in sorted(self.nodes):
-            self._sync_idle(self.nodes[nid], cfg.stop)
+        for node in self.nodes.values():
+            self._alive(node, cfg.stop)
         self.report.victim_final_energy = self.nodes[self.victim].energy
         return RunResult(trace=self.trace, metrics=self.metrics, report=self.report,
                          nodes={nid: node.aodv for nid, node in self.nodes.items()},
@@ -489,10 +475,6 @@ class Simulation:
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     """Run one validated scenario to completion."""
     return Simulation(cfg).run()
-
-
-def trace_to_text(events: List[TraceEvent]) -> str:
-    return "".join(e.format_line() + "\n" for e in events)
 
 
 def write_trace(path: str, events: List[TraceEvent]):

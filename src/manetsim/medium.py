@@ -4,17 +4,12 @@ from __future__ import annotations
 
 import math
 from random import Random
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, Tuple
 
 from .config import ScenarioConfig
 from .mobility import Kinematics
 from .model import BROADCAST, CommonHeader, Vec2
 from .saodv import _implied_channel
-
-
-class Delivery(NamedTuple):
-    receiver: int
-    arrival_time: float
 
 
 Cell = Tuple[int, int]
@@ -37,9 +32,6 @@ class CellGrid:
         self.kin: Dict[int, Kinematics] = {}
         self._cell: Dict[int, Cell] = {}
         self._members: Dict[Cell, List[int]] = {}
-        #: The sorted ids of each cell's 3x3 neighbourhood, until one of its
-        #: cells gains or loses a node.
-        self._near: Dict[Cell, List[int]] = {}
 
     def place(self, nid: int, kin: Kinematics):
         """Record a node's kinematics; move it to another cell if it left its own."""
@@ -54,27 +46,14 @@ class CellGrid:
             members.remove(nid)
             if not members:
                 del self._members[old]
-            self._forget(old)
         self._members.setdefault(cell, []).append(nid)
-        self._forget(cell)
-
-    def _forget(self, cell: Cell):
-        cx, cy = cell
-        for x in (cx - 1, cx, cx + 1):
-            for y in (cy - 1, cy, cy + 1):
-                self._near.pop((x, y), None)
 
     def near(self, nid: int) -> List[int]:
         """Ids in the 3x3 cells around ``nid``'s cell, ``nid`` included, ascending."""
-        cell = self._cell[nid]
-        ids = self._near.get(cell)
-        if ids is None:
-            cx, cy = cell
-            members = self._members
-            ids = sorted(m for x in (cx - 1, cx, cx + 1) for y in (cy - 1, cy, cy + 1)
-                         for m in members.get((x, y), ()))
-            self._near[cell] = ids
-        return ids
+        cx, cy = self._cell[nid]
+        members = self._members
+        return sorted(m for x in (cx - 1, cx, cx + 1) for y in (cy - 1, cy, cy + 1)
+                      for m in members.get((x, y), ()))
 
 
 def in_range(a: Vec2, b: Vec2, r: float) -> bool:
@@ -91,20 +70,20 @@ def tx_delay(size: int, bitrate: float) -> float:
     return size * 8.0 / bitrate
 
 
-def broadcast(sender: int, header: CommonHeader, link_dst: int, t: float,
-              grid: CellGrid, cfg: ScenarioConfig, rng: Random) -> List[Delivery]:
-    """Deliveries for one transmission at time t.
+def broadcast(sender: int, header: CommonHeader, link_dst: int, grid: CellGrid,
+              cfg: ScenarioConfig, rng: Random) -> List[int]:
+    """Ids of the nodes that receive one transmission, ascending.
 
     Every node other than the sender that is within range at send time hears
-    the frame at t + tx_delay + prop_delay, independently lost with
-    ``loss_prob``: one draw per such node, in ascending node id order, whoever
-    the frame is addressed to.  Only the nodes that process the frame get a
-    delivery: every hearer of a ``BROADCAST`` frame, and otherwise the
-    addressed receiver alone.  The channel index does not gate delivery unless
-    ``physical_channels`` is set, in which case a frame whose announced channel
-    mismatches its tags reaches nobody; otherwise the receiver-side
-    verification decides acceptance.  ``grid`` must be built with
-    ``cfg.range_r``.
+    the frame, independently lost with ``loss_prob``: one draw per such node,
+    in ascending node id order, whoever the frame is addressed to.  Only the
+    nodes that process the frame are returned: every hearer of a ``BROADCAST``
+    frame, and otherwise the addressed receiver alone.  All of them hear it
+    after the same tx_delay + prop_delay, which the caller adds.  The channel
+    index does not gate delivery unless ``physical_channels`` is set, in which
+    case a frame whose announced channel mismatches its tags reaches nobody;
+    otherwise the receiver-side verification decides acceptance.  ``grid``
+    must be built with ``cfg.range_r``.
     """
     if grid.range_r != cfg.range_r:
         raise ValueError(f"grid built for range {grid.range_r}, medium has {cfg.range_r}")
@@ -114,7 +93,6 @@ def broadcast(sender: int, header: CommonHeader, link_dst: int, t: float,
                                                         cfg.num_channels))
         if not valid:
             return []
-    arrival = t + tx_delay(header.size, cfg.bitrate) + cfg.prop_delay
     kin = grid.kin
     sender_pos = kin[sender].pos
     lossy = cfg.loss_prob > 0.0
@@ -122,12 +100,12 @@ def broadcast(sender: int, header: CommonHeader, link_dst: int, t: float,
         candidates = grid.near(sender)
     else:  # no loss draws to keep in step: only the addressee can hear it
         candidates = (link_dst,) if link_dst in kin else ()
-    deliveries = []
+    receivers = []
     for nid in candidates:
         if nid == sender or not in_range(sender_pos, kin[nid].pos, cfg.range_r):
             continue
         if lossy and rng.random() < cfg.loss_prob:
             continue
         if link_dst == BROADCAST or nid == link_dst:
-            deliveries.append(Delivery(receiver=nid, arrival_time=arrival))
-    return deliveries
+            receivers.append(nid)
+    return receivers

@@ -41,12 +41,6 @@ class WaypointState(NamedTuple):
     leg_start_time: float
     scripted: bool = False
 
-    def arrival_time(self) -> float:
-        dist = (self.target - self.current).norm()
-        if self.speed <= 0.0 or dist == 0.0:
-            return self.leg_start_time
-        return self.leg_start_time + dist / self.speed
-
 
 def initial_waypoint(pos: Vec2, t0: float, pause: float) -> WaypointState:
     """A node resting at ``pos``; its first travel leg starts after ``pause``."""

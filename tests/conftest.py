@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import settings
 
-from manetsim import BROADCAST, Delivery, Kinematics, Vec2, in_range, tx_delay, validate_config
+from manetsim import BROADCAST, Kinematics, Vec2, in_range, validate_config
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -18,24 +18,23 @@ def kin(px, py, vx=0.0, vy=0.0):
     return Kinematics(pos=Vec2(px, py), vel=Vec2(vx, vy))
 
 
-def scan_broadcast(sender, header, link_dst, t, node_kinematics, cfg, rng):
+def scan_broadcast(sender, header, link_dst, node_kinematics, cfg, rng):
     """Reference medium: every node is range-tested, in ascending id order.
 
     One loss draw per in-range node other than the sender, as the medium
-    draws them; a unicast frame yields only the addressee's delivery.  Frames
-    are assumed correctly tagged (``physical_channels`` is not modelled).
+    draws them; a unicast frame yields only the addressee's id.  Frames are
+    assumed correctly tagged (``physical_channels`` is not modelled).
     """
-    arrival = t + tx_delay(header.size, cfg.bitrate) + cfg.prop_delay
     sender_pos = node_kinematics[sender].pos
-    deliveries = []
+    receivers = []
     for nid in sorted(node_kinematics):
         if nid == sender or not in_range(sender_pos, node_kinematics[nid].pos, cfg.range_r):
             continue
         if cfg.loss_prob > 0.0 and rng.random() < cfg.loss_prob:
             continue
         if link_dst in (BROADCAST, nid):
-            deliveries.append(Delivery(receiver=nid, arrival_time=arrival))
-    return deliveries
+            receivers.append(nid)
+    return receivers
 
 
 def stepping_let(sender, receiver, r, dt=1e-3):

@@ -8,8 +8,7 @@ import random
 import time
 from dataclasses import replace
 
-from manetsim import (Protocol, link_expiration_time, run_scenario, trace_to_text,
-                      validate_config)
+from manetsim import Protocol, link_expiration_time, run_scenario, validate_config
 from manetsim.analyze import interval_series, parse_trace_text
 from manetsim.cli import sweep_accept_fractions
 from manetsim.mobility import LetMode
@@ -199,8 +198,8 @@ def test_c6_mlet_direction_and_zero_threshold_equivalence():
     assert data_drops(baseline) > data_drops(mlet), "expected strictly fewer DATA drops"
 
     neutral = replace(mlet_cfg, let_threshold=0.0, mlet_annex_bytes=0)
-    neutral_trace = trace_to_text(run_scenario(neutral).trace)
-    baseline_trace = trace_to_text(run_scenario(baseline_cfg).trace)
+    neutral_trace = run_scenario(neutral).trace
+    baseline_trace = run_scenario(baseline_cfg).trace
     assert neutral_trace == baseline_trace, \
         "threshold 0 with a zero-size annex must reproduce the baseline byte for byte"
     _passed(f"criterion 6: RERR {rerr_tx(baseline)}->{rerr_tx(mlet)}, DATA drops "
@@ -248,13 +247,14 @@ def test_c7_min_hop_and_loop_freedom():
 def test_c8_determinism_and_format():
     cfg = load_config(str(DATA_DIR / "golden_3node.cfg"))
     golden = (DATA_DIR / "golden_3node.tr").read_text()
-    first = trace_to_text(run_scenario(cfg).trace)
-    second = trace_to_text(run_scenario(cfg).trace)
+    first = run_scenario(cfg).trace
+    second = run_scenario(cfg).trace
     assert first == second, "same seed must reproduce the trace byte for byte"
-    assert first == golden, "trace deviates from the frozen golden file"
-    for line in first.splitlines():
+    text = "".join(e.format_line() + "\n" for e in first)
+    assert text == golden, "trace deviates from the frozen golden file"
+    for line in text.splitlines():
         assert len(line.split()) == 12
-    events = parse_trace_text(first)
-    assert trace_to_text(events) == first
+    events = parse_trace_text(text)
+    assert events == first
     assert interval_series(events, 1.0, node=2), "analyzer must consume the trace"
     _passed(f"criterion 8: golden trace stable ({len(events)} lines, 12 tokens each)")

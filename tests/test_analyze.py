@@ -1,9 +1,12 @@
+import math
+
 import pytest
 
-from manetsim import (TraceParseError, load_config, run_scenario, trace_to_text,
-                      validate_config, write_trace)
+from manetsim import (TraceEvent, TraceParseError, load_config, run_scenario, validate_config,
+                      write_trace)
 from manetsim.analyze import (MetricsParseError, interval_series, parse_metrics_csv,
                               parse_trace_text, read_trace, victim_energy_at)
+from manetsim.config import MAX_TIMER_FIRINGS
 
 from .conftest import CONFIG_DIR, DATA_DIR
 
@@ -14,10 +17,11 @@ def test_golden_trace_parses_line_by_line():
     assert all(len(e.format_line().split()) == 12 for e in events)
 
 
-def test_simulator_output_round_trips_through_parser():
+def test_simulator_output_round_trips_through_parser(tmp_path):
     cfg = validate_config({"stop": 5, "seed": 13})
     result = run_scenario(cfg)
-    assert parse_trace_text(trace_to_text(result.trace)) == result.trace
+    write_trace(str(tmp_path / "trace.tr"), result.trace)
+    assert read_trace(str(tmp_path / "trace.tr")) == result.trace
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
@@ -79,8 +83,15 @@ def test_cumulative_data_loss_is_network_wide_and_monotone():
 
 
 def test_interval_must_be_positive():
-    with pytest.raises(ValueError):
-        interval_series([], 0.0, node=0)
+    for interval in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            interval_series([], interval, node=0)
+
+
+def test_window_count_is_capped_like_a_timer():
+    last = TraceEvent.parse_line(f"r {MAX_TIMER_FIRINGS + 1} 0 1 DATA 100 --- 1 0 1 0 0")
+    with pytest.raises(ValueError, match=f"ending at {last.time!r} s"):
+        interval_series([last], 1.0, node=0)
 
 
 def test_metrics_csv_round_trip_helpers():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from manetsim import load_config, run_scenario, trace_to_text
+from manetsim import load_config, read_trace, run_scenario
 from manetsim.cli import main
 
 from .conftest import CONFIG_DIR, DATA_DIR
@@ -63,15 +63,15 @@ def test_seed_flag_overrides_config(tmp_path):
 def test_env_var_overrides_config_but_not_flag(tmp_path, monkeypatch):
     cfg = load_config(GOLDEN_CFG)
     from dataclasses import replace
-    env_trace = trace_to_text(run_scenario(replace(cfg, rng_seed=777)).trace)
-    flag_trace = trace_to_text(run_scenario(replace(cfg, rng_seed=42)).trace)
+    env_trace = run_scenario(replace(cfg, rng_seed=777)).trace
+    flag_trace = run_scenario(replace(cfg, rng_seed=42)).trace
 
     monkeypatch.setenv("MANETSIM_SEED", "777")
     _, out = _run(tmp_path / "env")
-    assert (out / "trace.tr").read_text() == env_trace
+    assert read_trace(str(out / "trace.tr")) == env_trace
 
     _, out = _run(tmp_path / "flag", "--seed", "42")
-    assert (out / "trace.tr").read_text() == flag_trace
+    assert read_trace(str(out / "trace.tr")) == flag_trace
 
 
 def test_bad_env_seed_is_a_usage_error(tmp_path, monkeypatch, capsys):
@@ -164,6 +164,26 @@ def test_analyze_rejects_non_positive_interval(tmp_path):
     trace = tmp_path / "t.tr"
     trace.write_text("")
     assert main(["analyze", "--trace", str(trace), "--interval", "0"]) == 2
+
+
+@pytest.mark.parametrize("time,interval,error", [
+    ("0.1", "nan", "error: --interval must be finite and positive, got nan"),
+    ("0.1", "inf", "error: --interval must be finite and positive, got inf"),
+    ("0.1", "-inf", "error: --interval must be finite and positive, got -inf"),
+    ("0.1", "1e-300", "error: interval 1e-300 s over a trace ending at 0.1 s gives more "
+                      "than 1000000 windows"),
+    ("1e300", "1", "error: interval 1.0 s over a trace ending at 1e+300 s gives more "
+                   "than 1000000 windows"),
+], ids=["nan", "inf", "-inf", "tiny-interval", "huge-time"])
+def test_analyze_unusable_window_count_exits_2_without_traceback(tmp_path, time, interval,
+                                                                  error):
+    trace = tmp_path / "trace.tr"
+    trace.write_text(f"s {time} 0 1 DATA 100 --- 1 0 1 0 0\n")
+    proc = _cli("analyze", "--trace", str(trace), f"--interval={interval}")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == error + "\n"
+    assert proc.stdout == ""
 
 
 def test_sweep_rejects_bad_k_list(capsys):

@@ -9,8 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from manetsim import (BROADCAST, AttackerParams, ConfigError, EnergyParams, PacketKind,
-                      Simulation, Vec2, in_range, load_config, run_scenario, trace_to_text,
-                      validate_config)
+                      Simulation, Vec2, in_range, load_config, run_scenario, validate_config)
 from manetsim import engine
 from manetsim.analyze import parse_metrics_csv
 from manetsim.config import MAX_NODES
@@ -61,24 +60,24 @@ def test_quiescent_single_node_traces_only_hello_sends():
 
 def test_same_seed_runs_are_byte_identical():
     cfg = validate_config({"stop": 8, "seed": 21})
-    a = trace_to_text(run_scenario(cfg).trace)
-    b = trace_to_text(run_scenario(cfg).trace)
+    a = run_scenario(cfg).trace
+    b = run_scenario(cfg).trace
     assert a == b
 
 
 def test_changing_seed_changes_the_trace():
     cfg = validate_config({"stop": 8, "seed": 21})
-    a = trace_to_text(run_scenario(cfg).trace)
-    c = trace_to_text(run_scenario(replace(cfg, rng_seed=22)).trace)
+    a = run_scenario(cfg).trace
+    c = run_scenario(replace(cfg, rng_seed=22)).trace
     assert a != c
 
 
 def test_lossy_runs_stay_deterministic():
     cfg = validate_config({"stop": 6, "seed": 4, "loss_prob": 0.3})
-    a = trace_to_text(run_scenario(cfg).trace)
-    b = trace_to_text(run_scenario(cfg).trace)
+    a = run_scenario(cfg).trace
+    b = run_scenario(cfg).trace
     assert a == b
-    lossless = trace_to_text(run_scenario(replace(cfg, loss_prob=0.0)).trace)
+    lossless = run_scenario(replace(cfg, loss_prob=0.0)).trace
     assert a != lossless
 
 
@@ -322,6 +321,18 @@ def test_metric_samples_are_queued_one_ahead():
     assert [row[0] for row in rows[:3]] == [0.001, 0.002, 0.003]
 
 
+def test_frames_arrive_after_serialization_and_propagation_delay():
+    cfg = validate_config({"nn": 2, "x": 50, "y": 50, "stop": 6, "prop_delay": 0.5,
+                           "nodes": "10,10; 20,10", "flows": "0:1:2:100:1"})
+    trace = run_scenario(cfg).trace
+    sent = {(e.pkt_id, e.source): e for e in trace if e.event in ("s", "f")}
+    received = [e for e in trace if e.event == "r"]
+    assert {e.pkt_type for e in received} >= {"HELLO", "RREQ", "RREP", "DATA"}
+    for r in received:
+        s = sent[(r.pkt_id, r.destination)]
+        assert r.time == pytest.approx(s.time + s.pkt_size * 8 / cfg.bitrate + 0.5, abs=1e-6)
+
+
 def test_no_delivery_is_queued_for_an_overheard_unicast(monkeypatch):
     # Node 1 hears the attacker's unicast flood to node 0, yet only node 0
     # gets a DELIVER for it.
@@ -329,12 +340,12 @@ def test_no_delivery_is_queued_for_an_overheard_unicast(monkeypatch):
     overheard = []
     real_broadcast = engine.broadcast
 
-    def broadcast(sender, header, link_dst, t, grid, cfg, rng):
+    def broadcast(sender, header, link_dst, grid, cfg, rng):
         pos = grid.kin[sender].pos
         overheard.extend(nid for nid, k in grid.kin.items()
                          if link_dst not in (BROADCAST, nid) and nid != sender
                          and in_range(pos, k.pos, cfg.range_r))
-        return real_broadcast(sender, header, link_dst, t, grid, cfg, rng)
+        return real_broadcast(sender, header, link_dst, grid, cfg, rng)
 
     monkeypatch.setattr(engine, "broadcast", broadcast)
     real_schedule = sim._schedule
@@ -366,11 +377,11 @@ def _search_against_a_full_scan(seed):
     real_broadcast = engine.broadcast
     calls = []
 
-    def broadcast(sender, header, link_dst, t, grid, cfg, rng):
+    def broadcast(sender, header, link_dst, grid, cfg, rng):
         twin = Random()
         twin.setstate(rng.getstate())
-        expected = scan_broadcast(sender, header, link_dst, t, dict(grid.kin), cfg, twin)
-        got = real_broadcast(sender, header, link_dst, t, grid, cfg, rng)
+        expected = scan_broadcast(sender, header, link_dst, dict(grid.kin), cfg, twin)
+        got = real_broadcast(sender, header, link_dst, grid, cfg, rng)
         assert got == expected and rng.getstate() == twin.getstate()
         for nid, node in sim.nodes.items():
             if node.energy <= 0.0:  # frozen where its battery ran out
@@ -407,6 +418,23 @@ def test_engine_neighbour_search_matches_a_full_scan(seed):
 def test_engine_neighbour_search_is_checked_on_unicast_frames():
     calls = _search_against_a_full_scan(0)
     assert BROADCAST in calls and any(dst != BROADCAST for dst in calls)
+
+
+def test_a_depleted_source_fires_its_flow_timer_once_more_and_stops():
+    cfg = validate_config({"nn": 2, "x": 50, "y": 50, "stop": 20, "nodes": "10,10; 20,10",
+                           "flows": "0:1:4:100:1", "energy.initial": 0.5,
+                           "energy.idle_per_sec": 0.1})
+    sim = Simulation(cfg)
+    sends, real_app_send = [], sim._app_send
+
+    def app_send(flow_idx, t):
+        sends.append(t)
+        real_app_send(flow_idx, t)
+
+    sim._app_send = app_send
+    died = sim.run().report.depletion_times[0]
+    assert died < 10.0
+    assert len([t for t in sends if t > died]) == 1
 
 
 def test_receiver_killed_by_idle_drain_at_arrival_loses_the_frame():
