@@ -105,12 +105,18 @@ def parse_metrics_csv(text: str) -> List[Dict[str, float]]:
     return rows
 
 
-def victim_energy_at(metrics_rows: List[Dict[str, float]], t: float) -> Optional[float]:
-    """Latest sampled victim energy at or before t, if any."""
-    best = None
-    for row in metrics_rows:
-        if row["t"] <= t + 1e-9:
-            best = row["victim_energy"]
-        else:
-            break
-    return best
+def victim_energy_series(metrics_rows: List[Dict[str, float]],
+                         window_ends: Sequence[float]) -> List[Optional[float]]:
+    """For each window end, the latest victim energy sampled at or before it (else None).
+
+    ``window_ends`` must be non-decreasing, as the rows' ``t`` already is, so
+    one forward walk over the rows serves every window.
+    """
+    energies: List[Optional[float]] = []
+    latest, i = None, 0
+    for end in window_ends:
+        while i < len(metrics_rows) and metrics_rows[i]["t"] <= end + 1e-9:
+            latest = metrics_rows[i]["victim_energy"]
+            i += 1
+        energies.append(latest)
+    return energies

@@ -1,9 +1,9 @@
 """Reactive routing state machine: on-demand discovery, forwarding, maintenance.
 
-Each node owns one `AodvNode`.  Handlers are called by the engine's event loop
-with a received header/body and return a list of actions (transmissions, drops,
-retry-timer requests) for the engine to execute; they never touch the medium,
-energy, or random streams themselves.
+Each node owns one `AodvNode`.  The engine hands every received header/body to
+`AodvNode.receive`, which calls the handler for the packet's kind.  Handlers
+return a list of actions (transmissions, drops, retry-timer requests) for the
+engine to execute; they never touch the medium, energy, or random streams.
 """
 
 from __future__ import annotations
@@ -86,16 +86,13 @@ class AodvNode:
 
     # -- helpers -----------------------------------------------------------
 
-    def next_pkt_seq(self) -> int:
-        seq = self.pkt_seq
+    def new_header(self, kind: PacketKind, size: int, dst: int, fid: int = CONTROL_FID,
+                   **tags) -> CommonHeader:
+        """Header of a packet this node originates; ``tags`` may set rv1, rv2, channel."""
+        header = CommonHeader(uid=self.alloc_uid(), kind=kind, size=size, src=self.nid,
+                              dst=dst, prev_hop=self.nid, seq=self.pkt_seq, fid=fid, **tags)
         self.pkt_seq += 1
-        return seq
-
-    def _new_header(self, kind: PacketKind, size: int, dst: int,
-                    fid: int = CONTROL_FID) -> CommonHeader:
-        return CommonHeader(uid=self.alloc_uid(), kind=kind, size=size,
-                            src=self.nid, dst=dst, prev_hop=self.nid,
-                            seq=self.next_pkt_seq(), fid=fid)
+        return header
 
     def valid_route(self, dst: int, t: float) -> Optional[RouteEntry]:
         entry = self.routes.get(dst)
@@ -150,7 +147,7 @@ class AodvNode:
         known = self.routes.get(dst)
         body = RreqBody(broadcast_id=bid, orig_seq=self.own_seq, dest=dst,
                         dest_seq_known=known.dest_seq if known else None)
-        header = self._new_header(PacketKind.RREQ, RREQ_BYTES, BROADCAST)
+        header = self.new_header(PacketKind.RREQ, RREQ_BYTES, BROADCAST)
         return Tx(header=header, link_dst=BROADCAST, body=body)
 
     def ensure_discovery(self, dst: int, t: float) -> List[Action]:
@@ -167,7 +164,7 @@ class AodvNode:
     def originate_data(self, dst: int, size: int, fid: int, t: float) -> List[Action]:
         """Send one payload toward dst, or buffer it and discover a route."""
         route = self.valid_route(dst, t)
-        header = self._new_header(PacketKind.DATA, size, dst, fid)
+        header = self.new_header(PacketKind.DATA, size, dst, fid)
         if route is not None:
             self.refresh_route(route, t)
             return [Tx(header=header, link_dst=route.next_hop)]
@@ -202,6 +199,19 @@ class AodvNode:
 
     # -- packet handlers -----------------------------------------------------
 
+    def receive(self, header: CommonHeader, body: object, t: float) -> List[Action]:
+        """Hand a packet this node has accepted to the handler for its kind."""
+        kind = header.kind
+        if kind is PacketKind.DATA:
+            return self.handle_data(header, t)
+        if kind is PacketKind.HELLO:
+            return self.handle_hello(header, t)
+        if kind is PacketKind.RREQ:
+            return self.handle_rreq(header, body, t)
+        if kind is PacketKind.RREP:
+            return self.handle_rrep(header, body, t)
+        return self.handle_rerr(header, body, t)
+
     def handle_rreq(self, header: CommonHeader, body: RreqBody, t: float) -> List[Action]:
         if self._rreq_duplicate(header.src, body.broadcast_id, t):
             return []
@@ -228,7 +238,7 @@ class AodvNode:
         if reverse is None:
             return []
         body = RrepBody(dest=dest, dest_seq=dest_seq, hop_count=hop_count, orig=orig)
-        header = self._new_header(PacketKind.RREP, RREP_BYTES, orig)
+        header = self.new_header(PacketKind.RREP, RREP_BYTES, orig)
         return [Tx(header=header, link_dst=reverse.next_hop, body=body)]
 
     def handle_rrep(self, header: CommonHeader, body: RrepBody, t: float) -> List[Action]:
@@ -266,7 +276,7 @@ class AodvNode:
             return [Tx(header=header, link_dst=route.next_hop, forward=True)]
         known = self.routes.get(header.dst)
         bumped = (known.dest_seq + 1) if known else 0
-        rerr = self._new_header(PacketKind.RERR, RERR_BYTES, header.prev_hop)
+        rerr = self.new_header(PacketKind.RERR, RERR_BYTES, header.prev_hop)
         body = RerrBody(unreachable=((header.dst, bumped),))
         return [Drop(header=header, reason=NO_ROUTE, neighbor=header.prev_hop),
                 Tx(header=rerr, link_dst=header.prev_hop, body=body)]
@@ -302,12 +312,12 @@ class AodvNode:
                 invalidated.append((dest, entry.dest_seq))
         if not invalidated:
             return []
-        header = self._new_header(PacketKind.RERR, RERR_BYTES, BROADCAST)
+        header = self.new_header(PacketKind.RERR, RERR_BYTES, BROADCAST)
         return [Tx(header=header, link_dst=BROADCAST,
                    body=RerrBody(unreachable=tuple(invalidated)))]
 
     def on_hello_tick(self, t: float) -> List[Action]:
         actions = self.detect_breaks(t)
-        hello = self._new_header(PacketKind.HELLO, HELLO_BYTES, BROADCAST)
+        hello = self.new_header(PacketKind.HELLO, HELLO_BYTES, BROADCAST)
         actions.append(Tx(header=hello, link_dst=BROADCAST))
         return actions

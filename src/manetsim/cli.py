@@ -15,11 +15,11 @@ from dataclasses import replace
 from typing import List, Optional
 
 from .analyze import (MetricsParseError, interval_series, parse_metrics_csv, read_trace,
-                      victim_energy_at)
+                      victim_energy_series)
 from .config import MAX_COUNT, ConfigError, ScenarioConfig, load_config
 from .engine import run_scenario, write_metrics, write_trace
 from .mobility import Kinematics, LetMode, link_expiration_time
-from .model import TraceParseError, Vec2
+from .model import TraceParseError, Vec2, read_utf8
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -71,26 +71,22 @@ def cmd_analyze(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    metrics_rows = None
+    header = "t,drops,drop_bytes,receives,cum_data_loss"
+    tails = [""] * len(rows)
     metrics_path = os.path.join(os.path.dirname(os.path.abspath(args.trace)),
                                 "metrics.csv")
     if os.path.isfile(metrics_path):
         try:
-            with open(metrics_path, "r", encoding="utf-8") as fh:
-                metrics_rows = parse_metrics_csv(fh.read())
-        except (MetricsParseError, UnicodeDecodeError) as exc:
+            metrics_rows = parse_metrics_csv(read_utf8(metrics_path, MetricsParseError))
+        except MetricsParseError as exc:
             print(f"metrics error: {metrics_path}: {exc}", file=sys.stderr)
             return EXIT_TRACE
-    header = "t,drops,drop_bytes,receives,cum_data_loss"
-    if metrics_rows is not None:
         header += ",victim_energy"
+        tails = ["," if energy is None else f",{energy:.9f}" for energy
+                 in victim_energy_series(metrics_rows, [row[0] for row in rows])]
     print(header)
-    for t, drops, drop_bytes, receives, cum in rows:
-        line = f"{t:.6f},{drops},{drop_bytes},{receives},{cum}"
-        if metrics_rows is not None:
-            energy = victim_energy_at(metrics_rows, t)
-            line += f",{energy:.9f}" if energy is not None else ","
-        print(line)
+    for (t, drops, drop_bytes, receives, cum), tail in zip(rows, tails):
+        print(f"{t:.6f},{drops},{drop_bytes},{receives},{cum}{tail}")
     return EXIT_OK
 
 

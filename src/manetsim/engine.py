@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from random import Random
@@ -20,13 +19,13 @@ from .config import (ScenarioConfig, Sophistication, parse_config_text, serializ
                      validate_config)
 from .medium import CellGrid, broadcast, tx_delay
 from .mlet import admit_link, annotate
-from .mobility import (MOBILITY_STEP, Kinematics, advance_waypoint, due_for_advance,
-                       initial_waypoint, kinematics_at, parked_waypoint, scripted_waypoint)
+from .mobility import (MOBILITY_STEP, Kinematics, advance_waypoint, initial_waypoint,
+                       kinematics_at, parked_waypoint, scripted_waypoint)
 from .model import (ATTACK_FID, BROADCAST, HEADER_RX_BYTES, CommonHeader, PacketKind,
                     TraceEvent, Vec2)
 from .saodv import VerifyOutcome, draw_random_values, select_channel, verify
 
-# Event kinds, dispatched on by the main loop.
+# Event kinds; the main loop looks each up in its handler table.
 DELIVER = "DELIVER"
 HELLO_TIMER = "HELLO_TIMER"
 MOBILITY_UPDATE = "MOBILITY_UPDATE"
@@ -84,6 +83,7 @@ class RunReport:
     seed: int
     victim: int
     events_processed: int = 0
+    honest_data_originated: int = 0
     honest_data_sent: int = 0
     honest_data_delivered: int = 0
     honest_data_lost: int = 0
@@ -196,29 +196,22 @@ class Simulation:
             self._schedule(flow.start, APP_SEND, (i,))
         if cfg.attacker.enabled:
             self._schedule(cfg.attacker.start, ATTACK_STEP, ())
-        # Samples are queued one ahead: sample j+1 is pushed when sample j runs,
-        # under a sequence number reserved here, so the (time, seq) order is the
-        # one that queueing every sample up front would give.
-        self.n_samples = int(math.floor(cfg.stop / cfg.metrics_interval + 1e-9))
+        # Sample j+1 is pushed when sample j runs, under the one sequence number
+        # reserved here: it sorts after set-up and before run-time events alike.
         self.sample_seq = self.event_seq
-        if self.n_samples:
-            self._push_sample(1)
-        self.event_seq = self.sample_seq + self.n_samples
+        self.event_seq += 1
+        self._push_sample(1)
+        # STOP alone ends the run: it sorts before every event pushed later for
+        # its instant, and anything due after it stays queued, never processed.
         self._schedule(cfg.stop, STOP, ())
 
     def _push_sample(self, j: int):
-        heapq.heappush(self.heap, (j * self.cfg.metrics_interval, self.sample_seq + j - 1,
+        heapq.heappush(self.heap, (j * self.cfg.metrics_interval, self.sample_seq,
                                    METRIC_SAMPLE, (j,)))
 
     def _schedule(self, t: float, kind: str, payload: tuple):
         heapq.heappush(self.heap, (t, self.event_seq, kind, payload))
         self.event_seq += 1
-
-    def _every(self, period: float, t: float, kind: str, payload: tuple):
-        """Re-arm a periodic event at ``t + period`` unless that is past the stop."""
-        nxt = t + period
-        if nxt <= self.cfg.stop:
-            self._schedule(nxt, kind, payload)
 
     # -- energy ----------------------------------------------------------------
 
@@ -297,22 +290,26 @@ class Simulation:
             rv1, rv2 = draw_random_values(node.tag_rng)
             header = header._replace(rv1=rv1, rv2=rv2,
                                      channel=select_channel(rv1, rv2, self.cfg.num_channels))
-        if self.cfg.protocol.uses_let and header.kind in self.cfg.mlet_applies_to:
-            header = annotate(header, self.grid.kin[nid], self.cfg.mlet_annex_bytes)
-        self._debit(node, self.cfg.energy.tx_per_byte * header.size, t)
+        cfg = self.cfg
+        if cfg.protocol.uses_let and header.kind in cfg.mlet_applies_to:
+            header = annotate(header, self.grid.kin[nid], cfg.mlet_annex_bytes)
+        self._debit(node, cfg.energy.tx_per_byte * header.size, t)
         self._emit("f" if tx.forward else "s", t, nid, tx.link_dst, header)
         if header.kind in _CONTROL_KINDS:
             self.report.control_tx[header.kind] += 1
         if self._is_honest_data(header) and not tx.forward:
             self.report.honest_data_sent += 1
-        receivers = broadcast(nid, header, tx.link_dst, self.grid, self.cfg, self.loss_rng)
+        if cfg.physical_channels and verify(header, cfg.num_channels,
+                                            cfg.paper_range_check) is not VerifyOutcome.ACCEPT:
+            receivers = []  # sent on no channel its tags imply: nobody hears it
+        else:
+            receivers = broadcast(nid, tx.link_dst, self.grid, cfg, self.loss_rng)
         if tx.link_dst != BROADCAST and not receivers:
             self._lose(header)  # next hop unreachable: the packet is gone
-        arrival = t + tx_delay(header.size, self.cfg.bitrate) + self.cfg.prop_delay
-        if arrival <= self.cfg.stop:
-            frame = tx._replace(header=header)
-            for receiver in receivers:
-                self._schedule(arrival, DELIVER, (receiver, frame))
+        arrival = t + tx_delay(header.size, cfg.bitrate) + cfg.prop_delay
+        frame = tx._replace(header=header)
+        for receiver in receivers:
+            self._schedule(arrival, DELIVER, (receiver, frame))
 
     def _process(self, nid: int, actions, t: float):
         for action in actions:
@@ -348,30 +345,18 @@ class Simulation:
         if self._debit(node, rx_per_byte * (header.size - header_cost), t):
             self._lose(header)
             return
-        if (self.cfg.protocol.uses_let and header.kind in self.cfg.mlet_applies_to
-                and header.sender_kin is not None):
-            if not admit_link(header.sender_kin, self.grid.kin[receiver],
-                              self.cfg.range_r, self.cfg.let_threshold, self.cfg.let_mode):
-                self._drop(receiver, header, header.prev_hop, LET_REJECT, t)
-                return
+        if header.sender_kin is not None and not admit_link(
+                header.sender_kin, self.grid.kin[receiver], self.cfg.range_r,
+                self.cfg.let_threshold, self.cfg.let_mode):
+            self._drop(receiver, header, header.prev_hop, LET_REJECT, t)
+            return
         self._emit("r", t, receiver, header.prev_hop, header)
         if header.kind is PacketKind.DATA and header.dst == receiver:
             if header.src != self.attacker_id:
                 self.report.honest_data_delivered += 1
             elif receiver == self.victim:
                 self.report.victim_malicious_accepts += 1
-        aodv = node.aodv
-        if header.kind is PacketKind.HELLO:
-            actions = aodv.handle_hello(header, t)
-        elif header.kind is PacketKind.RREQ:
-            actions = aodv.handle_rreq(header, frame.body, t)
-        elif header.kind is PacketKind.RREP:
-            actions = aodv.handle_rrep(header, frame.body, t)
-        elif header.kind is PacketKind.RERR:
-            actions = aodv.handle_rerr(header, frame.body, t)
-        else:
-            actions = aodv.handle_data(header, t)
-        self._process(receiver, actions, t)
+        self._process(receiver, node.aodv.receive(header, frame.body, t), t)
 
     # -- timers ----------------------------------------------------------------
 
@@ -380,20 +365,20 @@ class Simulation:
         if not self._alive(node, t):
             return  # depleted nodes stop their timers
         self._process(nid, node.aodv.on_hello_tick(t), t)
-        self._every(self.cfg.hello_interval, t, HELLO_TIMER, (nid,))
+        self._schedule(t + self.cfg.hello_interval, HELLO_TIMER, (nid,))
 
     def _mobility_update(self, t: float):
         cfg = self.cfg
         for nid, node in self.nodes.items():
             if node.energy <= 0.0:
                 continue
-            if due_for_advance(node.waypoint, t):
+            if t >= node.waypoint.pause_until:
                 node.waypoint = advance_waypoint(node.waypoint, node.mob_rng, t,
                                                  cfg.area_x, cfg.area_y,
                                                  cfg.speed_min, cfg.speed_max,
                                                  cfg.pause)
             self.grid.place(nid, kinematics_at(node.waypoint, t))
-        self._every(MOBILITY_STEP, t, MOBILITY_UPDATE, ())
+        self._schedule(t + MOBILITY_STEP, MOBILITY_UPDATE, ())
 
     def _app_send(self, flow_idx: int, t: float):
         flow = self.cfg.flows[flow_idx]
@@ -401,9 +386,10 @@ class Simulation:
         if node.energy <= 0.0:
             return  # a source that idle drain kills below still re-arms once
         if self._alive(node, t):
+            self.report.honest_data_originated += 1
             actions = node.aodv.originate_data(flow.dst, flow.size, flow_idx + 1, t)
             self._process(flow.src, actions, t)
-        self._every(1.0 / flow.rate, t, APP_SEND, (flow_idx,))
+        self._schedule(t + 1.0 / flow.rate, APP_SEND, (flow_idx,))
 
     def _attack_step(self, t: float):
         node = self.nodes[self.attacker_id]
@@ -414,18 +400,15 @@ class Simulation:
         if route is not None:
             node.aodv.refresh_route(route, t)
             rv1, rv2, channel = self._attacker_tags()
-            header = CommonHeader(uid=self._alloc_uid(), kind=PacketKind.DATA,
-                                  size=self.cfg.attacker.payload, src=node.nid,
-                                  dst=target, prev_hop=node.nid,
-                                  seq=node.aodv.next_pkt_seq(), fid=ATTACK_FID,
-                                  rv1=rv1, rv2=rv2, channel=channel)
+            header = node.aodv.new_header(PacketKind.DATA, self.cfg.attacker.payload, target,
+                                          ATTACK_FID, rv1=rv1, rv2=rv2, channel=channel)
             self.report.attacker_data_sent += 1
             self._transmit(node.nid, Tx(header=header, link_dst=route.next_hop,
                                         pretagged=True), t)
         else:
             # Re-enter discovery: the attacker runs ordinary, honestly tagged AODV.
             self._process(node.nid, node.aodv.ensure_discovery(target, t), t)
-        self._every(1.0 / self.cfg.attacker.rate, t, ATTACK_STEP, ())
+        self._schedule(t + 1.0 / self.cfg.attacker.rate, ATTACK_STEP, ())
 
     def _retry_timer(self, nid: int, dst: int, attempt: int, bid: int, t: float):
         node = self.nodes[nid]
@@ -433,43 +416,45 @@ class Simulation:
             self._process(nid, node.aodv.on_retry(dst, attempt, bid, t), t)
 
     def _metric_sample(self, j: int, t: float):
-        if j < self.n_samples:
-            self._push_sample(j + 1)
+        self._push_sample(j + 1)
         for node in self.nodes.values():
             self._alive(node, t)
         self.metrics.sample(t, self.nodes[self.victim].energy, self.report)
 
     # -- main loop ----------------------------------------------------------------
 
+    def _check_conservation(self):
+        """Every honest DATA packet originated is delivered, lost, buffered or in flight."""
+        report = self.report
+        buffered = sum(len(queue) for node in self.nodes.values()
+                       for queue in node.aodv.pending.values())
+        in_flight = sum(1 for _, _, kind, payload in self.heap
+                        if kind == DELIVER and self._is_honest_data(payload[1].header))
+        if report.honest_data_originated != (report.honest_data_delivered
+                                             + report.honest_data_lost + buffered + in_flight):
+            raise RuntimeError(
+                f"honest DATA not conserved: originated={report.honest_data_originated} "
+                f"delivered={report.honest_data_delivered} lost={report.honest_data_lost} "
+                f"buffered={buffered} in_flight={in_flight}")
+
     def run(self) -> RunResult:
-        cfg = self.cfg
-        while self.heap:
+        handlers = {DELIVER: self._deliver, HELLO_TIMER: self._hello_timer,
+                    MOBILITY_UPDATE: self._mobility_update, APP_SEND: self._app_send,
+                    ATTACK_STEP: self._attack_step, RETRY_TIMER: self._retry_timer,
+                    METRIC_SAMPLE: self._metric_sample}
+        while True:
             t, _, kind, payload = heapq.heappop(self.heap)
-            if t > cfg.stop or kind == STOP:
+            if kind == STOP:
                 break
             self.report.events_processed += 1
-            if kind == DELIVER:
-                self._deliver(payload[0], payload[1], t)
-            elif kind == HELLO_TIMER:
-                self._hello_timer(payload[0], t)
-            elif kind == MOBILITY_UPDATE:
-                self._mobility_update(t)
-            elif kind == APP_SEND:
-                self._app_send(payload[0], t)
-            elif kind == ATTACK_STEP:
-                self._attack_step(t)
-            elif kind == RETRY_TIMER:
-                self._retry_timer(payload[0], payload[1], payload[2], payload[3], t)
-            elif kind == METRIC_SAMPLE:
-                self._metric_sample(payload[0], t)
-            else:
-                raise RuntimeError(f"unknown event kind {kind!r}")
+            handlers[kind](*payload, t)
         for node in self.nodes.values():
-            self._alive(node, cfg.stop)
+            self._alive(node, self.cfg.stop)
         self.report.victim_final_energy = self.nodes[self.victim].energy
+        self._check_conservation()
         return RunResult(trace=self.trace, metrics=self.metrics, report=self.report,
                          nodes={nid: node.aodv for nid, node in self.nodes.items()},
-                         config=cfg)
+                         config=self.cfg)
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunResult:

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from random import Random
 from typing import Dict, List, Tuple
 
 from .config import ScenarioConfig
 from .mobility import Kinematics
-from .model import BROADCAST, CommonHeader, Vec2
-from .saodv import _implied_channel
+from .model import BROADCAST, Vec2
 
 
 Cell = Tuple[int, int]
@@ -70,8 +68,8 @@ def tx_delay(size: int, bitrate: float) -> float:
     return size * 8.0 / bitrate
 
 
-def broadcast(sender: int, header: CommonHeader, link_dst: int, grid: CellGrid,
-              cfg: ScenarioConfig, rng: Random) -> List[int]:
+def broadcast(sender: int, link_dst: int, grid: CellGrid, cfg: ScenarioConfig,
+              rng: Random) -> List[int]:
     """Ids of the nodes that receive one transmission, ascending.
 
     Every node other than the sender that is within range at send time hears
@@ -79,20 +77,12 @@ def broadcast(sender: int, header: CommonHeader, link_dst: int, grid: CellGrid,
     in ascending node id order, whoever the frame is addressed to.  Only the
     nodes that process the frame are returned: every hearer of a ``BROADCAST``
     frame, and otherwise the addressed receiver alone.  All of them hear it
-    after the same tx_delay + prop_delay, which the caller adds.  The channel
-    index does not gate delivery unless ``physical_channels`` is set, in which
-    case a frame whose announced channel mismatches its tags reaches nobody;
-    otherwise the receiver-side verification decides acceptance.  ``grid``
-    must be built with ``cfg.range_r``.
+    after the same tx_delay + prop_delay, which the caller adds.  The medium
+    knows no channels: the caller decides whether a frame is on the air at
+    all.  ``grid`` must be built with ``cfg.range_r``.
     """
     if grid.range_r != cfg.range_r:
         raise ValueError(f"grid built for range {grid.range_r}, medium has {cfg.range_r}")
-    if cfg.physical_channels:
-        valid = (math.isfinite(header.rv1) and math.isfinite(header.rv2)
-                 and header.channel == _implied_channel(header.rv1, header.rv2,
-                                                        cfg.num_channels))
-        if not valid:
-            return []
     kin = grid.kin
     sender_pos = kin[sender].pos
     lossy = cfg.loss_prob > 0.0

@@ -30,8 +30,7 @@ class WaypointState(NamedTuple):
     """One leg of random-waypoint motion: travel current -> target, then pause.
 
     ``pause_until`` marks the earliest time a new leg may start (arrival time
-    plus the pause); ``math.inf`` parks the node forever.  Scripted nodes are
-    never re-targeted by the mobility driver.
+    plus the pause); ``math.inf`` parks the node after this leg, for good.
     """
 
     current: Vec2
@@ -39,7 +38,6 @@ class WaypointState(NamedTuple):
     speed: float
     pause_until: float
     leg_start_time: float
-    scripted: bool = False
 
 
 def initial_waypoint(pos: Vec2, t0: float, pause: float) -> WaypointState:
@@ -51,7 +49,7 @@ def initial_waypoint(pos: Vec2, t0: float, pause: float) -> WaypointState:
 def parked_waypoint(pos: Vec2) -> WaypointState:
     """A node that stays at ``pos`` forever."""
     return WaypointState(current=pos, target=pos, speed=0.0,
-                         pause_until=math.inf, leg_start_time=0.0, scripted=True)
+                         pause_until=math.inf, leg_start_time=0.0)
 
 
 def scripted_waypoint(pos: Vec2, target: Vec2 | None, speed: float) -> WaypointState:
@@ -59,7 +57,7 @@ def scripted_waypoint(pos: Vec2, target: Vec2 | None, speed: float) -> WaypointS
     if target is None or speed <= 0.0:
         return parked_waypoint(pos)
     return WaypointState(current=pos, target=target, speed=speed,
-                         pause_until=math.inf, leg_start_time=0.0, scripted=True)
+                         pause_until=math.inf, leg_start_time=0.0)
 
 
 def kinematics_at(state: WaypointState, t: float) -> Kinematics:
@@ -79,10 +77,6 @@ def kinematics_at(state: WaypointState, t: float) -> Kinematics:
     direction = delta.scaled(1.0 / dist)
     return Kinematics(pos=state.current + direction.scaled(state.speed * elapsed),
                       vel=direction.scaled(state.speed))
-
-
-def due_for_advance(state: WaypointState, t: float) -> bool:
-    return not state.scripted and t >= state.pause_until
 
 
 def advance_waypoint(state: WaypointState, rng: Random, t: float,

@@ -18,12 +18,11 @@ def kin(px, py, vx=0.0, vy=0.0):
     return Kinematics(pos=Vec2(px, py), vel=Vec2(vx, vy))
 
 
-def scan_broadcast(sender, header, link_dst, node_kinematics, cfg, rng):
+def scan_broadcast(sender, link_dst, node_kinematics, cfg, rng):
     """Reference medium: every node is range-tested, in ascending id order.
 
     One loss draw per in-range node other than the sender, as the medium
-    draws them; a unicast frame yields only the addressee's id.  Frames are
-    assumed correctly tagged (``physical_channels`` is not modelled).
+    draws them; a unicast frame yields only the addressee's id.
     """
     sender_pos = node_kinematics[sender].pos
     receivers = []

@@ -1,11 +1,13 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from manetsim import (TraceEvent, TraceParseError, load_config, run_scenario, validate_config,
                       write_trace)
 from manetsim.analyze import (MetricsParseError, interval_series, parse_metrics_csv,
-                              parse_trace_text, read_trace, victim_energy_at)
+                              parse_trace_text, read_trace, victim_energy_series)
 from manetsim.config import MAX_TIMER_FIRINGS
 
 from .conftest import CONFIG_DIR, DATA_DIR
@@ -99,8 +101,35 @@ def test_metrics_csv_round_trip_helpers():
     metrics = run_scenario(cfg).metrics
     rows = parse_metrics_csv(metrics.to_csv_text())
     assert len(rows) == len(metrics.rows)
-    assert victim_energy_at(rows, 2.0) == pytest.approx(metrics.rows[1][3])
-    assert victim_energy_at(rows, 0.5) is None
+    assert victim_energy_series(rows, [0.5, 2.0]) == [None, pytest.approx(metrics.rows[1][3])]
+
+
+def victim_energy_at(metrics_rows, t):
+    """Reference join: rescan the rows from the start for one window end."""
+    best = None
+    for row in metrics_rows:
+        if row["t"] <= t + 1e-9:
+            best = row["victim_energy"]
+        else:
+            break
+    return best
+
+
+# Steps between sample times and offsets of window ends from them, both near
+# the 1e-9 tolerance, so ties and near-ties with it come up often.
+_near = st.sampled_from([0.0, 1e-9, -1e-9, 5e-10, 2e-9, -2e-9, 1.0000001e-9, 0.25, 1.0])
+
+
+@given(steps=st.lists(_near.map(abs), max_size=12),
+       ends=st.lists(st.tuples(st.integers(0, 12), _near), max_size=12),
+       start=st.sampled_from([0.0, 0.1, 3.0]))
+def test_energy_walk_matches_a_rescan_per_window(steps, ends, start):
+    times = [start + sum(steps[:i + 1]) for i in range(len(steps))]
+    rows = [{"t": t, "victim_energy": float(i)} for i, t in enumerate(times)]
+    window_ends = sorted((times[i % len(times)] if times else start) + offset
+                         for i, offset in ends)
+    assert victim_energy_series(rows, window_ends) == [victim_energy_at(rows, end)
+                                                       for end in window_ends]
 
 
 @pytest.mark.parametrize("text,lineno,message", [

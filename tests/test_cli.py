@@ -122,7 +122,8 @@ def _cli(*args):
 @pytest.mark.parametrize("content,error", [
     (b"t,victim_energy\n1.000000,9.9\n2.000000,n/a\n",
      "line 3: victim_energy is not a number: 'n/a'"),
-    (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (b"\xff\xfe", "line 1: not UTF-8 (invalid start byte)"),
+    (b"t,victim_energy\n1.0,9.9\n\xff", "line 3: not UTF-8 (invalid start byte)"),
 ])
 def test_analyze_malformed_metrics_exits_4_without_traceback(tmp_path, content, error):
     trace = tmp_path / "trace.tr"

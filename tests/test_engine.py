@@ -333,6 +333,62 @@ def test_frames_arrive_after_serialization_and_propagation_delay():
         assert r.time == pytest.approx(s.time + s.pkt_size * 8 / cfg.bitrate + 0.5, abs=1e-6)
 
 
+def test_stop_alone_ends_a_run_with_frames_still_in_flight():
+    # A DATA frame sent at 5.5 s arrives 0.5 s plus its serialization later,
+    # after stop = 6: it stays queued, and nothing is traced past the stop.
+    cfg = validate_config({"nn": 2, "x": 50, "y": 50, "stop": 6, "prop_delay": 0.5,
+                           "nodes": "10,10; 20,10", "flows": "0:1:2:100:1"})
+    sim = Simulation(cfg)
+    result = sim.run()
+    assert max(e.time for e in result.trace) <= cfg.stop
+    assert any(kind == DELIVER and t > cfg.stop for t, _, kind, _ in sim.heap)
+    assert result.report.summary_lines()[0] == "protocol=AODV seed=1 events=111"
+
+
+# Beside the shipped configs: lossy, moving nodes whose batteries run out,
+# with frames still in flight at the stop; and a receiver whose battery runs
+# out on a DATA header and then misses the frames after it.
+_LEDGER_VARIANTS = {
+    "dying_relays": {"nn": 20, "x": 60, "y": 60, "stop": 20, "range_r": 18, "seed": 3,
+                     "speed_min": 1, "speed_max": 8, "loss_prob": 0.1, "prop_delay": 0.6,
+                     "energy.initial": 0.63,
+                     "flows": "0:19:8:100:0.5; 4:12:8:100:1; 7:2:4:300:1.5"},
+    "dies_on_a_header": {"nn": 2, "x": 50, "y": 50, "stop": 10, "nodes": "10,10; 20,10",
+                         "flows": "1:0:4:100:1", "energy.tx_per_byte": 0,
+                         "energy.idle_per_sec": 0, "energy.initial": 0.014},
+}
+
+
+@pytest.mark.parametrize("name", [*(p.stem for p in sorted(CONFIG_DIR.glob("*.cfg"))),
+                                  *_LEDGER_VARIANTS])
+def test_every_honest_packet_is_delivered_lost_buffered_or_in_flight(name):
+    if name in _LEDGER_VARIANTS:
+        cfg = validate_config(_LEDGER_VARIANTS[name])
+    else:
+        cfg = load_config(str(CONFIG_DIR / f"{name}.cfg"))
+    sim = Simulation(cfg)
+    report = sim.run().report  # run() itself raises when the ledger does not balance
+    buffered = sum(len(queue) for node in sim.nodes.values()
+                   for queue in node.aodv.pending.values())
+    in_flight = sum(1 for _, _, kind, payload in sim.heap if kind == DELIVER
+                    and payload[1].header.kind is PacketKind.DATA
+                    and payload[1].header.src != sim.attacker_id)
+    assert report.honest_data_originated > 0
+    assert report.honest_data_originated == (report.honest_data_delivered
+                                             + report.honest_data_lost + buffered + in_flight)
+    if name in _LEDGER_VARIANTS:
+        assert report.depletion_times
+    if name == "dying_relays":
+        assert buffered and in_flight
+
+
+def test_an_uncounted_loss_fails_the_run(monkeypatch):
+    monkeypatch.setattr(Simulation, "_lose", lambda self, header: None)
+    with pytest.raises(RuntimeError, match="honest DATA not conserved: originated=196 "
+                                           "delivered=51 lost=0 buffered=11 in_flight=0"):
+        run_scenario(load_config(str(CONFIG_DIR / "table1_aodv.cfg")))
+
+
 def test_no_delivery_is_queued_for_an_overheard_unicast(monkeypatch):
     # Node 1 hears the attacker's unicast flood to node 0, yet only node 0
     # gets a DELIVER for it.
@@ -340,12 +396,12 @@ def test_no_delivery_is_queued_for_an_overheard_unicast(monkeypatch):
     overheard = []
     real_broadcast = engine.broadcast
 
-    def broadcast(sender, header, link_dst, grid, cfg, rng):
+    def broadcast(sender, link_dst, grid, cfg, rng):
         pos = grid.kin[sender].pos
         overheard.extend(nid for nid, k in grid.kin.items()
                          if link_dst not in (BROADCAST, nid) and nid != sender
                          and in_range(pos, k.pos, cfg.range_r))
-        return real_broadcast(sender, header, link_dst, grid, cfg, rng)
+        return real_broadcast(sender, link_dst, grid, cfg, rng)
 
     monkeypatch.setattr(engine, "broadcast", broadcast)
     real_schedule = sim._schedule
@@ -377,11 +433,11 @@ def _search_against_a_full_scan(seed):
     real_broadcast = engine.broadcast
     calls = []
 
-    def broadcast(sender, header, link_dst, grid, cfg, rng):
+    def broadcast(sender, link_dst, grid, cfg, rng):
         twin = Random()
         twin.setstate(rng.getstate())
-        expected = scan_broadcast(sender, header, link_dst, dict(grid.kin), cfg, twin)
-        got = real_broadcast(sender, header, link_dst, grid, cfg, rng)
+        expected = scan_broadcast(sender, link_dst, dict(grid.kin), cfg, twin)
+        got = real_broadcast(sender, link_dst, grid, cfg, rng)
         assert got == expected and rng.getstate() == twin.getstate()
         for nid, node in sim.nodes.items():
             if node.energy <= 0.0:  # frozen where its battery ran out

@@ -4,17 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from manetsim import (BROADCAST, CellGrid, CommonHeader, PacketKind, ScenarioConfig, Vec2,
-                      broadcast, in_range, tx_delay)
+from manetsim import (BROADCAST, CellGrid, ScenarioConfig, Vec2, broadcast, in_range,
+                      tx_delay)
 
 from .conftest import kin, scan_broadcast
 
 coords = st.floats(min_value=-1000.0, max_value=1000.0, allow_nan=False)
-
-
-def _header(size=100, channel=1, rv1=0.25, rv2=0.75):
-    return CommonHeader(uid=0, kind=PacketKind.DATA, size=size, src=0, dst=1,
-                        prev_hop=0, seq=0, fid=1, rv1=rv1, rv2=rv2, channel=channel)
 
 
 def test_in_range_zero_distance():
@@ -69,12 +64,12 @@ def _grid(kins, r=15.0):
 
 def test_broadcast_with_no_neighbors_is_empty():
     kins = {0: kin(0, 0), 1: kin(100, 100)}
-    assert broadcast(0, _header(), BROADCAST, _grid(kins), _cfg(), random.Random(1)) == []
+    assert broadcast(0, BROADCAST, _grid(kins), _cfg(), random.Random(1)) == []
 
 
 def test_broadcast_clique_delivers_to_all():
     kins = {0: kin(0, 0), 1: kin(5, 0), 2: kin(0, 5)}
-    receivers = broadcast(0, _header(size=100), BROADCAST, _grid(kins), _cfg(),
+    receivers = broadcast(0, BROADCAST, _grid(kins), _cfg(),
                           random.Random(1))
     assert receivers == [1, 2]
 
@@ -84,17 +79,17 @@ def test_broadcast_chain_connectivity():
     r = 15.0
     kins = {0: kin(0, 0), 1: kin(r, 0), 2: kin(2 * r, 0)}
     assert not in_range(kins[0].pos, kins[2].pos, r)
-    from_middle = broadcast(1, _header(), BROADCAST, _grid(kins), _cfg(), random.Random(1))
+    from_middle = broadcast(1, BROADCAST, _grid(kins), _cfg(), random.Random(1))
     assert from_middle == [0, 2]
-    from_end = broadcast(0, _header(), BROADCAST, _grid(kins), _cfg(), random.Random(1))
+    from_end = broadcast(0, BROADCAST, _grid(kins), _cfg(), random.Random(1))
     assert from_end == [1]
 
 
 def test_lossless_broadcast_equals_neighbor_set_and_repeats():
     rng_a, rng_b = random.Random(3), random.Random(3)
     kins = {i: kin(i * 5.0, 0.0) for i in range(6)}
-    a = broadcast(2, _header(), BROADCAST, _grid(kins), _cfg(), rng_a)
-    b = broadcast(2, _header(), BROADCAST, _grid(kins), _cfg(), rng_b)
+    a = broadcast(2, BROADCAST, _grid(kins), _cfg(), rng_a)
+    b = broadcast(2, BROADCAST, _grid(kins), _cfg(), rng_b)
     assert a == b
     expected = [i for i in range(6) if i != 2 and abs(i - 2) * 5.0 <= 15.0]
     assert a == expected
@@ -102,37 +97,27 @@ def test_lossless_broadcast_equals_neighbor_set_and_repeats():
 
 def test_lossy_broadcast_is_seed_deterministic():
     grid, cfg = _grid({i: kin(float(i), 0.0) for i in range(10)}), _cfg(loss_prob=0.5)
-    a = broadcast(0, _header(), BROADCAST, grid, cfg, random.Random(11))
-    b = broadcast(0, _header(), BROADCAST, grid, cfg, random.Random(11))
-    c = broadcast(0, _header(), BROADCAST, grid, cfg, random.Random(12))
+    a = broadcast(0, BROADCAST, grid, cfg, random.Random(11))
+    b = broadcast(0, BROADCAST, grid, cfg, random.Random(11))
+    c = broadcast(0, BROADCAST, grid, cfg, random.Random(12))
     assert a == b
     assert len(a) < 9  # some losses at p=0.5 with 9 in-range receivers
     assert a != c
-
-
-def test_physical_channels_silences_mismatched_frames():
-    kins = {0: kin(0, 0), 1: kin(5, 0)}
-    cfg = _cfg(physical_channels=True, num_channels=2)
-    # rv1 <= rv2 implies channel 1; a frame announced on channel 2 reaches nobody.
-    bad = _header(channel=2, rv1=0.25, rv2=0.75)
-    good = _header(channel=1, rv1=0.25, rv2=0.75)
-    assert broadcast(0, bad, BROADCAST, _grid(kins), cfg, random.Random(1)) == []
-    assert len(broadcast(0, good, BROADCAST, _grid(kins), cfg, random.Random(1))) == 1
 
 
 def test_unicast_draws_like_a_broadcast_but_delivers_to_the_addressee_only():
     kins = {i: kin(float(i), 0.0) for i in range(10)}
     cfg = _cfg(loss_prob=0.5)
     rng_b, rng_u = random.Random(11), random.Random(11)
-    heard = broadcast(0, _header(), BROADCAST, _grid(kins), cfg, rng_b)
+    heard = broadcast(0, BROADCAST, _grid(kins), cfg, rng_b)
     assert len(heard) > 1
     for nid in heard:
         rng_u.setstate(random.Random(11).getstate())
-        assert broadcast(0, _header(), nid, _grid(kins), cfg, rng_u) == [nid]
+        assert broadcast(0, nid, _grid(kins), cfg, rng_u) == [nid]
         assert rng_u.getstate() == rng_b.getstate()
     lost = next(i for i in range(1, 10) if i not in heard)
     rng_u.setstate(random.Random(11).getstate())
-    assert broadcast(0, _header(), lost, _grid(kins), cfg, rng_u) == []
+    assert broadcast(0, lost, _grid(kins), cfg, rng_u) == []
     assert rng_u.getstate() == rng_b.getstate()
 
 
@@ -160,8 +145,8 @@ def test_grid_search_matches_a_full_scan(points, moves, loss, seed):
             continue  # search once every node is placed, then after each move
         for sender in kins:
             for dst in (BROADCAST, (sender + 1) % len(points), len(points)):
-                got = broadcast(sender, _header(), dst, grid, cfg, rng)
-                assert got == scan_broadcast(sender, _header(), dst, kins, cfg, twin)
+                got = broadcast(sender, dst, grid, cfg, rng)
+                assert got == scan_broadcast(sender, dst, kins, cfg, twin)
                 assert rng.getstate() == twin.getstate()
 
 
@@ -170,12 +155,12 @@ def test_grid_finds_a_pair_that_rounding_puts_in_range():
     # yet an unpadded cell side of 10 would put the two cells apart.
     kins = {0: kin(-1e-17, 0.0), 1: kin(R, 0.0)}
     assert in_range(kins[0].pos, kins[1].pos, R)
-    heard = broadcast(0, _header(), BROADCAST, _grid(kins, r=R), _cfg(range_r=R),
+    heard = broadcast(0, BROADCAST, _grid(kins, r=R), _cfg(range_r=R),
                       random.Random(1))
     assert heard == [1]
 
 
 def test_grid_rejects_a_medium_of_another_range():
     with pytest.raises(ValueError):
-        broadcast(0, _header(), BROADCAST, _grid({0: kin(0, 0)}, r=10.0), _cfg(),
+        broadcast(0, BROADCAST, _grid({0: kin(0, 0)}, r=10.0), _cfg(),
                   random.Random(1))
