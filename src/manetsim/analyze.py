@@ -6,16 +6,21 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import MAX_TIMER_FIRINGS
-from .model import PacketKind, TraceEvent, TraceParseError, read_utf8
+from .model import PacketKind, TraceEvent, TraceParseError, read_utf8, trace_line_parser
 
 
 def parse_trace_text(text: str) -> List[TraceEvent]:
-    """Parse a whole trace; any malformed line aborts with its line number."""
+    """Parse a whole trace; any malformed line aborts with its line number.
+
+    Lines are split at ``str.splitlines`` boundaries; blank and
+    whitespace-only lines are skipped.
+    """
+    parse = trace_line_parser()
     events = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        events.append(TraceEvent.parse_line(line, lineno))
+        tokens = line.split()
+        if tokens:
+            events.append(parse(tokens, lineno))
     return events
 
 
@@ -45,9 +50,10 @@ def interval_series(events: Sequence[TraceEvent], interval: float,
     drop_bytes = [0] * n_bins
     receives = [0] * n_bins
     data_loss = [0] * n_bins
+    data = PacketKind.DATA.value
     for e in events:
         idx = int(e.time // interval)
-        if e.event == "d" and e.pkt_type == PacketKind.DATA.value:
+        if e.event == "d" and e.pkt_type == data:
             data_loss[idx] += 1
         if e.source != node:
             continue

@@ -98,7 +98,8 @@ class RunReport:
     def summary_lines(self) -> List[str]:
         lines = [
             f"protocol={self.protocol} seed={self.seed} events={self.events_processed}",
-            (f"honest data: sent={self.honest_data_sent} "
+            (f"honest data: originated={self.honest_data_originated} "
+             f"sent={self.honest_data_sent} "
              f"delivered={self.honest_data_delivered} lost={self.honest_data_lost}"),
             ("control tx: " + " ".join(f"{k.value}={self.control_tx.get(k, 0)}"
                                        for k in _CONTROL_KINDS)),
@@ -283,14 +284,18 @@ class Simulation:
             self._drop(nid, tx.header, tx.link_dst, DEAD_SENDER, t)
             return
         # Every caller has run _alive for this node at t: no idle drain is due.
-        header = tx.header
-        if tx.forward:
-            header = header._replace(prev_hop=nid, hop_count=header.hop_count + 1)
-        if not tx.pretagged:
-            rv1, rv2 = draw_random_values(node.tag_rng)
-            header = header._replace(rv1=rv1, rv2=rv2,
-                                     channel=select_channel(rv1, rv2, self.cfg.num_channels))
         cfg = self.cfg
+        header = tx.header
+        if tx.forward or not tx.pretagged:
+            (uid, kind, size, src, dst, prev_hop, seq, fid, rv1, rv2, channel, hop_count,
+             sender_kin) = header
+            if tx.forward:
+                prev_hop, hop_count = nid, hop_count + 1
+            if not tx.pretagged:
+                rv1, rv2 = draw_random_values(node.tag_rng)
+                channel = select_channel(rv1, rv2, cfg.num_channels)
+            header = CommonHeader(uid, kind, size, src, dst, prev_hop, seq, fid, rv1, rv2,
+                                  channel, hop_count, sender_kin)
         if cfg.protocol.uses_let and header.kind in cfg.mlet_applies_to:
             header = annotate(header, self.grid.kin[nid], cfg.mlet_annex_bytes)
         self._debit(node, cfg.energy.tx_per_byte * header.size, t)
@@ -307,7 +312,7 @@ class Simulation:
         if tx.link_dst != BROADCAST and not receivers:
             self._lose(header)  # next hop unreachable: the packet is gone
         arrival = t + tx_delay(header.size, cfg.bitrate) + cfg.prop_delay
-        frame = tx._replace(header=header)
+        frame = Tx(header, tx.link_dst, tx.body, tx.forward, tx.pretagged)
         for receiver in receivers:
             self._schedule(arrival, DELIVER, (receiver, frame))
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Tuple
 
 if TYPE_CHECKING:
     from .mobility import Kinematics
@@ -134,8 +134,8 @@ def read_utf8(path: str, error: Callable[[int, str], Exception]) -> str:
         raise error(lineno, f"not UTF-8 ({exc.reason})") from None
 
 
-_EVENT_SYMBOLS = ("s", "r", "d", "f")
-_PKT_TYPE_TOKENS = tuple(k.value for k in PacketKind)
+_EVENT_SYMBOLS = frozenset(("s", "r", "d", "f"))
+_PKT_TYPE_TOKENS = frozenset(k.value for k in PacketKind)
 # (token index, field name) for the integer columns of a trace line.
 _INT_FIELDS = ((2, "source"), (3, "destination"), (5, "pkt_size"), (7, "fid"),
                (8, "src_addr"), (9, "dst_addr"), (10, "seq_num"), (11, "pkt_id"))
@@ -147,7 +147,8 @@ class TraceEvent(NamedTuple):
     Field order is fixed: event time source destination pkt_type pkt_size
     flags fid src_addr dst_addr seq_num pkt_id.  ``time`` is quantized to the
     6 decimals the text format carries wherever a record is made (the engine's
-    ``_emit`` and ``parse_line``), so a trace read back equals the one written.
+    ``_emit`` and ``trace_line_parser``), so a trace read back equals the one
+    written.
     """
 
     event: str
@@ -170,26 +171,78 @@ class TraceEvent(NamedTuple):
 
     @classmethod
     def parse_line(cls, line: str, lineno: int = 1) -> "TraceEvent":
-        tokens = line.split()
-        if len(tokens) != 12:
-            raise TraceParseError(lineno, f"expected 12 fields, got {len(tokens)}")
-        if tokens[0] not in _EVENT_SYMBOLS:
-            raise TraceParseError(lineno, f"unknown event symbol {tokens[0]!r}")
-        if tokens[4] not in _PKT_TYPE_TOKENS:
-            raise TraceParseError(lineno, f"unknown packet type {tokens[4]!r}")
+        """One trace line, read as ``read_trace`` reads each of its lines."""
+        return trace_line_parser()(line.split(), lineno)
+
+
+class _Memo(dict):
+    """``convert(token)`` of each distinct token, computed at its first lookup.
+
+    A token that ``convert`` rejects raises its ``ValueError`` and is not stored.
+    """
+
+    def __init__(self, convert: Callable[[str], object]):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, token: str):
+        value = self[token] = self.convert(token)
+        return value
+
+
+def _trace_time(token: str) -> float:
+    time = float(token)
+    if not 0.0 <= time < math.inf:  # NaN fails both comparisons
+        raise ValueError(token)
+    return round(time, 6)
+
+
+def trace_line_parser() -> Callable[[List[str], int], TraceEvent]:
+    """A parser of one trace line, given as its whitespace-split tokens and number.
+
+    Integer and time tokens repeat heavily within a trace, so the parser
+    converts each distinct token once and keeps the result for as long as it
+    lives: make one per read.  Integers are Python ``int`` literals and times
+    ``float`` literals that are finite and not negative, rounded to 6 decimals.
+    A malformed line raises ``TraceParseError``.
+    """
+    ints, times = _Memo(int), _Memo(_trace_time)
+    new = tuple.__new__
+
+    def parse(tokens: List[str], lineno: int) -> TraceEvent:
         try:
-            time = float(tokens[1])
+            (event, time, source, destination, pkt_type, pkt_size, flags, fid,
+             src_addr, dst_addr, seq_num, pkt_id) = tokens
+            if event in _EVENT_SYMBOLS and pkt_type in _PKT_TYPE_TOKENS:
+                return new(TraceEvent, (event, times[time], ints[source], ints[destination],
+                                        pkt_type, ints[pkt_size], flags, ints[fid],
+                                        ints[src_addr], ints[dst_addr], ints[seq_num],
+                                        ints[pkt_id]))
         except ValueError:
-            raise TraceParseError(lineno, f"time is not a number: {tokens[1]!r}") from None
-        if not math.isfinite(time):
-            raise TraceParseError(lineno, f"time is not finite: {tokens[1]!r}")
-        if time < 0.0:
-            raise TraceParseError(lineno, f"time is negative: {tokens[1]!r}")
-        values = {}
-        for idx, name in _INT_FIELDS:
-            try:
-                values[name] = int(tokens[idx])
-            except ValueError:
-                raise TraceParseError(lineno, f"{name} is not an integer: {tokens[idx]!r}") from None
-        return cls(event=tokens[0], time=round(time, 6), pkt_type=tokens[4],
-                   flags=tokens[6], **values)
+            pass
+        raise _diagnose(tokens, lineno)
+    return parse
+
+
+def _diagnose(tokens: List[str], lineno: int) -> TraceParseError:
+    """The error of a line the parser refused: its first failed check, in a fixed order."""
+    if len(tokens) != 12:
+        return TraceParseError(lineno, f"expected 12 fields, got {len(tokens)}")
+    if tokens[0] not in _EVENT_SYMBOLS:
+        return TraceParseError(lineno, f"unknown event symbol {tokens[0]!r}")
+    if tokens[4] not in _PKT_TYPE_TOKENS:
+        return TraceParseError(lineno, f"unknown packet type {tokens[4]!r}")
+    try:
+        time = float(tokens[1])
+    except ValueError:
+        return TraceParseError(lineno, f"time is not a number: {tokens[1]!r}")
+    if not math.isfinite(time):
+        return TraceParseError(lineno, f"time is not finite: {tokens[1]!r}")
+    if time < 0.0:
+        return TraceParseError(lineno, f"time is negative: {tokens[1]!r}")
+    for idx, name in _INT_FIELDS:
+        try:
+            int(tokens[idx])
+        except ValueError:
+            return TraceParseError(lineno, f"{name} is not an integer: {tokens[idx]!r}")
+    raise RuntimeError(f"line {lineno}: refused, yet passes every check")

@@ -1,11 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from manetsim import (TraceEvent, TraceParseError, load_config, run_scenario, validate_config,
-                      write_trace)
+from manetsim import (PacketKind, TraceEvent, TraceParseError, load_config, run_scenario,
+                      validate_config, write_trace)
 from manetsim.analyze import (MetricsParseError, interval_series, parse_metrics_csv,
                               parse_trace_text, read_trace, victim_energy_series)
 from manetsim.config import MAX_TIMER_FIRINGS
@@ -59,6 +59,107 @@ def test_negative_time_is_rejected_not_binned_last():
 def test_blank_lines_are_ignored():
     text = "\ns 0.100000 0 1 DATA 100 --- 1 0 1 0 0\n\n"
     assert len(parse_trace_text(text)) == 1
+
+
+_REF_INT_FIELDS = ((2, "source"), (3, "destination"), (5, "pkt_size"), (7, "fid"),
+                   (8, "src_addr"), (9, "dst_addr"), (10, "seq_num"), (11, "pkt_id"))
+
+
+def reference_parse_line(line, lineno=1):
+    """Reference trace line parser: every check in turn, then keyword construction."""
+    tokens = line.split()
+    if len(tokens) != 12:
+        raise TraceParseError(lineno, f"expected 12 fields, got {len(tokens)}")
+    if tokens[0] not in ("s", "r", "d", "f"):
+        raise TraceParseError(lineno, f"unknown event symbol {tokens[0]!r}")
+    if tokens[4] not in tuple(k.value for k in PacketKind):
+        raise TraceParseError(lineno, f"unknown packet type {tokens[4]!r}")
+    try:
+        time = float(tokens[1])
+    except ValueError:
+        raise TraceParseError(lineno, f"time is not a number: {tokens[1]!r}") from None
+    if not math.isfinite(time):
+        raise TraceParseError(lineno, f"time is not finite: {tokens[1]!r}")
+    if time < 0.0:
+        raise TraceParseError(lineno, f"time is negative: {tokens[1]!r}")
+    values = {}
+    for idx, name in _REF_INT_FIELDS:
+        try:
+            values[name] = int(tokens[idx])
+        except ValueError:
+            raise TraceParseError(lineno, f"{name} is not an integer: {tokens[idx]!r}") from None
+    return TraceEvent(event=tokens[0], time=round(time, 6), pkt_type=tokens[4],
+                      flags=tokens[6], **values)
+
+
+def reference_parse_text(text):
+    events = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        events.append(reference_parse_line(line, lineno))
+    return events
+
+
+def _outcome(parse, text):
+    """The events as reprs, which tell -0.0 from 0.0 and 1 from 1.0, or the error."""
+    try:
+        return [repr(e) for e in parse(text)]
+    except TraceParseError as exc:
+        return exc.lineno, str(exc)
+
+
+# Tokens that are valid in some columns and not in others, or only by
+# Python's literal rules: signs, underscores, non-ASCII digits, exponents,
+# non-finite and negative-zero times, more than 6 decimals, and an integer
+# past int()'s default 4300-digit limit.
+_odd_token = st.sampled_from(["+5", "1_0", "\u0663", "1e3", "nan", "-inf", "-0.0",
+                              "0.9999999", "1" * 5000, "-7", "x", "RREP", "r", "---"])
+_time_token = st.one_of(st.floats(0.0, 1e6).map(lambda t: f"{t:.6f}"),
+                        st.floats(0.0, 1e6).map(repr), st.integers(0, 99).map(str))
+_int_token = st.integers(0, 2**32).map(str)
+# Mostly single spaces; the rest split tokens too (tabs, vertical tab) or also
+# end the line for str.splitlines (form feed, NEL, line separator).
+_separator = st.sampled_from([" "] * 8 + ["  ", "\t", " \t ", "\x0b", "\x0c", "\x85",
+                                          "\u2028"])
+
+
+@st.composite
+def _trace_line(draw):
+    tokens = [draw(st.sampled_from("srdf")), draw(_time_token), draw(_int_token),
+              draw(_int_token), draw(st.sampled_from([k.value for k in PacketKind])),
+              draw(_int_token), "---", draw(_int_token), draw(_int_token),
+              draw(_int_token), draw(_int_token), draw(_int_token)]
+    for idx in draw(st.lists(st.integers(0, 11), max_size=2)):
+        tokens[idx] = draw(_odd_token)
+    if draw(st.integers(0, 9)) == 0:
+        del tokens[draw(st.integers(0, 11))]
+    line = draw(st.sampled_from(["", " ", "\t"]))
+    for token in tokens:
+        line += token + draw(_separator)
+    return line
+
+
+_blank_line = st.sampled_from(["", " ", "\t", " \x0b ", "\x1c"])
+
+
+@settings(max_examples=400)
+@given(lines=st.lists(st.one_of(_trace_line(), _blank_line), max_size=6),
+       newline=st.sampled_from(["\n", "\r\n", "\r"]))
+@example(lines=["s 1.0 3 x DATA 1e3 --- 1 25 0 12 7"], newline="\n")
+@example(lines=["s 1.0 3 4 DATA 100 --- 1 25 0 +12 1_000", "",
+                "d -0.0 \u0663 4 RREQ 24 --- 0 0 2 1 2"], newline="\n")
+@example(lines=["x 1.0 3 4 BOGUS 100 --- 1 25 0 12 7"], newline="\n")
+@example(lines=["s nan 3 4 DATA x --- 1 25 0 12 7"], newline="\n")
+@example(lines=["s -inf 3 4 DATA 100 --- 1 25 0 12 7"], newline="\n")
+@example(lines=["s 0.9999999 3 4 DATA 100 --- 1 25 0 12 7"], newline="\n")
+def test_parser_matches_the_reference(lines, newline):
+    text = newline.join(lines)
+    assert _outcome(parse_trace_text, text) == _outcome(reference_parse_text, text)
+    for line in text.splitlines():
+        if line.strip():
+            assert (_outcome(lambda one: [TraceEvent.parse_line(one)], line)
+                    == _outcome(lambda one: [reference_parse_line(one)], line))
 
 
 def test_empty_trace_yields_empty_series():

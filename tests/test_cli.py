@@ -29,6 +29,15 @@ def test_run_writes_trace_and_metrics(tmp_path, capsys):
     assert "honest data" in stdout
 
 
+def test_run_summary_counts_originated_honest_data(tmp_path, capsys):
+    # 11 packets are still buffered at stop: 196 = 51 delivered + 134 lost + 11.
+    code = main(["run", "--config", str(CONFIG_DIR / "table1_aodv.cfg"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "honest data: originated=196 sent=101 delivered=51 lost=134"
+
+
 def test_run_twice_is_byte_identical(tmp_path):
     _, out_a = _run(tmp_path / "a")
     _, out_b = _run(tmp_path / "b")

@@ -50,18 +50,71 @@ VARIANTS = {
 }
 
 
+#: (scenario, --interval) -> digest of ``analyze --node 0`` stdout on that run's
+#: trace, read with its metrics.csv.
+ANALYZE_DIGESTS = {
+    ("attack_demo", "0.3"):
+        "89146797c1c7b9de08a847571ffb13eb9761a48d75792173999236809fda3221",
+    ("attack_demo", "1"):
+        "00d6bf4d2f1c86e0a3c05265d3be03695288b8397e329978a0de5d487b479bf6",
+    ("fig11_mlet", "0.3"):
+        "0d956f34345ddcfc5b6c2290c482290a970eb971d66430a29dde75a1051bf7ad",
+    ("fig11_mlet", "1"):
+        "919e365fa596ebf12f27089585a6586183f12f61945c2e9fe1f6563aff6bd255",
+    ("table1_aodv", "0.3"):
+        "ff5aca3724d597019f10a52924d33b7a9992c54762eb7a8881838e100876af9e",
+    ("table1_aodv", "1"):
+        "14014f4899c8316770fc6417e6e3e8fa1342e06f5ac615da4a23560933216690",
+    ("table1_aodv+grid", "0.3"):
+        "2bbc046909c8d76e142d327076bcffe48a506654b6c31c71ecf1d90e366f810b",
+    ("table1_aodv+grid", "1"):
+        "4ca75c74ff09bc572dcea638add49d3e0de528dd1188f0852dac4cc0f974e61e",
+    ("table1_saodv", "0.3"):
+        "981b6cd6947def90701da7db876433c8f87041213fa4dfb619cb6180b6d553dc",
+    ("table1_saodv", "1"):
+        "bc90bafa4317b9fe8021b91f62005e5c3585e7ae4e7ef5a57884e174e80b0a86",
+    ("table1_saodv+loss", "0.3"):
+        "d7562b8872d0e0d2523ee989b7fc073650b3195a1e5693f6b0f512ed840828f0",
+    ("table1_saodv+loss", "1"):
+        "de479094a3a7b0b9693163ceebbec3768b6b22323aa2e8c18356ec8f9e522580",
+}
+
+
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+@pytest.fixture(scope="module")
+def run_outputs(tmp_path_factory):
+    """Output directory of each pinned scenario, run once per module."""
+    outs = {}
+
+    def run(name):
+        if name not in outs:
+            base, overrides = VARIANTS.get(name, (name, {}))
+            raw = parse_config_text((CONFIG_DIR / f"{base}.cfg").read_text())
+            raw.update(overrides)
+            tmp = tmp_path_factory.mktemp(name)
+            cfg = tmp / "scenario.cfg"
+            cfg.write_text("".join(f"{key} = {value}\n" for key, value in raw.items()))
+            assert main(["run", "--config", str(cfg), "--out", str(tmp / "out")]) == 0
+            outs[name] = tmp / "out"
+        return outs[name]
+    return run
+
+
 @pytest.mark.parametrize("name", sorted(DIGESTS))
-def test_run_outputs_match_pinned_digests(name, tmp_path, capsys):
-    base, overrides = VARIANTS.get(name, (name, {}))
-    raw = parse_config_text((CONFIG_DIR / f"{base}.cfg").read_text())
-    raw.update(overrides)
-    cfg = tmp_path / "scenario.cfg"
-    cfg.write_text("".join(f"{key} = {value}\n" for key, value in raw.items()))
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+def test_run_outputs_match_pinned_digests(name, run_outputs, capsys):
+    out = run_outputs(name)
     capsys.readouterr()
     assert (_sha256(out / "trace.tr"), _sha256(out / "metrics.csv")) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name,interval", sorted(ANALYZE_DIGESTS))
+def test_analyze_output_matches_pinned_digests(name, interval, run_outputs, capsys):
+    trace = run_outputs(name) / "trace.tr"
+    capsys.readouterr()
+    assert main(["analyze", "--trace", str(trace), "--interval", interval,
+                 "--node", "0"]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == ANALYZE_DIGESTS[name, interval]
