@@ -34,7 +34,6 @@ class Tx(NamedTuple):
     link_dst: int
     body: object = None
     forward: bool = False
-    pretagged: bool = False
 
 
 class Drop(NamedTuple):
@@ -48,13 +47,12 @@ class Drop(NamedTuple):
 class StartRetry(NamedTuple):
     """Ask the engine to schedule a discovery-retry timer.
 
-    Carries the broadcast id it was armed for, so a stale timer left over
-    from an earlier discovery toward the same destination cannot fire into
-    a newer one.
+    Named by the broadcast id of the flood it was armed for: every flood gets
+    a fresh id, so a stale timer left over from an earlier flood toward the
+    same destination cannot fire into a newer one.
     """
 
     dst: int
-    attempt: int
     bid: int
 
 
@@ -86,22 +84,27 @@ class AodvNode:
 
     # -- helpers -----------------------------------------------------------
 
-    def new_header(self, kind: PacketKind, size: int, dst: int, fid: int = CONTROL_FID,
-                   **tags) -> CommonHeader:
-        """Header of a packet this node originates; ``tags`` may set rv1, rv2, channel."""
+    def _new_header(self, kind: PacketKind, size: int, dst: int,
+                    fid: int = CONTROL_FID) -> CommonHeader:
+        """Header of a packet this node originates; the engine tags it on sending."""
         header = CommonHeader(uid=self.alloc_uid(), kind=kind, size=size, src=self.nid,
-                              dst=dst, prev_hop=self.nid, seq=self.pkt_seq, fid=fid, **tags)
+                              dst=dst, prev_hop=self.nid, seq=self.pkt_seq, fid=fid)
         self.pkt_seq += 1
         return header
 
-    def valid_route(self, dst: int, t: float) -> Optional[RouteEntry]:
+    def _valid_route(self, dst: int, t: float) -> Optional[RouteEntry]:
         entry = self.routes.get(dst)
         if entry is not None and entry.valid and entry.expiry > t:
             return entry
         return None
 
-    def refresh_route(self, entry: RouteEntry, t: float):
+    def _next_hop(self, dst: int, t: float) -> Optional[int]:
+        """Next hop of a valid route to dst, whose lifetime a use extends (RFC 3561 6.2)."""
+        entry = self._valid_route(dst, t)
+        if entry is None:
+            return None
         entry.expiry = max(entry.expiry, t + self.cfg.route_lifetime)
+        return entry.next_hop
 
     def _update_route(self, dest: int, next_hop: int, hop_count: int,
                       dest_seq: int, t: float):
@@ -117,7 +120,7 @@ class AodvNode:
                                            expiry=t + self.cfg.route_lifetime)
         elif (dest_seq == entry.dest_seq and hop_count == entry.hop_count
                 and next_hop == entry.next_hop):
-            self.refresh_route(entry, t)
+            entry.expiry = max(entry.expiry, t + self.cfg.route_lifetime)
 
     def _rreq_duplicate(self, orig: int, bid: int, t: float) -> bool:
         seen = self.rreq_seen.get((orig, bid))
@@ -147,7 +150,7 @@ class AodvNode:
         known = self.routes.get(dst)
         body = RreqBody(broadcast_id=bid, orig_seq=self.own_seq, dest=dst,
                         dest_seq_known=known.dest_seq if known else None)
-        header = self.new_header(PacketKind.RREQ, RREQ_BYTES, BROADCAST)
+        header = self._new_header(PacketKind.RREQ, RREQ_BYTES, BROADCAST)
         return Tx(header=header, link_dst=BROADCAST, body=body)
 
     def ensure_discovery(self, dst: int, t: float) -> List[Action]:
@@ -157,17 +160,16 @@ class AodvNode:
         self.own_seq += 1
         tx = self._flood_rreq(dst, t)
         self.discovery[dst] = _Discovery(bid=tx.body.broadcast_id, attempt=1)
-        return [tx, StartRetry(dst=dst, attempt=1, bid=tx.body.broadcast_id)]
+        return [tx, StartRetry(dst=dst, bid=tx.body.broadcast_id)]
 
     # -- application traffic -----------------------------------------------
 
     def originate_data(self, dst: int, size: int, fid: int, t: float) -> List[Action]:
         """Send one payload toward dst, or buffer it and discover a route."""
-        route = self.valid_route(dst, t)
-        header = self.new_header(PacketKind.DATA, size, dst, fid)
-        if route is not None:
-            self.refresh_route(route, t)
-            return [Tx(header=header, link_dst=route.next_hop)]
+        next_hop = self._next_hop(dst, t)
+        header = self._new_header(PacketKind.DATA, size, dst, fid)
+        if next_hop is not None:
+            return [Tx(header=header, link_dst=next_hop)]
         actions: List[Action] = []
         queue = self.pending.setdefault(dst, deque())
         if len(queue) >= self.cfg.buffer_cap:
@@ -178,19 +180,27 @@ class AodvNode:
         actions.extend(self.ensure_discovery(dst, t))
         return actions
 
-    def on_retry(self, dst: int, attempt: int, bid: int, t: float) -> List[Action]:
+    def send_unbuffered(self, dst: int, size: int, fid: int, t: float) -> List[Action]:
+        """Send one payload toward dst over a valid route; with none, only discover one."""
+        next_hop = self._next_hop(dst, t)
+        if next_hop is None:
+            return self.ensure_discovery(dst, t)
+        return [Tx(header=self._new_header(PacketKind.DATA, size, dst, fid),
+                   link_dst=next_hop)]
+
+    def on_retry(self, dst: int, bid: int, t: float) -> List[Action]:
         """Discovery retry timer: re-flood, or give up and drop buffered data."""
         disc = self.discovery.get(dst)
-        if disc is None or disc.attempt != attempt or disc.bid != bid:
+        if disc is None or disc.bid != bid:
             return []
-        if self.valid_route(dst, t) is not None:
+        if self._valid_route(dst, t) is not None:
             del self.discovery[dst]
             return []
         if disc.attempt <= self.cfg.retry_limit:
             tx = self._flood_rreq(dst, t)
             disc.bid = tx.body.broadcast_id
             disc.attempt += 1
-            return [tx, StartRetry(dst=dst, attempt=disc.attempt, bid=disc.bid)]
+            return [tx, StartRetry(dst=dst, bid=disc.bid)]
         del self.discovery[dst]
         drops: List[Action] = []
         for header in self.pending.pop(dst, deque()):
@@ -224,7 +234,7 @@ class AodvNode:
             return self._reply(orig=header.src, dest=self.nid,
                                dest_seq=self.own_seq, hop_count=0, t=t)
         if self.cfg.intermediate_rrep:
-            cached = self.valid_route(body.dest, t)
+            cached = self._valid_route(body.dest, t)
             wanted = body.dest_seq_known or 0
             if cached is not None and cached.dest_seq >= wanted:
                 return self._reply(orig=header.src, dest=body.dest,
@@ -234,11 +244,11 @@ class AodvNode:
 
     def _reply(self, orig: int, dest: int, dest_seq: int, hop_count: int,
                t: float) -> List[Action]:
-        reverse = self.valid_route(orig, t)
+        reverse = self._valid_route(orig, t)
         if reverse is None:
             return []
         body = RrepBody(dest=dest, dest_seq=dest_seq, hop_count=hop_count, orig=orig)
-        header = self.new_header(PacketKind.RREP, RREP_BYTES, orig)
+        header = self._new_header(PacketKind.RREP, RREP_BYTES, orig)
         return [Tx(header=header, link_dst=reverse.next_hop, body=body)]
 
     def handle_rrep(self, header: CommonHeader, body: RrepBody, t: float) -> List[Action]:
@@ -246,7 +256,7 @@ class AodvNode:
                            hop_count=body.hop_count + 1, dest_seq=body.dest_seq, t=t)
         if body.orig == self.nid:
             return self._flush_pending(body.dest, t)
-        reverse = self.valid_route(body.orig, t)
+        reverse = self._valid_route(body.orig, t)
         if reverse is None:
             return [Drop(header=header, reason=NO_REVERSE_ROUTE, neighbor=header.prev_hop)]
         forwarded = body._replace(hop_count=body.hop_count + 1)
@@ -259,24 +269,22 @@ class AodvNode:
         if not queue:
             return actions
         for header in queue:  # FIFO release order
-            route = self.valid_route(dst, t)
-            if route is None:
+            next_hop = self._next_hop(dst, t)
+            if next_hop is None:
                 actions.append(Drop(header=header, reason=NO_ROUTE, neighbor=dst))
-                continue
-            self.refresh_route(route, t)
-            actions.append(Tx(header=header, link_dst=route.next_hop))
+            else:
+                actions.append(Tx(header=header, link_dst=next_hop))
         return actions
 
     def handle_data(self, header: CommonHeader, t: float) -> List[Action]:
         if header.dst == self.nid:
             return []  # delivered; the engine records the reception
-        route = self.valid_route(header.dst, t)
-        if route is not None:
-            self.refresh_route(route, t)
-            return [Tx(header=header, link_dst=route.next_hop, forward=True)]
+        next_hop = self._next_hop(header.dst, t)
+        if next_hop is not None:
+            return [Tx(header=header, link_dst=next_hop, forward=True)]
         known = self.routes.get(header.dst)
         bumped = (known.dest_seq + 1) if known else 0
-        rerr = self.new_header(PacketKind.RERR, RERR_BYTES, header.prev_hop)
+        rerr = self._new_header(PacketKind.RERR, RERR_BYTES, header.prev_hop)
         body = RerrBody(unreachable=((header.dst, bumped),))
         return [Drop(header=header, reason=NO_ROUTE, neighbor=header.prev_hop),
                 Tx(header=rerr, link_dst=header.prev_hop, body=body)]
@@ -312,12 +320,12 @@ class AodvNode:
                 invalidated.append((dest, entry.dest_seq))
         if not invalidated:
             return []
-        header = self.new_header(PacketKind.RERR, RERR_BYTES, BROADCAST)
+        header = self._new_header(PacketKind.RERR, RERR_BYTES, BROADCAST)
         return [Tx(header=header, link_dst=BROADCAST,
                    body=RerrBody(unreachable=tuple(invalidated)))]
 
     def on_hello_tick(self, t: float) -> List[Action]:
         actions = self.detect_breaks(t)
-        hello = self.new_header(PacketKind.HELLO, HELLO_BYTES, BROADCAST)
+        hello = self._new_header(PacketKind.HELLO, HELLO_BYTES, BROADCAST)
         actions.append(Tx(header=hello, link_dst=BROADCAST))
         return actions

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
-from .aodv import AodvNode, Drop, StartRetry, Tx
+from .aodv import AodvNode, Drop, Tx
 from .config import (ScenarioConfig, Sophistication, parse_config_text, serialize_config,
                      validate_config)
 from .medium import CellGrid, broadcast, tx_delay
@@ -220,10 +220,9 @@ class Simulation:
         """Charge ``cost`` joules; returns True when it kills the node."""
         was_alive = node.energy > 0.0
         node.energy = debit(node.energy, cost)
-        if was_alive and node.energy == 0.0:
-            frozen = kinematics_at(node.waypoint, t).pos
-            node.waypoint = parked_waypoint(frozen)
-            self.grid.place(node.nid, Kinematics(pos=frozen, vel=Vec2(0.0, 0.0)))
+        if was_alive and node.energy == 0.0:  # frozen where it stands, for good
+            self.grid.place(node.nid, Kinematics(pos=kinematics_at(node.waypoint, t).pos,
+                                                 vel=Vec2(0.0, 0.0)))
             self.report.depletion_times[node.nid] = t
             return True
         return False
@@ -279,40 +278,42 @@ class Simulation:
         return rv1, rv2, select_channel(rv1, rv2, k)
 
     def _transmit(self, nid: int, tx: Tx, t: float):
+        """Send one frame; every frame is tagged here, on each hop it takes."""
         node = self.nodes[nid]
         if node.energy <= 0.0:
             self._drop(nid, tx.header, tx.link_dst, DEAD_SENDER, t)
             return
         # Every caller has run _alive for this node at t: no idle drain is due.
         cfg = self.cfg
-        header = tx.header
-        if tx.forward or not tx.pretagged:
-            (uid, kind, size, src, dst, prev_hop, seq, fid, rv1, rv2, channel, hop_count,
-             sender_kin) = header
-            if tx.forward:
-                prev_hop, hop_count = nid, hop_count + 1
-            if not tx.pretagged:
-                rv1, rv2 = draw_random_values(node.tag_rng)
-                channel = select_channel(rv1, rv2, cfg.num_channels)
-            header = CommonHeader(uid, kind, size, src, dst, prev_hop, seq, fid, rv1, rv2,
-                                  channel, hop_count, sender_kin)
-        if cfg.protocol.uses_let and header.kind in cfg.mlet_applies_to:
+        (uid, kind, size, src, dst, prev_hop, seq, fid, _, _, _, hop_count,
+         sender_kin) = tx.header
+        if tx.forward:
+            prev_hop, hop_count = nid, hop_count + 1
+        if nid == self.attacker_id and kind is PacketKind.DATA and not tx.forward:
+            rv1, rv2, channel = self._attacker_tags()  # the flood carries its own tags
+            self.report.attacker_data_sent += 1
+        else:
+            rv1, rv2 = draw_random_values(node.tag_rng)
+            channel = select_channel(rv1, rv2, cfg.num_channels)
+        header = CommonHeader(uid, kind, size, src, dst, prev_hop, seq, fid, rv1, rv2,
+                              channel, hop_count, sender_kin)
+        if cfg.protocol.uses_let and kind in cfg.mlet_applies_to:
             header = annotate(header, self.grid.kin[nid], cfg.mlet_annex_bytes)
         self._debit(node, cfg.energy.tx_per_byte * header.size, t)
         self._emit("f" if tx.forward else "s", t, nid, tx.link_dst, header)
-        if header.kind in _CONTROL_KINDS:
-            self.report.control_tx[header.kind] += 1
+        if kind in _CONTROL_KINDS:
+            self.report.control_tx[kind] += 1
         if self._is_honest_data(header) and not tx.forward:
             self.report.honest_data_sent += 1
         if cfg.physical_channels and verify(header, cfg.num_channels,
                                             cfg.paper_range_check) is not VerifyOutcome.ACCEPT:
             receivers = []  # sent on no channel its tags imply: nobody hears it
         else:
-            receivers = broadcast(nid, tx.link_dst, self.grid, cfg, self.loss_rng)
+            receivers = broadcast(nid, tx.link_dst, self.grid, cfg.loss_prob, self.loss_rng)
         if tx.link_dst != BROADCAST and not receivers:
             self._lose(header)  # next hop unreachable: the packet is gone
         arrival = t + tx_delay(header.size, cfg.bitrate) + cfg.prop_delay
-        frame = Tx(header, tx.link_dst, tx.body, tx.forward, tx.pretagged)
+        frame = Tx(header, tx.link_dst, tx.body, tx.forward)
         for receiver in receivers:
             self._schedule(arrival, DELIVER, (receiver, frame))
 
@@ -322,11 +323,9 @@ class Simulation:
                 self._transmit(nid, action, t)
             elif isinstance(action, Drop):
                 self._drop(nid, action.header, action.neighbor, action.reason, t)
-            elif isinstance(action, StartRetry):
+            else:  # StartRetry
                 self._schedule(t + self.cfg.retry_timeout, RETRY_TIMER,
-                               (nid, action.dst, action.attempt, action.bid))
-            else:
-                raise TypeError(f"unknown action {action!r}")
+                               (nid, action.dst, action.bid))
 
     # -- reception ----------------------------------------------------------------
 
@@ -376,7 +375,7 @@ class Simulation:
         cfg = self.cfg
         for nid, node in self.nodes.items():
             if node.energy <= 0.0:
-                continue
+                continue  # the grid holds where it died
             if t >= node.waypoint.pause_until:
                 node.waypoint = advance_waypoint(node.waypoint, node.mob_rng, t,
                                                  cfg.area_x, cfg.area_y,
@@ -388,37 +387,26 @@ class Simulation:
     def _app_send(self, flow_idx: int, t: float):
         flow = self.cfg.flows[flow_idx]
         node = self.nodes[flow.src]
-        if node.energy <= 0.0:
-            return  # a source that idle drain kills below still re-arms once
-        if self._alive(node, t):
-            self.report.honest_data_originated += 1
-            actions = node.aodv.originate_data(flow.dst, flow.size, flow_idx + 1, t)
-            self._process(flow.src, actions, t)
+        if not self._alive(node, t):
+            return
+        self.report.honest_data_originated += 1
+        actions = node.aodv.originate_data(flow.dst, flow.size, flow_idx + 1, t)
+        self._process(flow.src, actions, t)
         self._schedule(t + 1.0 / flow.rate, APP_SEND, (flow_idx,))
 
     def _attack_step(self, t: float):
         node = self.nodes[self.attacker_id]
         if not self._alive(node, t):
             return
-        target = self.cfg.attacker.target
-        route = node.aodv.valid_route(target, t)
-        if route is not None:
-            node.aodv.refresh_route(route, t)
-            rv1, rv2, channel = self._attacker_tags()
-            header = node.aodv.new_header(PacketKind.DATA, self.cfg.attacker.payload, target,
-                                          ATTACK_FID, rv1=rv1, rv2=rv2, channel=channel)
-            self.report.attacker_data_sent += 1
-            self._transmit(node.nid, Tx(header=header, link_dst=route.next_hop,
-                                        pretagged=True), t)
-        else:
-            # Re-enter discovery: the attacker runs ordinary, honestly tagged AODV.
-            self._process(node.nid, node.aodv.ensure_discovery(target, t), t)
-        self._schedule(t + 1.0 / self.cfg.attacker.rate, ATTACK_STEP, ())
+        attacker = self.cfg.attacker
+        self._process(node.nid, node.aodv.send_unbuffered(attacker.target, attacker.payload,
+                                                          ATTACK_FID, t), t)
+        self._schedule(t + 1.0 / attacker.rate, ATTACK_STEP, ())
 
-    def _retry_timer(self, nid: int, dst: int, attempt: int, bid: int, t: float):
+    def _retry_timer(self, nid: int, dst: int, bid: int, t: float):
         node = self.nodes[nid]
         if self._alive(node, t):
-            self._process(nid, node.aodv.on_retry(dst, attempt, bid, t), t)
+            self._process(nid, node.aodv.on_retry(dst, bid, t), t)
 
     def _metric_sample(self, j: int, t: float):
         self._push_sample(j + 1)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from random import Random
 from typing import Dict, List, Tuple
 
-from .config import ScenarioConfig
 from .mobility import Kinematics
 from .model import BROADCAST, Vec2
 
@@ -68,7 +67,7 @@ def tx_delay(size: int, bitrate: float) -> float:
     return size * 8.0 / bitrate
 
 
-def broadcast(sender: int, link_dst: int, grid: CellGrid, cfg: ScenarioConfig,
+def broadcast(sender: int, link_dst: int, grid: CellGrid, loss_prob: float,
               rng: Random) -> List[int]:
     """Ids of the nodes that receive one transmission, ascending.
 
@@ -79,22 +78,21 @@ def broadcast(sender: int, link_dst: int, grid: CellGrid, cfg: ScenarioConfig,
     frame, and otherwise the addressed receiver alone.  All of them hear it
     after the same tx_delay + prop_delay, which the caller adds.  The medium
     knows no channels: the caller decides whether a frame is on the air at
-    all.  ``grid`` must be built with ``cfg.range_r``.
+    all.  The range is the one ``grid`` was built with.
     """
-    if grid.range_r != cfg.range_r:
-        raise ValueError(f"grid built for range {grid.range_r}, medium has {cfg.range_r}")
     kin = grid.kin
     sender_pos = kin[sender].pos
-    lossy = cfg.loss_prob > 0.0
+    range_r = grid.range_r
+    lossy = loss_prob > 0.0
     if link_dst == BROADCAST or lossy:
         candidates = grid.near(sender)
     else:  # no loss draws to keep in step: only the addressee can hear it
         candidates = (link_dst,) if link_dst in kin else ()
     receivers = []
     for nid in candidates:
-        if nid == sender or not in_range(sender_pos, kin[nid].pos, cfg.range_r):
+        if nid == sender or not in_range(sender_pos, kin[nid].pos, range_r):
             continue
-        if lossy and rng.random() < cfg.loss_prob:
+        if lossy and rng.random() < loss_prob:
             continue
         if link_dst == BROADCAST or nid == link_dst:
             receivers.append(nid)

@@ -18,7 +18,7 @@ def kin(px, py, vx=0.0, vy=0.0):
     return Kinematics(pos=Vec2(px, py), vel=Vec2(vx, vy))
 
 
-def scan_broadcast(sender, link_dst, node_kinematics, cfg, rng):
+def scan_broadcast(sender, link_dst, node_kinematics, range_r, loss_prob, rng):
     """Reference medium: every node is range-tested, in ascending id order.
 
     One loss draw per in-range node other than the sender, as the medium
@@ -27,9 +27,9 @@ def scan_broadcast(sender, link_dst, node_kinematics, cfg, rng):
     sender_pos = node_kinematics[sender].pos
     receivers = []
     for nid in sorted(node_kinematics):
-        if nid == sender or not in_range(sender_pos, node_kinematics[nid].pos, cfg.range_r):
+        if nid == sender or not in_range(sender_pos, node_kinematics[nid].pos, range_r):
             continue
-        if cfg.loss_prob > 0.0 and rng.random() < cfg.loss_prob:
+        if loss_prob > 0.0 and rng.random() < loss_prob:
             continue
         if link_dst in (BROADCAST, nid):
             receivers.append(nid)

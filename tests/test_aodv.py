@@ -58,6 +58,30 @@ def test_originate_without_route_floods_fresh_rreq():
     assert len(node.pending[5]) == 1
 
 
+def test_send_unbuffered_without_route_discovers_and_keeps_nothing():
+    node = make_node()
+    actions = node.send_unbuffered(5, 400, fid=9, t=0.0)
+    assert [type(a) for a in actions] == [Tx, StartRetry]
+    assert actions[0].header.kind is PacketKind.RREQ and actions[0].link_dst == BROADCAST
+    assert actions[1] == StartRetry(dst=5, bid=actions[0].body.broadcast_id)
+    assert node.pending == {}
+    assert node.send_unbuffered(5, 400, fid=9, t=0.1) == []  # discovery in flight
+    assert node.pending == {}
+
+
+def test_send_unbuffered_over_a_valid_route_sends_one_data_frame():
+    node = make_node(route_lifetime=3.0)
+    _route(node, dest=5, next_hop=2)
+    node.routes[5].expiry = 1.0  # valid at 0.5, for less than a route lifetime
+    actions = node.send_unbuffered(5, 400, fid=9, t=0.5)
+    assert len(actions) == 1
+    tx = actions[0]
+    assert isinstance(tx, Tx) and not tx.forward and tx.link_dst == 2
+    assert tx.header.kind is PacketKind.DATA and tx.header.fid == 9
+    assert (tx.header.src, tx.header.dst, tx.header.size) == (1, 5, 400)
+    assert node.routes[5].expiry == 0.5 + 3.0
+
+
 def test_second_originate_joins_discovery_in_flight():
     node = make_node()
     node.originate_data(5, 100, fid=1, t=0.0)
@@ -70,7 +94,7 @@ def test_second_originate_joins_discovery_in_flight():
 def test_broadcast_ids_increase_per_discovery():
     node = make_node()
     node.originate_data(5, 100, 1, 0.0)
-    node.on_retry(5, 1, 0, 1.0)  # second flood uses a fresh broadcast id
+    node.on_retry(5, 0, 1.0)  # second flood uses a fresh broadcast id
     assert (node.nid, 0) in node.rreq_seen and (node.nid, 1) in node.rreq_seen
 
 
@@ -87,11 +111,11 @@ def test_buffer_overflow_drops_oldest():
 def test_retry_exhaustion_drops_buffered_payloads():
     node = make_node(retry_limit=2)
     node.originate_data(5, 100, 1, 0.0)
-    assert [a.header.kind for a in node.on_retry(5, 1, 0, 1.0) if isinstance(a, Tx)] \
+    assert [a.header.kind for a in node.on_retry(5, 0, 1.0) if isinstance(a, Tx)] \
         == [PacketKind.RREQ]
-    assert [a.header.kind for a in node.on_retry(5, 2, 1, 2.0) if isinstance(a, Tx)] \
+    assert [a.header.kind for a in node.on_retry(5, 1, 2.0) if isinstance(a, Tx)] \
         == [PacketKind.RREQ]
-    final = node.on_retry(5, 3, 2, 3.0)
+    final = node.on_retry(5, 2, 3.0)
     assert [a.reason for a in final if isinstance(a, Drop)] == [RETRY_EXHAUSTED]
     assert 5 not in node.discovery
 
@@ -99,9 +123,10 @@ def test_retry_exhaustion_drops_buffered_payloads():
 def test_stale_retry_timer_is_ignored():
     node = make_node()
     node.originate_data(5, 100, 1, 0.0)
-    node.on_retry(5, 1, 0, 1.0)  # advances to attempt 2, broadcast id 1
-    assert node.on_retry(5, 1, 0, 1.5) == []  # stale attempt number
-    assert node.on_retry(5, 2, 0, 1.5) == []  # stale broadcast id
+    node.on_retry(5, 0, 1.0)  # re-floods under broadcast id 1
+    assert node.on_retry(5, 0, 1.5) == []  # stale broadcast id
+    assert node.on_retry(5, 7, 1.5) == []  # an id this node never flooded
+    assert node.discovery[5].bid == 1
 
 
 # -- RREQ handling -------------------------------------------------------------

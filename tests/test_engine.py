@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from manetsim import (BROADCAST, AttackerParams, ConfigError, EnergyParams, PacketKind,
-                      Simulation, Vec2, in_range, load_config, run_scenario, validate_config)
+                      Simulation, Sophistication, VerifyOutcome, Vec2, in_range,
+                      kinematics_at, load_config, run_scenario, validate_config, verify)
 from manetsim import engine
 from manetsim.analyze import parse_metrics_csv
 from manetsim.config import MAX_NODES
@@ -161,6 +162,44 @@ def test_naive_random_attacker_near_half_acceptance_at_two_channels():
     seen = report.victim_malicious_accepts + report.victim_malicious_drops
     assert seen > 2000
     assert abs(report.victim_malicious_accepts / seen - 0.5) <= 0.05
+
+
+def _sent_frames(sim):
+    """Run ``sim``; returns (event, source, header) of every 's' and 'f' line."""
+    sent, real_emit = [], sim._emit
+
+    def emit(event, t, source, neighbor, header):
+        if event in ("s", "f"):
+            sent.append((event, source, header))
+        real_emit(event, t, source, neighbor, header)
+
+    sim._emit = emit
+    sim.run()
+    return sent
+
+
+@pytest.mark.parametrize("mode", list(Sophistication), ids=lambda mode: mode.value)
+def test_only_the_attackers_own_data_frames_carry_its_tags(mode):
+    # The attacker sits between the two honest nodes and relays their traffic.
+    cfg = _attack_config(rp="SAODV", stop=15, nodes="10,10; 30,10",
+                         **{"attacker.sophistication": mode.value, "attacker.pos": "20,10"})
+    sim = Simulation(cfg)
+    sent = _sent_frames(sim)
+    attacker = sim.attacker_id
+    flood = [header for event, source, header in sent if event == "s"
+             and source == attacker and header.kind is PacketKind.DATA]
+    assert len(flood) == sim.report.attacker_data_sent > 0
+    twin = Simulation(cfg)  # a fresh attacker stream, drawn in the same order
+    assert [(h.rv1, h.rv2, h.channel) for h in flood] == [twin._attacker_tags() for _ in flood]
+    if mode is Sophistication.NAIVE_FIXED:
+        assert {(h.rv1, h.rv2, h.channel) for h in flood} == {(0.5, 0.5, 2)}
+    others = [(source, header) for event, source, header in sent
+              if not (event == "s" and source == attacker and header.kind is PacketKind.DATA)]
+    kinds = {PacketKind.DATA, PacketKind.RREQ, PacketKind.RREP}
+    assert {h.kind for source, h in others if source == attacker} >= kinds
+    assert {h.kind for source, h in others if source != attacker} >= kinds
+    for _, header in others:
+        assert verify(header, cfg.num_channels, cfg.paper_range_check) is VerifyOutcome.ACCEPT
 
 
 def test_victim_energy_series_is_non_increasing():
@@ -396,12 +435,12 @@ def test_no_delivery_is_queued_for_an_overheard_unicast(monkeypatch):
     overheard = []
     real_broadcast = engine.broadcast
 
-    def broadcast(sender, link_dst, grid, cfg, rng):
+    def broadcast(sender, link_dst, grid, loss_prob, rng):
         pos = grid.kin[sender].pos
         overheard.extend(nid for nid, k in grid.kin.items()
                          if link_dst not in (BROADCAST, nid) and nid != sender
-                         and in_range(pos, k.pos, cfg.range_r))
-        return real_broadcast(sender, link_dst, grid, cfg, rng)
+                         and in_range(pos, k.pos, sim.cfg.range_r))
+        return real_broadcast(sender, link_dst, grid, loss_prob, rng)
 
     monkeypatch.setattr(engine, "broadcast", broadcast)
     real_schedule = sim._schedule
@@ -433,15 +472,17 @@ def _search_against_a_full_scan(seed):
     real_broadcast = engine.broadcast
     calls = []
 
-    def broadcast(sender, link_dst, grid, cfg, rng):
+    def broadcast(sender, link_dst, grid, loss_prob, rng):
         twin = Random()
         twin.setstate(rng.getstate())
-        expected = scan_broadcast(sender, link_dst, dict(grid.kin), cfg, twin)
-        got = real_broadcast(sender, link_dst, grid, cfg, rng)
+        expected = scan_broadcast(sender, link_dst, dict(grid.kin), cfg.range_r,
+                                  cfg.loss_prob, twin)
+        got = real_broadcast(sender, link_dst, grid, loss_prob, rng)
         assert got == expected and rng.getstate() == twin.getstate()
         for nid, node in sim.nodes.items():
             if node.energy <= 0.0:  # frozen where its battery ran out
-                assert grid.kin[nid].pos == node.waypoint.current
+                died = sim.report.depletion_times[nid]
+                assert grid.kin[nid].pos == kinematics_at(node.waypoint, died).pos
         calls.append(link_dst)
         return got
 
@@ -476,7 +517,7 @@ def test_engine_neighbour_search_is_checked_on_unicast_frames():
     assert BROADCAST in calls and any(dst != BROADCAST for dst in calls)
 
 
-def test_a_depleted_source_fires_its_flow_timer_once_more_and_stops():
+def test_a_depleted_source_fires_no_flow_timer_after_its_death():
     cfg = validate_config({"nn": 2, "x": 50, "y": 50, "stop": 20, "nodes": "10,10; 20,10",
                            "flows": "0:1:4:100:1", "energy.initial": 0.5,
                            "energy.idle_per_sec": 0.1})
@@ -490,7 +531,7 @@ def test_a_depleted_source_fires_its_flow_timer_once_more_and_stops():
     sim._app_send = app_send
     died = sim.run().report.depletion_times[0]
     assert died < 10.0
-    assert len([t for t in sends if t > died]) == 1
+    assert sends and [t for t in sends if t > died] == []
 
 
 def test_receiver_killed_by_idle_drain_at_arrival_loses_the_frame():

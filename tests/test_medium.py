@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from manetsim import (BROADCAST, CellGrid, ScenarioConfig, Vec2, broadcast, in_range,
-                      tx_delay)
+from manetsim import BROADCAST, CellGrid, Vec2, broadcast, in_range, tx_delay
 
 from .conftest import kin, scan_broadcast
 
@@ -49,12 +48,6 @@ def test_tx_delay_rejects_bad_args():
         tx_delay(10, 0.0)
 
 
-def _cfg(**over):
-    base = dict(range_r=15.0, bitrate=250000.0)
-    base.update(over)
-    return ScenarioConfig(**base)
-
-
 def _grid(kins, r=15.0):
     grid = CellGrid(r)
     for nid, k in kins.items():
@@ -64,13 +57,12 @@ def _grid(kins, r=15.0):
 
 def test_broadcast_with_no_neighbors_is_empty():
     kins = {0: kin(0, 0), 1: kin(100, 100)}
-    assert broadcast(0, BROADCAST, _grid(kins), _cfg(), random.Random(1)) == []
+    assert broadcast(0, BROADCAST, _grid(kins), 0.0, random.Random(1)) == []
 
 
 def test_broadcast_clique_delivers_to_all():
     kins = {0: kin(0, 0), 1: kin(5, 0), 2: kin(0, 5)}
-    receivers = broadcast(0, BROADCAST, _grid(kins), _cfg(),
-                          random.Random(1))
+    receivers = broadcast(0, BROADCAST, _grid(kins), 0.0, random.Random(1))
     assert receivers == [1, 2]
 
 
@@ -79,27 +71,27 @@ def test_broadcast_chain_connectivity():
     r = 15.0
     kins = {0: kin(0, 0), 1: kin(r, 0), 2: kin(2 * r, 0)}
     assert not in_range(kins[0].pos, kins[2].pos, r)
-    from_middle = broadcast(1, BROADCAST, _grid(kins), _cfg(), random.Random(1))
+    from_middle = broadcast(1, BROADCAST, _grid(kins), 0.0, random.Random(1))
     assert from_middle == [0, 2]
-    from_end = broadcast(0, BROADCAST, _grid(kins), _cfg(), random.Random(1))
+    from_end = broadcast(0, BROADCAST, _grid(kins), 0.0, random.Random(1))
     assert from_end == [1]
 
 
 def test_lossless_broadcast_equals_neighbor_set_and_repeats():
     rng_a, rng_b = random.Random(3), random.Random(3)
     kins = {i: kin(i * 5.0, 0.0) for i in range(6)}
-    a = broadcast(2, BROADCAST, _grid(kins), _cfg(), rng_a)
-    b = broadcast(2, BROADCAST, _grid(kins), _cfg(), rng_b)
+    a = broadcast(2, BROADCAST, _grid(kins), 0.0, rng_a)
+    b = broadcast(2, BROADCAST, _grid(kins), 0.0, rng_b)
     assert a == b
     expected = [i for i in range(6) if i != 2 and abs(i - 2) * 5.0 <= 15.0]
     assert a == expected
 
 
 def test_lossy_broadcast_is_seed_deterministic():
-    grid, cfg = _grid({i: kin(float(i), 0.0) for i in range(10)}), _cfg(loss_prob=0.5)
-    a = broadcast(0, BROADCAST, grid, cfg, random.Random(11))
-    b = broadcast(0, BROADCAST, grid, cfg, random.Random(11))
-    c = broadcast(0, BROADCAST, grid, cfg, random.Random(12))
+    grid = _grid({i: kin(float(i), 0.0) for i in range(10)})
+    a = broadcast(0, BROADCAST, grid, 0.5, random.Random(11))
+    b = broadcast(0, BROADCAST, grid, 0.5, random.Random(11))
+    c = broadcast(0, BROADCAST, grid, 0.5, random.Random(12))
     assert a == b
     assert len(a) < 9  # some losses at p=0.5 with 9 in-range receivers
     assert a != c
@@ -107,17 +99,16 @@ def test_lossy_broadcast_is_seed_deterministic():
 
 def test_unicast_draws_like_a_broadcast_but_delivers_to_the_addressee_only():
     kins = {i: kin(float(i), 0.0) for i in range(10)}
-    cfg = _cfg(loss_prob=0.5)
     rng_b, rng_u = random.Random(11), random.Random(11)
-    heard = broadcast(0, BROADCAST, _grid(kins), cfg, rng_b)
+    heard = broadcast(0, BROADCAST, _grid(kins), 0.5, rng_b)
     assert len(heard) > 1
     for nid in heard:
         rng_u.setstate(random.Random(11).getstate())
-        assert broadcast(0, nid, _grid(kins), cfg, rng_u) == [nid]
+        assert broadcast(0, nid, _grid(kins), 0.5, rng_u) == [nid]
         assert rng_u.getstate() == rng_b.getstate()
     lost = next(i for i in range(1, 10) if i not in heard)
     rng_u.setstate(random.Random(11).getstate())
-    assert broadcast(0, lost, _grid(kins), cfg, rng_u) == []
+    assert broadcast(0, lost, _grid(kins), 0.5, rng_u) == []
     assert rng_u.getstate() == rng_b.getstate()
 
 
@@ -134,7 +125,6 @@ point = st.tuples(ordinate, ordinate)
        moves=st.lists(st.tuples(st.integers(0, 15), point), max_size=6),
        loss=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**32 - 1))
 def test_grid_search_matches_a_full_scan(points, moves, loss, seed):
-    cfg = _cfg(range_r=R, loss_prob=loss)
     grid, kins = CellGrid(R), {}
     rng, twin = random.Random(seed), random.Random(seed)
     for step, (nid, xy) in enumerate([*enumerate(points), *moves]):
@@ -145,8 +135,8 @@ def test_grid_search_matches_a_full_scan(points, moves, loss, seed):
             continue  # search once every node is placed, then after each move
         for sender in kins:
             for dst in (BROADCAST, (sender + 1) % len(points), len(points)):
-                got = broadcast(sender, dst, grid, cfg, rng)
-                assert got == scan_broadcast(sender, dst, kins, cfg, twin)
+                got = broadcast(sender, dst, grid, loss, rng)
+                assert got == scan_broadcast(sender, dst, kins, R, loss, twin)
                 assert rng.getstate() == twin.getstate()
 
 
@@ -155,12 +145,5 @@ def test_grid_finds_a_pair_that_rounding_puts_in_range():
     # yet an unpadded cell side of 10 would put the two cells apart.
     kins = {0: kin(-1e-17, 0.0), 1: kin(R, 0.0)}
     assert in_range(kins[0].pos, kins[1].pos, R)
-    heard = broadcast(0, BROADCAST, _grid(kins, r=R), _cfg(range_r=R),
-                      random.Random(1))
+    heard = broadcast(0, BROADCAST, _grid(kins, r=R), 0.0, random.Random(1))
     assert heard == [1]
-
-
-def test_grid_rejects_a_medium_of_another_range():
-    with pytest.raises(ValueError):
-        broadcast(0, BROADCAST, _grid({0: kin(0, 0)}, r=10.0), _cfg(),
-                  random.Random(1))
