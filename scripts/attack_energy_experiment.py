@@ -12,7 +12,8 @@ from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from manetsim import Protocol, load_config, run_scenario
+from manetsim.config import Protocol, load_config
+from manetsim.engine import run_scenario
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 

@@ -13,8 +13,8 @@ from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from manetsim import Protocol, Sophistication, load_config
 from manetsim.cli import sweep_accept_fractions
+from manetsim.config import Protocol, Sophistication, load_config
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 

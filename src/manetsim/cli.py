@@ -12,14 +12,16 @@ import os
 import statistics
 import sys
 from dataclasses import replace
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from .analyze import (MetricsParseError, interval_series, parse_metrics_csv, read_trace,
                       victim_energy_series)
 from .config import MAX_COUNT, ConfigError, ScenarioConfig, load_config
-from .engine import run_scenario, write_metrics, write_trace
 from .mobility import Kinematics, LetMode, link_expiration_time
-from .model import TraceParseError, Vec2, read_utf8
+from .model import TraceEvent, TraceParseError, Vec2, read_utf8
+
+if TYPE_CHECKING:
+    from .engine import Metrics
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -42,7 +44,21 @@ def _resolve_seed(cfg: ScenarioConfig, flag: Optional[int]) -> int:
     return cfg.rng_seed
 
 
+def write_trace(path: str, events: List[TraceEvent]):
+    with open(path, "w", encoding="utf-8") as fh:
+        for event in events:
+            fh.write(event.format_line() + "\n")
+
+
+def write_metrics(path: str, metrics: Metrics):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(metrics.to_csv_text())
+
+
 def cmd_run(args) -> int:
+    # The simulator loads only on the paths that run it, never for analyze or let.
+    from .engine import run_scenario
+
     if not os.path.isfile(args.config):
         print(f"error: config file not found: {args.config}", file=sys.stderr)
         return EXIT_IO
@@ -97,6 +113,8 @@ def sweep_accept_fractions(cfg: ScenarioConfig, k_values: List[int],
     Repetition j of every k runs with derived seed base*1000 + j so that the
     same mobility/placement is paired across channel counts.
     """
+    from .engine import run_scenario
+
     rows = []
     for k in sorted(set(k_values)):
         fractions = []
@@ -126,8 +144,8 @@ def cmd_sweep(args) -> int:
     if not k_values or any(not 1 <= k <= MAX_COUNT for k in k_values):
         print(f"error: every k must be in 1..{MAX_COUNT}", file=sys.stderr)
         return EXIT_USAGE
-    if args.reps < 1:
-        print("error: --reps must be >= 1", file=sys.stderr)
+    if not 1 <= args.reps <= MAX_COUNT:
+        print(f"error: --reps must be in 1..{MAX_COUNT}", file=sys.stderr)
         return EXIT_USAGE
     if not os.path.isfile(args.config):
         print(f"error: config file not found: {args.config}", file=sys.stderr)

@@ -45,10 +45,11 @@ _CONTROL_KINDS = (PacketKind.RREQ, PacketKind.RREP, PacketKind.RERR)
 def debit(remaining: float, cost: float) -> float:
     """Energy left after spending ``cost`` joules; crossing zero clamps to 0.0.
 
-    A node is alive while its energy is above 0.0, so a dead node stays dead.
+    A node is alive while its energy is above 0.0, so a dead node stays dead;
+    so does a battery that ``inf - inf`` would turn into NaN.
     """
     remaining -= cost
-    return 0.0 if remaining <= 0.0 else remaining
+    return remaining if remaining > 0.0 else 0.0
 
 
 METRICS_HEADER = "t,malicious_drops,malicious_accepts,victim_energy,cum_loss,ctrl_overhead,delivered"
@@ -453,14 +454,3 @@ class Simulation:
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     """Run one validated scenario to completion."""
     return Simulation(cfg).run()
-
-
-def write_trace(path: str, events: List[TraceEvent]):
-    with open(path, "w", encoding="utf-8") as fh:
-        for event in events:
-            fh.write(event.format_line() + "\n")
-
-
-def write_metrics(path: str, metrics: Metrics):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(metrics.to_csv_text())

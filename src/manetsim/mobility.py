@@ -112,8 +112,8 @@ def link_expiration_time(sender: Kinematics, receiver: Kinematics, r: float,
     Zero relative velocity yields math.inf.  The discriminant P is negative
     exactly when the relative track never intersects the range disk.  PAPER
     mode substitutes Q = sqrt(|P|) in that case and returns the raw quotient,
-    negative values included.  STRICT mode returns 0.0 for P < 0, clamps
-    negative roots to 0.0, and refines the zero-relative-velocity case:
+    negative values included.  STRICT mode returns 0.0 for P < 0 or NaN, clamps
+    negative and NaN roots to 0.0, and refines the zero-relative-velocity case:
     co-moving nodes already out of range get 0.0 rather than infinity.
     """
     if r <= 0.0:
@@ -127,11 +127,12 @@ def link_expiration_time(sender: Kinematics, receiver: Kinematics, r: float,
         if mode is LetMode.STRICT and b * b + d * d > r * r:
             return 0.0
         return math.inf
-    p = denom * r * r - (a * d - b * c) ** 2
+    cross = a * d - b * c  # squared as a product: a float ** overflows where * gives inf
+    p = denom * r * r - cross * cross
     if mode is LetMode.PAPER:
         q = math.sqrt(abs(p))
         return (-(a * b + c * d) + q) / denom
-    if p < 0.0:
+    if not p >= 0.0:  # a NaN discriminant, inf - inf, counts as negative
         return 0.0
     let = (-(a * b + c * d) + math.sqrt(p)) / denom
-    return max(let, 0.0)
+    return let if let >= 0.0 else 0.0

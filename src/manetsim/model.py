@@ -169,11 +169,6 @@ class TraceEvent(NamedTuple):
                 f"{self.pkt_type} {self.pkt_size} {self.flags} {self.fid} "
                 f"{self.src_addr} {self.dst_addr} {self.seq_num} {self.pkt_id}")
 
-    @classmethod
-    def parse_line(cls, line: str, lineno: int = 1) -> "TraceEvent":
-        """One trace line, read as ``read_trace`` reads each of its lines."""
-        return trace_line_parser()(line.split(), lineno)
-
 
 class _Memo(dict):
     """``convert(token)`` of each distinct token, computed at its first lookup.

@@ -5,7 +5,10 @@ from pathlib import Path
 import numpy as np
 from hypothesis import settings
 
-from manetsim import BROADCAST, Kinematics, Vec2, in_range, validate_config
+from manetsim.config import validate_config
+from manetsim.medium import in_range
+from manetsim.mobility import Kinematics
+from manetsim.model import BROADCAST, Vec2
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")

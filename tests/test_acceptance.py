@@ -8,18 +8,18 @@ import random
 import time
 from dataclasses import replace
 
-from manetsim import Protocol, link_expiration_time, run_scenario, validate_config
 from manetsim.analyze import interval_series, parse_trace_text
 from manetsim.cli import sweep_accept_fractions
-from manetsim.mobility import LetMode
-from manetsim.saodv import VerifyOutcome, select_channel, verify
+from manetsim.config import Protocol, load_config, validate_config
+from manetsim.engine import run_scenario
+from manetsim.mobility import LetMode, link_expiration_time
 from manetsim.model import CommonHeader, PacketKind
+from manetsim.saodv import VerifyOutcome, select_channel, verify
 
 from .conftest import (CONFIG_DIR, DATA_DIR, bfs_hops, kin,
                        random_connected_topology, static_topology_config,
                        stepping_let)
 
-from manetsim import load_config
 
 
 def _passed(name):

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from manetsim import (PacketKind, TraceEvent, TraceParseError, load_config, run_scenario,
-                      validate_config, write_trace)
 from manetsim.analyze import (MetricsParseError, interval_series, parse_metrics_csv,
                               parse_trace_text, read_trace, victim_energy_series)
-from manetsim.config import MAX_TIMER_FIRINGS
+from manetsim.cli import write_trace
+from manetsim.config import MAX_TIMER_FIRINGS, load_config, validate_config
+from manetsim.engine import run_scenario
+from manetsim.model import PacketKind, TraceEvent, TraceParseError
 
 from .conftest import CONFIG_DIR, DATA_DIR
 
@@ -158,8 +159,7 @@ def test_parser_matches_the_reference(lines, newline):
     assert _outcome(parse_trace_text, text) == _outcome(reference_parse_text, text)
     for line in text.splitlines():
         if line.strip():
-            assert (_outcome(lambda one: [TraceEvent.parse_line(one)], line)
-                    == _outcome(lambda one: [reference_parse_line(one)], line))
+            assert _outcome(parse_trace_text, line) == _outcome(reference_parse_text, line)
 
 
 def test_empty_trace_yields_empty_series():
@@ -192,7 +192,7 @@ def test_interval_must_be_positive():
 
 
 def test_window_count_is_capped_like_a_timer():
-    last = TraceEvent.parse_line(f"r {MAX_TIMER_FIRINGS + 1} 0 1 DATA 100 --- 1 0 1 0 0")
+    [last] = parse_trace_text(f"r {MAX_TIMER_FIRINGS + 1} 0 1 DATA 100 --- 1 0 1 0 0")
     with pytest.raises(ValueError, match=f"ending at {last.time!r} s"):
         interval_series([last], 1.0, node=0)
 

@@ -2,10 +2,12 @@ import itertools
 import random
 
 
-from manetsim import (BROADCAST, CommonHeader, PacketKind, RouteEntry, RrepBody,
-                      RreqBody, ScenarioConfig, run_scenario, validate_config)
 from manetsim.aodv import (BUFFER_OVERFLOW, NO_ROUTE, RETRY_EXHAUSTED, RREQ_SWEEP_MIN,
                            AodvNode, Drop, StartRetry, Tx)
+from manetsim.config import ScenarioConfig, validate_config
+from manetsim.engine import run_scenario
+from manetsim.model import (BROADCAST, CommonHeader, PacketKind, RerrBody, RouteEntry,
+                            RrepBody, RreqBody)
 
 from .conftest import bfs_hops, random_connected_topology, static_topology_config
 
@@ -282,7 +284,6 @@ def test_rerr_invalidates_only_matching_next_hop():
     _route(node, dest=6, next_hop=2, dest_seq=1)
     header = CommonHeader(uid=301, kind=PacketKind.RERR, size=20, src=3, dst=0,
                           prev_hop=3, seq=0, fid=0)
-    from manetsim import RerrBody
     node.handle_rerr(header, RerrBody(unreachable=((5, 4), (6, 4))), 0.0)
     assert not node.routes[5].valid
     assert node.routes[5].dest_seq == 4

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from manetsim import load_config, read_trace, run_scenario
+from manetsim.analyze import read_trace
 from manetsim.cli import main
+from manetsim.config import load_config
+from manetsim.engine import run_scenario
 
 from .conftest import CONFIG_DIR, DATA_DIR
 
@@ -120,11 +122,11 @@ def test_analyze_malformed_trace_exits_4(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
-def _cli(*args):
+def _cli(*args, python_flags=()):
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "manetsim", *args],
+    return subprocess.run([sys.executable, *python_flags, "-m", "manetsim", *args],
                           capture_output=True, text=True, env=env, timeout=60)
 
 
@@ -202,6 +204,7 @@ def test_sweep_rejects_bad_k_list(capsys):
     assert main(["sweep", "--config", cfg, "--k", "abc", "--reps", "2"]) == 2
     assert main(["sweep", "--config", cfg, "--k", "2", "--reps", "0"]) == 2
     assert main(["sweep", "--config", cfg, "--k", "2,1000001", "--reps", "2"]) == 2
+    assert main(["sweep", "--config", cfg, "--k", "2", "--reps", "1000001"]) == 2
 
 
 def test_sweep_prints_sorted_table(tmp_path, capsys):
@@ -283,6 +286,12 @@ def test_let_rejects_non_positive_range(capsys):
     assert code == 2
 
 
+def test_let_overflowing_input_exits_0_without_traceback():
+    proc = _cli("let", "--sx", "0", "--sy", "0", "--svx", "1", "--svy", "0",
+                "--rx", "1e200", "--ry", "1e200", "--rvx", "0", "--rvy", "0", "--r", "1")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "paper inf\nstrict 0.000000\n", "")
+
+
 @pytest.mark.parametrize("flag,value", [("--sx", "nan"), ("--rvx", "inf")])
 def test_let_non_finite_input_exits_2_without_traceback(flag, value):
     # Vec2 does not check its components; this command is the only guard here.
@@ -330,6 +339,9 @@ REJECTED_CONFIGS = [
     ("flows = 0:1:4:100000", "flows: entry 0: size must be <= 65535"),
     ("attacker.target = 7", "attacker.target: must name an honest node (< 2)"),
     ("nn = 3000000\nstop = 1", "nn: must be <= 1000, got 3000000"),
+    # An OverflowError where the neighbour grid turned x / range_r = inf into a cell.
+    ("range_r = 1e-300\nx = 1e10\ny = 1e10",
+     "range_r: must leave x / range_r and y / range_r finite, got 1e-300"),
     # A byte that is not UTF-8 ended in a UnicodeDecodeError traceback.
     pytest.param("\udcff = 1", "line 2: not UTF-8 (invalid start byte)", id="non-utf8"),
 ]
@@ -345,3 +357,37 @@ def test_unrunnable_config_exits_2_without_traceback(tmp_path, lines, violation)
     assert f"config error: {violation}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_extreme_speeds_run_to_completion(tmp_path):
+    # Link lifetimes of these speeds overflowed a float power: OverflowError.
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text("nn = 10\nstop = 5\nrp = AODV_MLET\nspeed_min = 1e299\n"
+                   "speed_max = 1e300\npause = 0\n")
+    proc = _cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_overflowing_charge_depletes_an_infinite_battery(tmp_path):
+    # inf - inf left each battery NaN: dead to the engine, yet never depleted.
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("nn = 3\nstop = 5\nenergy.initial = inf\nenergy.tx_per_byte = 1e307\n")
+    proc = _cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    [depleted] = [line for line in proc.stdout.splitlines() if line.startswith("depleted:")]
+    assert [part.split("@")[0] for part in depleted.split()[1:]] == ["node0", "node1",
+                                                                     "node2"]
+    assert "nan" not in (tmp_path / "out" / "metrics.csv").read_text()
+
+
+def test_analyze_loads_no_simulator_layer(tmp_path):
+    trace = tmp_path / "trace.tr"
+    trace.write_text("d 0.500000 0 1 DATA 100 --- 1 5 0 0 1\n")
+    proc = _cli("analyze", "--trace", str(trace), python_flags=("-X", "importtime"))
+    assert proc.returncode == 0
+    # Each "import time:" line of -X importtime ends with the module's name.
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "manetsim.analyze" in loaded
+    assert loaded.isdisjoint({"manetsim.engine", "manetsim.aodv", "manetsim.medium",
+                              "manetsim.mlet", "manetsim.saodv"})

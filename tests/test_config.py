@@ -3,8 +3,9 @@ from dataclasses import replace
 
 import pytest
 
-from manetsim import (ConfigError, FlowSpec, Protocol, ScenarioConfig, Sophistication,
-                      load_config, parse_config_text, serialize_config, validate_config)
+from manetsim.config import (ConfigError, FlowSpec, Protocol, ScenarioConfig,
+                             Sophistication, load_config, parse_config_text,
+                             serialize_config, validate_config)
 from manetsim.mobility import LetMode
 
 from .conftest import CONFIG_DIR

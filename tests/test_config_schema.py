@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from manetsim import ConfigError, ScenarioConfig, Simulation, validate_config
 from manetsim.config import (KNOWN_KEYS, MAX_COUNT, MAX_NODES, MAX_PACKET_BYTES,
-                             MAX_TIMER_FIRINGS)
+                             MAX_TIMER_FIRINGS, ConfigError, ScenarioConfig,
+                             validate_config)
+from manetsim.engine import Simulation
 from manetsim.mobility import MOBILITY_STEP
 
 README = Path(__file__).parents[1] / "README.md"

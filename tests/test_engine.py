@@ -8,13 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from manetsim import (BROADCAST, AttackerParams, ConfigError, EnergyParams, PacketKind,
-                      Simulation, Sophistication, VerifyOutcome, Vec2, in_range,
-                      kinematics_at, load_config, run_scenario, validate_config, verify)
 from manetsim import engine
 from manetsim.analyze import parse_metrics_csv
-from manetsim.config import MAX_NODES
-from manetsim.engine import DELIVER, METRIC_SAMPLE, debit
+from manetsim.config import (MAX_NODES, AttackerParams, ConfigError, EnergyParams,
+                             Sophistication, load_config, validate_config)
+from manetsim.engine import DELIVER, METRIC_SAMPLE, Simulation, debit, run_scenario
+from manetsim.medium import in_range
+from manetsim.mobility import kinematics_at
+from manetsim.model import BROADCAST, PacketKind, Vec2
+from manetsim.saodv import VerifyOutcome, verify
 
 from .conftest import CONFIG_DIR, scan_broadcast
 
@@ -43,6 +45,7 @@ def test_crossing_zero_clamps_and_kills():
 def test_debit_on_dead_node_is_noop():
     assert debit(0.0, PARAMS.rx_per_byte * 1000) == 0.0
     assert debit(0.0, 0.0) == 0.0
+    assert debit(math.inf, math.inf) == 0.0  # inf - inf is NaN: dead, and recorded so
 
 
 def test_infinite_battery_never_depletes():

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from manetsim import link_expiration_time
-from manetsim.mobility import LetMode
+from manetsim.mobility import LetMode, link_expiration_time
 
 from .conftest import kin, stepping_let
 
@@ -181,3 +180,13 @@ def test_strict_mode_is_never_negative(sx, sy, rx, ry, svx, svy, rvx, rvy, r):
     value = link_expiration_time(kin(sx, sy, svx, svy), kin(rx, ry, rvx, rvy),
                                  r, LetMode.STRICT)
     assert value >= 0.0
+
+
+def test_overflowing_terms_give_a_lifetime_not_an_error():
+    # (a*d - b*c) ** 2 raised OverflowError here; the product is inf.
+    s, rec = kin(0.0, 0.0, 1.0, 0.0), kin(1e200, 1e200)
+    assert link_expiration_time(s, rec, 1.0, LetMode.PAPER) == math.inf
+    assert link_expiration_time(s, rec, 1.0, LetMode.STRICT) == 0.0
+    # inf - inf: STRICT mode reads a NaN discriminant as a negative one.
+    s, rec = kin(0.0, 0.0), kin(0.0, 1e200, 1e200, 0.0)
+    assert link_expiration_time(s, rec, 1.0, LetMode.STRICT) == 0.0

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from manetsim import BROADCAST, CellGrid, Vec2, broadcast, in_range, tx_delay
+from manetsim.medium import CellGrid, broadcast, in_range, tx_delay
+from manetsim.model import BROADCAST, Vec2
 
 from .conftest import kin, scan_broadcast
 

@@ -2,8 +2,9 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from manetsim import CommonHeader, PacketKind, admit_link, annotate
+from manetsim.mlet import admit_link, annotate
 from manetsim.mobility import LetMode
+from manetsim.model import CommonHeader, PacketKind
 
 from .conftest import kin
 

@@ -4,9 +4,9 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from manetsim import (Vec2, advance_waypoint, initial_waypoint, kinematics_at,
-                      parked_waypoint, scripted_waypoint)
-from manetsim.mobility import WaypointState
+from manetsim.mobility import (WaypointState, advance_waypoint, initial_waypoint,
+                               kinematics_at, parked_waypoint, scripted_waypoint)
+from manetsim.model import Vec2
 
 
 def _leg(current, target, speed, start=0.0):

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from manetsim import TraceEvent, TraceParseError, Vec2
+from manetsim.analyze import parse_trace_text
+from manetsim.model import TraceEvent, TraceParseError, Vec2
 
 
 def test_vec2_arithmetic():
@@ -21,7 +22,8 @@ def test_trace_line_format_matches_field_order():
 
 def test_trace_line_round_trip_exact():
     line = "d 4.906400 2 1 RREP 20 --- 0 0 2 27 36"
-    assert TraceEvent.parse_line(line).format_line() == line
+    [ev] = parse_trace_text(line)
+    assert ev.format_line() == line
 
 
 @given(
@@ -47,12 +49,12 @@ def test_trace_event_serialization_round_trips(event, time, source, destination,
     line = ev.format_line()
     assert len(line.split()) == 12
     # The text carries 6 decimals; parsing quantizes the time to them.
-    assert TraceEvent.parse_line(line) == ev._replace(time=round(ev.time, 6))
+    assert parse_trace_text(line) == [ev._replace(time=round(ev.time, 6))]
 
 
 def test_parse_rejects_wrong_token_count():
     with pytest.raises(TraceParseError) as exc:
-        TraceEvent.parse_line("s 1.0 3 4 DATA 100 --- 1 25 0 12", lineno=17)
+        parse_trace_text("\n" * 16 + "s 1.0 3 4 DATA 100 --- 1 25 0 12")
     assert "line 17" in str(exc.value)
     assert "expected 12 fields" in str(exc.value)
     assert exc.value.lineno == 17
@@ -60,20 +62,20 @@ def test_parse_rejects_wrong_token_count():
 
 def test_parse_rejects_unknown_event_symbol():
     with pytest.raises(TraceParseError):
-        TraceEvent.parse_line("x 1.0 3 4 DATA 100 --- 1 25 0 12 7")
+        parse_trace_text("x 1.0 3 4 DATA 100 --- 1 25 0 12 7")
 
 
 def test_parse_rejects_unknown_packet_type():
     with pytest.raises(TraceParseError):
-        TraceEvent.parse_line("s 1.0 3 4 BOGUS 100 --- 1 25 0 12 7")
+        parse_trace_text("s 1.0 3 4 BOGUS 100 --- 1 25 0 12 7")
 
 
 def test_parse_rejects_non_integer_field():
     with pytest.raises(TraceParseError) as exc:
-        TraceEvent.parse_line("s 1.0 3 4 DATA 1e2 --- 1 25 0 12 7", lineno=3)
+        parse_trace_text("s 1.0 3 4 DATA 1e2 --- 1 25 0 12 7")
     assert "pkt_size" in str(exc.value)
 
 
 def test_parse_rejects_bad_time():
     with pytest.raises(TraceParseError):
-        TraceEvent.parse_line("s abc 3 4 DATA 100 --- 1 25 0 12 7")
+        parse_trace_text("s abc 3 4 DATA 100 --- 1 25 0 12 7")

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from manetsim import (CommonHeader, PacketKind, VerifyOutcome, draw_random_values,
-                      select_channel, verify)
+from manetsim.model import CommonHeader, PacketKind
+from manetsim.saodv import VerifyOutcome, draw_random_values, select_channel, verify
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
