@@ -11,8 +11,9 @@ import math
 import os
 import statistics
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Iterator, List, Optional, TextIO
 
 from .analyze import (MetricsParseError, interval_series, parse_metrics_csv, read_trace,
                       victim_energy_series)
@@ -44,10 +45,37 @@ def _resolve_seed(cfg: ScenarioConfig, flag: Optional[int]) -> int:
     return cfg.rng_seed
 
 
-def write_trace(path: str, events: List[TraceEvent]):
-    with open(path, "w", encoding="utf-8") as fh:
-        for event in events:
-            fh.write(event.format_line() + "\n")
+class TraceWriter:
+    """A trace sink: writes each record as one line of the trace file, and counts them."""
+
+    __slots__ = ("_write", "lines")
+
+    def __init__(self, fh: TextIO):
+        self._write = fh.write
+        self.lines = 0
+
+    def __call__(self, event: TraceEvent):
+        self._write(event.format_line() + "\n")
+        self.lines += 1
+
+
+@contextmanager
+def write_trace(path: str) -> Iterator[TraceWriter]:
+    """Yield a sink that writes trace records to ``path`` as they are made.
+
+    The lines go to ``path + ".part"``, which replaces ``path`` only when the
+    block ends normally.  On any exception the part file is removed, and a
+    ``path`` left by an earlier run stays as it was.
+    """
+    part = path + ".part"
+    fh = open(part, "w", encoding="utf-8")
+    try:
+        with fh:
+            yield TraceWriter(fh)
+        os.replace(part, path)
+    except BaseException:
+        os.remove(part)
+        raise
 
 
 def write_metrics(path: str, metrics: Metrics):
@@ -64,14 +92,14 @@ def cmd_run(args) -> int:
         return EXIT_IO
     cfg = load_config(args.config)
     cfg = replace(cfg, rng_seed=_resolve_seed(cfg, args.seed))
-    result = run_scenario(cfg)
     os.makedirs(args.out, exist_ok=True)
-    write_trace(os.path.join(args.out, "trace.tr"), result.trace)
+    trace_path = os.path.join(args.out, "trace.tr")
+    with write_trace(trace_path) as writer:  # streamed: no record is held in memory
+        result = run_scenario(cfg, writer)
     write_metrics(os.path.join(args.out, "metrics.csv"), result.metrics)
     for line in result.report.summary_lines():
         print(line)
-    print(f"wrote {os.path.join(args.out, 'trace.tr')} "
-          f"({len(result.trace)} events) and metrics.csv "
+    print(f"wrote {trace_path} ({writer.lines} events) and metrics.csv "
           f"({len(result.metrics.rows)} samples)")
     return EXIT_OK
 

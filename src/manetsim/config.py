@@ -371,7 +371,8 @@ def validate_config(raw: Mapping[str, object]) -> ScenarioConfig:
                                                v["area_x"], v["area_y"]):
         fail("attacker.pos", f"outside the {v['area_x']}x{v['area_y']} area")
     timers = [("stop", MOBILITY_STEP), ("hello_interval", v["hello_interval"]),
-              ("metrics_interval", v["metrics_interval"])]
+              ("metrics_interval", v["metrics_interval"]),
+              ("retry_timeout", v["retry_timeout"])]
     if atk["enabled"]:
         timers.append(("attacker.rate", 1.0 / atk["rate"]))
     for key, period in timers:

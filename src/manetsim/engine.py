@@ -12,7 +12,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from random import Random
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .aodv import AodvNode, Drop, Tx
 from .config import (ScenarioConfig, Sophistication, parse_config_text, serialize_config,
@@ -122,6 +122,7 @@ class RunReport:
 
 @dataclass
 class RunResult:
+    #: Every trace record in order; empty when the run streamed them to a sink.
     trace: List[TraceEvent]
     metrics: Metrics
     report: RunReport
@@ -143,9 +144,14 @@ class _Node:
 
 
 class Simulation:
-    """One scenario run; build it from a validated config and call run()."""
+    """One scenario run; build it from a validated config and call run().
 
-    def __init__(self, cfg: ScenarioConfig):
+    Each trace record goes to ``record`` as it is made.  Without a sink the
+    records are kept, in order, in ``RunResult.trace``; with one, none is held.
+    """
+
+    def __init__(self, cfg: ScenarioConfig,
+                 record: Optional[Callable[[TraceEvent], object]] = None):
         # A config built in code gets the checks a config file gets.
         validate_config(parse_config_text(serialize_config(cfg)))
         self.cfg = cfg
@@ -157,6 +163,7 @@ class Simulation:
         self.heap: List[Tuple[float, int, str, tuple]] = []
         self.event_seq = 0
         self.trace: List[TraceEvent] = []
+        self.record = self.trace.append if record is None else record
         self.metrics = Metrics()
         self.report = RunReport(protocol=cfg.protocol.value, seed=cfg.rng_seed,
                                 victim=self.victim)
@@ -240,7 +247,7 @@ class Simulation:
 
     def _emit(self, event: str, t: float, source: int, neighbor: int,
               header: CommonHeader):
-        self.trace.append(TraceEvent(
+        self.record(TraceEvent(
             event=event, time=round(t, 6), source=source, destination=neighbor,
             pkt_type=header.kind.value, pkt_size=header.size, flags="---",
             fid=header.fid, src_addr=header.src, dst_addr=header.dst,
@@ -451,6 +458,7 @@ class Simulation:
                          config=self.cfg)
 
 
-def run_scenario(cfg: ScenarioConfig) -> RunResult:
-    """Run one validated scenario to completion."""
-    return Simulation(cfg).run()
+def run_scenario(cfg: ScenarioConfig,
+                 record: Optional[Callable[[TraceEvent], object]] = None) -> RunResult:
+    """Run one validated scenario to completion; ``record`` is its trace sink."""
+    return Simulation(cfg, record).run()

@@ -112,9 +112,10 @@ def link_expiration_time(sender: Kinematics, receiver: Kinematics, r: float,
     Zero relative velocity yields math.inf.  The discriminant P is negative
     exactly when the relative track never intersects the range disk.  PAPER
     mode substitutes Q = sqrt(|P|) in that case and returns the raw quotient,
-    negative values included.  STRICT mode returns 0.0 for P < 0 or NaN, clamps
-    negative and NaN roots to 0.0, and refines the zero-relative-velocity case:
-    co-moving nodes already out of range get 0.0 rather than infinity.
+    negative values included; a NaN quotient, from inf - inf, gives 0.0.
+    STRICT mode returns 0.0 for P < 0 or NaN, clamps negative and NaN roots to
+    0.0, and refines the zero-relative-velocity case: co-moving nodes already
+    out of range get 0.0 rather than infinity.
     """
     if r <= 0.0:
         raise ValueError(f"range must be positive, got {r}")
@@ -130,8 +131,8 @@ def link_expiration_time(sender: Kinematics, receiver: Kinematics, r: float,
     cross = a * d - b * c  # squared as a product: a float ** overflows where * gives inf
     p = denom * r * r - cross * cross
     if mode is LetMode.PAPER:
-        q = math.sqrt(abs(p))
-        return (-(a * b + c * d) + q) / denom
+        let = (-(a * b + c * d) + math.sqrt(abs(p))) / denom
+        return 0.0 if math.isnan(let) else let
     if not p >= 0.0:  # a NaN discriminant, inf - inf, counts as negative
         return 0.0
     let = (-(a * b + c * d) + math.sqrt(p)) / denom

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import settings
 
+from manetsim.cli import write_trace
 from manetsim.config import validate_config
 from manetsim.medium import in_range
 from manetsim.mobility import Kinematics
@@ -15,6 +16,13 @@ settings.load_profile("suite")
 
 DATA_DIR = Path(__file__).parent / "data"
 CONFIG_DIR = Path(__file__).parents[1] / "configs"
+
+
+def write_events(path, events):
+    """Write a list of trace records through the CLI's trace sink."""
+    with write_trace(str(path)) as record:
+        for event in events:
+            record(event)
 
 
 def kin(px, py, vx=0.0, vy=0.0):

@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 
 from manetsim.analyze import (MetricsParseError, interval_series, parse_metrics_csv,
                               parse_trace_text, read_trace, victim_energy_series)
-from manetsim.cli import write_trace
 from manetsim.config import MAX_TIMER_FIRINGS, load_config, validate_config
 from manetsim.engine import run_scenario
 from manetsim.model import PacketKind, TraceEvent, TraceParseError
 
-from .conftest import CONFIG_DIR, DATA_DIR
+from .conftest import CONFIG_DIR, DATA_DIR, write_events
 
 
 def test_golden_trace_parses_line_by_line():
@@ -23,7 +22,7 @@ def test_golden_trace_parses_line_by_line():
 def test_simulator_output_round_trips_through_parser(tmp_path):
     cfg = validate_config({"stop": 5, "seed": 13})
     result = run_scenario(cfg)
-    write_trace(str(tmp_path / "trace.tr"), result.trace)
+    write_events(tmp_path / "trace.tr", result.trace)
     assert read_trace(str(tmp_path / "trace.tr")) == result.trace
 
 
@@ -32,7 +31,7 @@ def test_series_of_the_run_equals_series_of_its_written_trace(path, tmp_path):
     # Record times are quantized where they are made, so windows agree exactly.
     cfg = load_config(str(path))
     trace = run_scenario(cfg).trace
-    write_trace(str(tmp_path / "trace.tr"), trace)
+    write_events(tmp_path / "trace.tr", trace)
     written = read_trace(str(tmp_path / "trace.tr"))
     victim = cfg.attacker.target
     assert interval_series(written, 0.1, victim) == interval_series(trace, 0.1, victim)

@@ -1,16 +1,18 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from manetsim import engine
 from manetsim.analyze import read_trace
-from manetsim.cli import main
+from manetsim.cli import SEED_ENV_VAR, main
 from manetsim.config import load_config
 from manetsim.engine import run_scenario
 
-from .conftest import CONFIG_DIR, DATA_DIR
+from .conftest import CONFIG_DIR, DATA_DIR, write_events
 
 GOLDEN_CFG = str(DATA_DIR / "golden_3node.cfg")
 
@@ -45,6 +47,82 @@ def test_run_twice_is_byte_identical(tmp_path):
     _, out_b = _run(tmp_path / "b")
     assert (out_a / "trace.tr").read_bytes() == (out_b / "trace.tr").read_bytes()
     assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")) + [DATA_DIR / "golden_3node.cfg"],
+                         ids=lambda p: p.stem)
+def test_streamed_trace_equals_the_written_list(path, tmp_path, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "cli")]) == 0
+    write_events(tmp_path / "list.tr", run_scenario(load_config(str(path))).trace)
+    assert (tmp_path / "cli" / "trace.tr").read_bytes() == (tmp_path / "list.tr").read_bytes()
+
+
+def test_failed_run_keeps_the_earlier_outputs(tmp_path, monkeypatch):
+    code, out = _run(tmp_path)
+    assert code == 0
+    before = {name: (out / name).read_bytes() for name in ("trace.tr", "metrics.csv")}
+    streaming = []
+
+    def broken_check(self):
+        streaming.append((out / "trace.tr.part").is_file())
+        raise RuntimeError("conservation broken")
+
+    monkeypatch.setattr(engine.Simulation, "_check_conservation", broken_check)
+    with pytest.raises(RuntimeError, match="conservation broken"):
+        _run(tmp_path)
+    assert streaming == [True]  # the run wrote beside the old trace, not over it
+    assert sorted(p.name for p in out.iterdir()) == ["metrics.csv", "trace.tr"]
+    assert {name: (out / name).read_bytes() for name in before} == before
+
+
+def test_uncreatable_out_exits_3_before_the_run(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    calls = []
+    monkeypatch.setattr(engine, "run_scenario", lambda *args, **kwargs: calls.append(args))
+    code = main(["run", "--config", GOLDEN_CFG, "--out", str(blocker / "out")])
+    assert code == 3
+    assert calls == []
+    assert "i/o error" in capsys.readouterr().err
+
+
+def _flood_config(stop):
+    """Two static nodes under a 200 pkt/s flood: the trace grows about 420 lines/s."""
+    return (f"nn = 2\nstop = {stop}\nrp = SAODV\nk = 2\nnodes = 10,10; 20,10\n"
+            "flows = 1:0:4:100:1\nenergy.initial = inf\n"
+            "attacker.enabled = true\nattacker.target = 0\nattacker.start = 0\n"
+            "attacker.rate = 200\nattacker.sophistication = NAIVE_RANDOM\n"
+            "attacker.pos = 10,20\n")
+
+
+def _run_peak_memory(tmp_path, stop):
+    """(peak bytes tracemalloc sees during one `run`, lines of its trace)."""
+    cfg = tmp_path / f"flood{stop}.cfg"
+    cfg.write_text(_flood_config(stop))
+    out = tmp_path / f"out{stop}"
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    with open(out / "trace.tr", encoding="utf-8") as fh:
+        return peak, sum(1 for _ in fh)
+
+
+def test_run_memory_does_not_grow_with_the_trace(tmp_path, capsys):
+    # Held as a list, the longer trace raised the peak about 3.3x.
+    _run_peak_memory(tmp_path, 0.5)  # first-use imports and caches stay out of the peaks
+    short_peak, short_lines = _run_peak_memory(tmp_path, 2)
+    long_peak, long_lines = _run_peak_memory(tmp_path, 8)
+    assert long_lines >= 3 * short_lines
+    assert long_peak < 1.5 * short_peak
 
 
 def test_run_missing_config_exits_3(tmp_path, capsys):
@@ -292,6 +370,16 @@ def test_let_overflowing_input_exits_0_without_traceback():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "paper inf\nstrict 0.000000\n", "")
 
 
+def test_let_prints_no_nan_for_an_overflowing_discriminant(capsys):
+    # inf - inf made PAPER mode print "paper nan"; both modes now give 0.
+    code = main(["let", "--sx", "0", "--sy", "0", "--svx", "0", "--svy", "0",
+                 "--rx", "0", "--ry", "1e200", "--rvx", "1e200", "--rvy", "0", "--r", "1"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out
+    assert out == "0.000000\n"
+
+
 @pytest.mark.parametrize("flag,value", [("--sx", "nan"), ("--rvx", "inf")])
 def test_let_non_finite_input_exits_2_without_traceback(flag, value):
     # Vec2 does not check its components; this command is the only guard here.
@@ -342,6 +430,11 @@ REJECTED_CONFIGS = [
     # An OverflowError where the neighbour grid turned x / range_r = inf into a cell.
     ("range_r = 1e-300\nx = 1e10\ny = 1e10",
      "range_r: must leave x / range_r and y / range_r finite, got 1e-300"),
+    # Every retry of a discovery fired at one instant, since t + 1e-300 == t:
+    # 2,000,103 events and 64 s for two nodes out of range.
+    ("nodes = 10,10; 40,10\nretry_timeout = 1e-300\nretry_limit = 100000\n"
+     "flows = 1:0:4:100\nstop = 5\nenergy.initial = inf",
+     "retry_timeout: a timer every 1e-300 s"),
     # A byte that is not UTF-8 ended in a UnicodeDecodeError traceback.
     pytest.param("\udcff = 1", "line 2: not UTF-8 (invalid start byte)", id="non-utf8"),
 ]

@@ -69,6 +69,16 @@ def test_same_seed_runs_are_byte_identical():
     assert a == b
 
 
+def test_a_sink_receives_the_records_the_list_keeps():
+    cfg = load_config(str(CONFIG_DIR / "table1_saodv.cfg"))
+    kept = run_scenario(cfg)
+    sink = []
+    streamed = Simulation(cfg, record=sink.append).run()
+    assert streamed.trace == []
+    assert sink == kept.trace
+    assert streamed.report == kept.report
+
+
 def test_changing_seed_changes_the_trace():
     cfg = validate_config({"stop": 8, "seed": 21})
     a = run_scenario(cfg).trace

@@ -187,6 +187,8 @@ def test_overflowing_terms_give_a_lifetime_not_an_error():
     s, rec = kin(0.0, 0.0, 1.0, 0.0), kin(1e200, 1e200)
     assert link_expiration_time(s, rec, 1.0, LetMode.PAPER) == math.inf
     assert link_expiration_time(s, rec, 1.0, LetMode.STRICT) == 0.0
-    # inf - inf: STRICT mode reads a NaN discriminant as a negative one.
+    # inf - inf: STRICT mode reads a NaN discriminant as a negative one, and
+    # PAPER mode turns the NaN quotient it makes into 0.0.
     s, rec = kin(0.0, 0.0), kin(0.0, 1e200, 1e200, 0.0)
     assert link_expiration_time(s, rec, 1.0, LetMode.STRICT) == 0.0
+    assert link_expiration_time(s, rec, 1.0, LetMode.PAPER) == 0.0
