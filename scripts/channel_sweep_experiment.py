@@ -13,8 +13,8 @@ from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from manetsim.cli import sweep_accept_fractions
-from manetsim.config import Protocol, Sophistication, load_config
+from manetsim.cli import MAX_JOBS, default_jobs, sweep_accept_fractions
+from manetsim.config import MAX_COUNT, ConfigError, Protocol, Sophistication, load_config
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
@@ -24,17 +24,31 @@ def main():
     parser.add_argument("--config", default=os.path.join(REPO, "configs", "attack_demo.cfg"))
     parser.add_argument("--k", default="1,2,4,8,16")
     parser.add_argument("--reps", type=int, default=10)
+    parser.add_argument("--jobs", type=int, default=default_jobs(),
+                        help=f"processes to run in, 1..{MAX_JOBS} (default: usable CPUs)")
     parser.add_argument("--out", default=os.path.join(REPO, "out", "channel_sweep.csv"))
     args = parser.parse_args()
 
-    cfg = load_config(args.config)
-    # Uniform guesser with a battery large enough to survive accepted floods.
-    cfg = replace(cfg, protocol=Protocol.SAODV,
-                  attacker=replace(cfg.attacker,
-                                   sophistication=Sophistication.NAIVE_RANDOM),
-                  energy=replace(cfg.energy, initial=1000.0))
-    k_values = [int(tok) for tok in args.k.split(",")]
-    rows = sweep_accept_fractions(cfg, k_values, args.reps)
+    try:
+        k_values = [int(tok) for tok in args.k.split(",")]
+    except ValueError:
+        parser.error(f"--k expects a comma-separated integer list, got {args.k!r}")
+    if not 1 <= args.reps <= MAX_COUNT:
+        parser.error(f"--reps must be in 1..{MAX_COUNT}")
+    if not 1 <= args.jobs <= MAX_JOBS:
+        parser.error(f"--jobs must be in 1..{MAX_JOBS}")
+    try:
+        cfg = load_config(args.config)
+        # Uniform guesser with a battery large enough to survive accepted floods.
+        cfg = replace(cfg, protocol=Protocol.SAODV,
+                      attacker=replace(cfg.attacker,
+                                       sophistication=Sophistication.NAIVE_RANDOM),
+                      energy=replace(cfg.energy, initial=1000.0))
+        rows = sweep_accept_fractions(cfg, k_values, args.reps, args.jobs)
+    except ConfigError as exc:
+        for violation in exc.violations:
+            print(f"config error: {violation}", file=sys.stderr)
+        return 2
 
     os.makedirs(os.path.dirname(args.out), exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -43,7 +57,8 @@ def main():
             fh.write(f"{k},{mean:.6f},{dev:.6f}\n")
             print(f"k={k:<3d} accept fraction {mean:.4f} (+/- {dev:.4f}), 1/k = {1.0 / k:.4f}")
     print(f"wrote {args.out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

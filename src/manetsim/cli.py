@@ -13,11 +13,11 @@ import statistics
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
-from typing import TYPE_CHECKING, Iterator, List, Optional, TextIO
+from typing import TYPE_CHECKING, Iterator, List, Optional, TextIO, Tuple
 
 from .analyze import (MetricsParseError, interval_series, parse_metrics_csv, read_trace,
                       victim_energy_series)
-from .config import MAX_COUNT, ConfigError, ScenarioConfig, load_config
+from .config import MAX_COUNT, ConfigError, ScenarioConfig, check_config, load_config
 from .mobility import Kinematics, LetMode, link_expiration_time
 from .model import TraceEvent, TraceParseError, Vec2, read_utf8
 
@@ -134,25 +134,127 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def sweep_accept_fractions(cfg: ScenarioConfig, k_values: List[int],
-                           reps: int) -> List[tuple]:
+#: Most processes one sweep runs in.
+MAX_JOBS = 32
+
+
+def default_jobs() -> int:
+    """Usable CPUs, at most ``MAX_JOBS``: the ``sweep --jobs`` default."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_JOBS)
+
+
+def _run_share(cfg: ScenarioConfig, runs: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """(victim malicious accepts, drops) of each (k, rep) run, in order."""
+    from .engine import run_scenario
+
+    pairs = []
+    for k, rep in runs:
+        run_cfg = replace(cfg, num_channels=k, rng_seed=cfg.rng_seed * 1000 + rep)
+        report = run_scenario(run_cfg, lambda event: None).report  # keeps no record
+        pairs.append((report.victim_malicious_accepts, report.victim_malicious_drops))
+    return pairs
+
+
+def _sweep_worker(cfg: ScenarioConfig, runs: List[Tuple[int, int]], write_fd: int,
+                  inherited: List[TextIO]):
+    """Body of a forked worker: one "accepts drops" line per run to ``write_fd``.
+
+    It leaves through ``os._exit``, so it never returns into the parent's
+    stack, runs no exit handler and flushes no buffer the parent still owns.
+    """
+    code = 1
+    try:
+        for fh in inherited:  # read ends of the pipes, its own included
+            fh.close()
+        with open(write_fd, "w", encoding="ascii") as out:
+            for accepts, drops in _run_share(cfg, runs):
+                out.write(f"{accepts} {drops}\n")
+        code = 0
+    except Exception:
+        import traceback
+        traceback.print_exc()
+    finally:
+        sys.stderr.flush()
+        os._exit(code)
+
+
+def _forked_pairs(cfg: ScenarioConfig, runs: List[Tuple[int, int]],
+                  n: int) -> List[Tuple[int, int]]:
+    """Run ``runs[i::n]`` in process i, this process being 0; pairs in run order.
+
+    The split is fixed, so the runs made in this process do not vary between
+    calls.  Every worker is reaped before this returns or raises.
+    """
+    import signal
+
+    sys.stdout.flush()  # a worker must not inherit, and flush again, buffered output
+    sys.stderr.flush()
+    workers: List[Tuple[int, TextIO]] = []  # (pid, read end of its pipe)
+    reaped = 0
+    pairs: List[Tuple[int, int]] = [(0, 0)] * len(runs)
+    try:
+        for i in range(1, n):
+            read_fd, write_fd = os.pipe()
+            reader = open(read_fd, encoding="ascii")
+            try:
+                pid = os.fork()
+            except BaseException:
+                reader.close()
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _sweep_worker(cfg, runs[i::n], write_fd, [fh for _, fh in workers] + [reader])
+            os.close(write_fd)
+            workers.append((pid, reader))
+        pairs[0::n] = _run_share(cfg, runs[0::n])
+        for i, (pid, reader) in enumerate(workers, 1):
+            with reader:
+                lines = reader.read().splitlines()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped += 1
+            if code != 0 or len(lines) != len(runs[i::n]):
+                raise RuntimeError(f"sweep worker {i} exited with status {code} after "
+                                   f"{len(lines)} of its {len(runs[i::n])} runs")
+            pairs[i::n] = [tuple(map(int, line.split())) for line in lines]
+    finally:
+        for pid, reader in workers[reaped:]:  # left only when this process failed
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return pairs
+
+
+def sweep_accept_fractions(cfg: ScenarioConfig, k_values: List[int], reps: int,
+                           jobs: int = 1) -> List[tuple]:
     """(k, mean accept fraction, stddev) of the victim's malicious-accept rate.
 
     Repetition j of every k runs with derived seed base*1000 + j so that the
-    same mobility/placement is paired across channel counts.
+    same mobility/placement is paired across channel counts.  The runs are
+    split over ``jobs`` processes, forked from this one, where ``os.fork``
+    exists; the rows do not depend on ``jobs``.  With ``jobs`` above 1, call
+    it from a process that runs no other thread, whose locks a fork would copy.
     """
-    from .engine import run_scenario
-
+    ks = sorted(set(k_values))
+    violations: List[str] = []
+    for k in ks:  # a bad k fails here, in this process, before any fork
+        try:
+            check_config(replace(cfg, num_channels=k))
+        except ConfigError as exc:
+            violations += [v for v in exc.violations if v not in violations]
+    if violations:
+        raise ConfigError(violations)
+    runs = [(k, rep) for k in ks for rep in range(reps)]
+    n = min(jobs, len(runs)) if hasattr(os, "fork") else 1
+    pairs = _forked_pairs(cfg, runs, n) if n > 1 else _run_share(cfg, runs)
     rows = []
-    for k in sorted(set(k_values)):
-        fractions = []
-        for rep in range(reps):
-            run_cfg = replace(cfg, num_channels=k,
-                              rng_seed=cfg.rng_seed * 1000 + rep)
-            report = run_scenario(run_cfg).report
-            seen = report.victim_malicious_accepts + report.victim_malicious_drops
-            if seen > 0:
-                fractions.append(report.victim_malicious_accepts / seen)
+    for index, k in enumerate(ks):
+        fractions = [accepts / (accepts + drops)
+                     for accepts, drops in pairs[index * reps:(index + 1) * reps]
+                     if accepts + drops > 0]
         if fractions:
             mean = statistics.fmean(fractions)
             dev = statistics.stdev(fractions) if len(fractions) > 1 else 0.0
@@ -175,12 +277,15 @@ def cmd_sweep(args) -> int:
     if not 1 <= args.reps <= MAX_COUNT:
         print(f"error: --reps must be in 1..{MAX_COUNT}", file=sys.stderr)
         return EXIT_USAGE
+    if not 1 <= args.jobs <= MAX_JOBS:
+        print(f"error: --jobs must be in 1..{MAX_JOBS}", file=sys.stderr)
+        return EXIT_USAGE
     if not os.path.isfile(args.config):
         print(f"error: config file not found: {args.config}", file=sys.stderr)
         return EXIT_IO
     cfg = load_config(args.config)
     print("k,mean_accept_fraction,stddev")
-    for k, mean, dev in sweep_accept_fractions(cfg, k_values, args.reps):
+    for k, mean, dev in sweep_accept_fractions(cfg, k_values, args.reps, args.jobs):
         print(f"{k},{mean:.6f},{dev:.6f}")
     return EXIT_OK
 
@@ -237,6 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--config", required=True, help="base scenario config file")
     p_sw.add_argument("--k", required=True, help="comma-separated channel counts, e.g. 1,2,4,8")
     p_sw.add_argument("--reps", type=int, default=10, help="repetitions per k")
+    p_sw.add_argument("--jobs", type=int, default=default_jobs(),
+                      help=f"processes to run in, 1..{MAX_JOBS} (default: usable CPUs)")
     p_sw.set_defaults(func=cmd_sweep)
 
     p_let = sub.add_parser("let", help="compute a link expiration time")

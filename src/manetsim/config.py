@@ -413,6 +413,11 @@ def serialize_config(cfg: ScenarioConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def check_config(cfg: ScenarioConfig) -> None:
+    """Give a config built in code the checks a config file gets: raise ConfigError."""
+    validate_config(parse_config_text(serialize_config(cfg)))
+
+
 def load_config(path: str) -> ScenarioConfig:
     text = read_utf8(path, lambda lineno, message: ConfigError([f"line {lineno}: {message}"]))
     return validate_config(parse_config_text(text))

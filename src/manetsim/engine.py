@@ -15,8 +15,7 @@ from random import Random
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .aodv import AodvNode, Drop, Tx
-from .config import (ScenarioConfig, Sophistication, parse_config_text, serialize_config,
-                     validate_config)
+from .config import ScenarioConfig, Sophistication, check_config
 from .medium import CellGrid, broadcast, tx_delay
 from .mlet import admit_link, annotate
 from .mobility import (MOBILITY_STEP, Kinematics, advance_waypoint, initial_waypoint,
@@ -152,8 +151,7 @@ class Simulation:
 
     def __init__(self, cfg: ScenarioConfig,
                  record: Optional[Callable[[TraceEvent], object]] = None):
-        # A config built in code gets the checks a config file gets.
-        validate_config(parse_config_text(serialize_config(cfg)))
+        check_config(cfg)
         self.cfg = cfg
         self.attacker_id: Optional[int] = cfg.nn if cfg.attacker.enabled else None
         self.victim = cfg.attacker.target

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -8,8 +9,8 @@ import pytest
 
 from manetsim import engine
 from manetsim.analyze import read_trace
-from manetsim.cli import SEED_ENV_VAR, main
-from manetsim.config import load_config
+from manetsim.cli import SEED_ENV_VAR, main, sweep_accept_fractions
+from manetsim.config import ConfigError, load_config, parse_config_text, validate_config
 from manetsim.engine import run_scenario
 
 from .conftest import CONFIG_DIR, DATA_DIR, write_events
@@ -200,12 +201,15 @@ def test_analyze_malformed_trace_exits_4(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
-def _cli(*args, python_flags=()):
+def _cli_env():
     src = str(Path(__file__).parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _cli(*args, python_flags=()):
     return subprocess.run([sys.executable, *python_flags, "-m", "manetsim", *args],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_cli_env(), timeout=60)
 
 
 @pytest.mark.parametrize("content,error", [
@@ -278,22 +282,42 @@ def test_analyze_unusable_window_count_exits_2_without_traceback(tmp_path, time,
 
 def test_sweep_rejects_bad_k_list(capsys):
     cfg = str(CONFIG_DIR / "attack_demo.cfg")
-    assert main(["sweep", "--config", cfg, "--k", "0,2", "--reps", "2"]) == 2
-    assert main(["sweep", "--config", cfg, "--k", "abc", "--reps", "2"]) == 2
-    assert main(["sweep", "--config", cfg, "--k", "2", "--reps", "0"]) == 2
-    assert main(["sweep", "--config", cfg, "--k", "2,1000001", "--reps", "2"]) == 2
-    assert main(["sweep", "--config", cfg, "--k", "2", "--reps", "1000001"]) == 2
+    for args in (("--k", "0,2", "--reps", "2"),
+                 ("--k", "abc", "--reps", "2"),
+                 ("--k", "2", "--reps", "0"),
+                 ("--k", "2,1000001", "--reps", "2"),
+                 ("--k", "2", "--reps", "1000001"),
+                 ("--k", "2", "--jobs", "0"),
+                 ("--k", "2", "--jobs", "-1"),
+                 ("--k", "2", "--jobs", "33")):
+        assert main(["sweep", "--config", cfg, *args]) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1, args
+    with pytest.raises(SystemExit) as exc:  # argparse rejects it, after its usage line
+        main(["sweep", "--config", cfg, "--k", "2", "--jobs", "x"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == ("manetsim sweep: error: argument --jobs: "
+                                             "invalid int value: 'x'")
+    assert captured.err.count("error") == 1
+
+
+#: Two static nodes and a uniformly guessing flooder: every accept fraction
+#: is a ratio of its own, so a run reported in the wrong place shows.
+QUICK_SWEEP_CFG = (
+    "nn = 2\nstop = 6\nrp = SAODV\nseed = 5\nrange_r = 15\n"
+    "nodes = 10,10; 20,10\nflows = none\n"
+    "attacker.enabled = true\nattacker.target = 0\nattacker.start = 1\n"
+    "attacker.rate = 100\nattacker.payload = 50\n"
+    "attacker.sophistication = NAIVE_RANDOM\nattacker.pos = 10,20\n")
 
 
 def test_sweep_prints_sorted_table(tmp_path, capsys):
     # A short, fast sweep: the acceptance suite exercises the statistics.
     quick = tmp_path / "quick.cfg"
-    quick.write_text(
-        "nn = 2\nstop = 6\nrp = SAODV\nseed = 5\nrange_r = 15\n"
-        "nodes = 10,10; 20,10\nflows = none\n"
-        "attacker.enabled = true\nattacker.target = 0\nattacker.start = 1\n"
-        "attacker.rate = 100\nattacker.payload = 50\n"
-        "attacker.sophistication = NAIVE_RANDOM\nattacker.pos = 10,20\n")
+    quick.write_text(QUICK_SWEEP_CFG)
     code = main(["sweep", "--config", str(quick), "--k", "4,1", "--reps", "2"])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -302,6 +326,101 @@ def test_sweep_prints_sorted_table(tmp_path, capsys):
     assert ks == [1, 4]
     k1 = float(lines[1].split(",")[1])
     assert k1 == pytest.approx(1.0)  # single channel: verification is vacuous
+
+
+def _sweep_to_file(path, *args):
+    """``manetsim sweep`` with its stdout on a file, as a shell redirect puts it."""
+    env = _cli_env()
+    env.pop("PYTHONUNBUFFERED", None)  # keep the block buffering a file gets by default
+    with open(path, "wb") as out:
+        proc = subprocess.run([sys.executable, "-m", "manetsim", "sweep", *args],
+                              stdout=out, stderr=subprocess.PIPE, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("k,reps", [("1,2,4", "3"), ("8,2", "2")])
+def test_sweep_bytes_do_not_depend_on_jobs(tmp_path, k, reps):
+    # On a file stdout is block-buffered: a header still in the buffer at a
+    # fork would be copied into each worker, to be written again if it flushed.
+    quick = tmp_path / "quick.cfg"
+    quick.write_text(QUICK_SWEEP_CFG)
+    base = ["--config", str(quick), "--k", k, "--reps", reps]
+    outputs = {jobs: _sweep_to_file(tmp_path / f"jobs{jobs}.csv", *base, "--jobs", jobs)
+               for jobs in ("1", "2", "3", "4")}
+    outputs["default"] = _sweep_to_file(tmp_path / "default.csv", *base)
+    lines = outputs["1"].decode().splitlines()
+    assert lines[0] == "k,mean_accept_fraction,stddev"
+    assert len(lines) == 1 + len(k.split(","))
+    assert len({line.split(",", 1)[1] for line in lines[1:]}) == len(lines) - 1
+    assert all(out == outputs["1"] for out in outputs.values())
+
+
+def test_sweep_rows_do_not_depend_on_jobs():
+    cfg = validate_config(parse_config_text(QUICK_SWEEP_CFG))
+    serial = sweep_accept_fractions(cfg, [4, 1, 2], reps=3, jobs=1)
+    assert sweep_accept_fractions(cfg, [4, 1, 2], reps=3, jobs=3) == serial
+    assert sweep_accept_fractions(cfg, [4, 1, 2], reps=3, jobs=32) == serial
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failing_worker_fails_the_sweep_and_is_reaped(monkeypatch, capfd):
+    cfg = validate_config(parse_config_text(QUICK_SWEEP_CFG))
+    parent, real = os.getpid(), engine.run_scenario
+
+    def fail_in_a_worker(run_cfg, record=None):
+        if os.getpid() != parent:
+            raise ValueError("a run failed in a worker")
+        return real(run_cfg, record)
+
+    # Patched before the fork, so every worker inherits it.
+    monkeypatch.setattr(engine, "run_scenario", fail_in_a_worker)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="sweep worker 1 exited with status 1"):
+        sweep_accept_fractions(cfg, [1, 2], reps=2, jobs=2)
+    assert time.monotonic() - started < 10.0
+    _assert_no_child_left()
+    assert "ValueError: a run failed in a worker" in capfd.readouterr().err
+
+
+def test_a_failing_sweep_kills_and_reaps_its_workers(monkeypatch):
+    cfg = validate_config(parse_config_text(QUICK_SWEEP_CFG))
+    parent = os.getpid()
+
+    def fail_here_stall_there(run_cfg, record=None):
+        if os.getpid() == parent:
+            raise ValueError("a run failed in the sweep's own process")
+        time.sleep(60.0)
+
+    monkeypatch.setattr(engine, "run_scenario", fail_here_stall_there)
+    started = time.monotonic()
+    with pytest.raises(ValueError, match="own process"):
+        sweep_accept_fractions(cfg, [1, 2, 4], reps=2, jobs=3)
+    assert time.monotonic() - started < 10.0
+    _assert_no_child_left()
+
+
+def test_a_bad_k_fails_before_any_run(monkeypatch):
+    cfg = validate_config(parse_config_text(QUICK_SWEEP_CFG))
+    monkeypatch.setattr(engine, "run_scenario", None)  # any run would raise TypeError
+    with pytest.raises(ConfigError) as exc:
+        sweep_accept_fractions(cfg, [2, 0, 1000001, -1], reps=2, jobs=2)
+    assert exc.value.violations == ["k: must be >= 1, got -1", "k: must be >= 1, got 0",
+                                    "k: must be <= 1000000, got 1000001"]
+    _assert_no_child_left()
+
+
+def test_channel_sweep_script_reports_a_bad_k_without_traceback():
+    script = Path(__file__).parents[1] / "scripts" / "channel_sweep_experiment.py"
+    proc = subprocess.run([sys.executable, str(script), "--k", "0"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "config error: k: must be >= 1, got 0\n"
 
 
 def test_sweep_insider_attacker_is_always_accepted(tmp_path, capsys):
