@@ -13,7 +13,7 @@ from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from manetsim.cli import MAX_JOBS, default_jobs, sweep_accept_fractions
+from manetsim.cli import default_jobs, sweep_accept_fractions
 from manetsim.config import MAX_COUNT, ConfigError, Protocol, Sophistication, load_config
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -24,8 +24,6 @@ def main():
     parser.add_argument("--config", default=os.path.join(REPO, "configs", "attack_demo.cfg"))
     parser.add_argument("--k", default="1,2,4,8,16")
     parser.add_argument("--reps", type=int, default=10)
-    parser.add_argument("--jobs", type=int, default=default_jobs(),
-                        help=f"processes to run in, 1..{MAX_JOBS} (default: usable CPUs)")
     parser.add_argument("--out", default=os.path.join(REPO, "out", "channel_sweep.csv"))
     args = parser.parse_args()
 
@@ -35,8 +33,6 @@ def main():
         parser.error(f"--k expects a comma-separated integer list, got {args.k!r}")
     if not 1 <= args.reps <= MAX_COUNT:
         parser.error(f"--reps must be in 1..{MAX_COUNT}")
-    if not 1 <= args.jobs <= MAX_JOBS:
-        parser.error(f"--jobs must be in 1..{MAX_JOBS}")
     try:
         cfg = load_config(args.config)
         # Uniform guesser with a battery large enough to survive accepted floods.
@@ -44,7 +40,7 @@ def main():
                       attacker=replace(cfg.attacker,
                                        sophistication=Sophistication.NAIVE_RANDOM),
                       energy=replace(cfg.energy, initial=1000.0))
-        rows = sweep_accept_fractions(cfg, k_values, args.reps, args.jobs)
+        rows = sweep_accept_fractions(cfg, k_values, args.reps, default_jobs())
     except ConfigError as exc:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)

@@ -249,7 +249,7 @@ def sweep_accept_fractions(cfg: ScenarioConfig, k_values: List[int], reps: int,
         raise ConfigError(violations)
     runs = [(k, rep) for k in ks for rep in range(reps)]
     n = min(jobs, len(runs)) if hasattr(os, "fork") else 1
-    pairs = _forked_pairs(cfg, runs, n) if n > 1 else _run_share(cfg, runs)
+    pairs = _forked_pairs(cfg, runs, n)
     rows = []
     for index, k in enumerate(ks):
         fractions = [accepts / (accepts + drops)
