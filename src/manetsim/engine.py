@@ -18,8 +18,8 @@ from .aodv import AodvNode, Drop, Tx
 from .config import ScenarioConfig, Sophistication, check_config
 from .medium import CellGrid, broadcast, tx_delay
 from .mlet import admit_link, annotate
-from .mobility import (MOBILITY_STEP, Kinematics, advance_waypoint, initial_waypoint,
-                       kinematics_at, parked_waypoint, scripted_waypoint)
+from .mobility import (MOBILITY_STEP, STILL, Kinematics, advance_waypoint,
+                       initial_waypoint, kinematics_at, parked_waypoint, scripted_waypoint)
 from .model import (ATTACK_FID, BROADCAST, HEADER_RX_BYTES, CommonHeader, PacketKind,
                     TraceEvent, Vec2)
 from .saodv import VerifyOutcome, draw_random_values, select_channel, verify
@@ -153,6 +153,9 @@ class Simulation:
                  record: Optional[Callable[[TraceEvent], object]] = None):
         check_config(cfg)
         self.cfg = cfg
+        # Read once: each is an Enum property that tests tuple membership.
+        self.verifies = cfg.protocol.verifies
+        self.uses_let = cfg.protocol.uses_let
         self.attacker_id: Optional[int] = cfg.nn if cfg.attacker.enabled else None
         self.victim = cfg.attacker.target
         self.loss_rng = Random(f"{cfg.rng_seed}/loss")
@@ -228,7 +231,7 @@ class Simulation:
         node.energy = debit(node.energy, cost)
         if was_alive and node.energy == 0.0:  # frozen where it stands, for good
             self.grid.place(node.nid, Kinematics(pos=kinematics_at(node.waypoint, t).pos,
-                                                 vel=Vec2(0.0, 0.0)))
+                                                 vel=STILL))
             self.report.depletion_times[node.nid] = t
             return True
         return False
@@ -245,11 +248,11 @@ class Simulation:
 
     def _emit(self, event: str, t: float, source: int, neighbor: int,
               header: CommonHeader):
-        self.record(TraceEvent(
-            event=event, time=round(t, 6), source=source, destination=neighbor,
-            pkt_type=header.kind.value, pkt_size=header.size, flags="---",
-            fid=header.fid, src_addr=header.src, dst_addr=header.dst,
-            seq_num=header.seq, pkt_id=header.uid))
+        # Positional, and the kind's token read past the Enum descriptor: this
+        # runs for every trace record.
+        self.record(TraceEvent(event, round(t, 6), source, neighbor, header.kind._value_,
+                               header.size, "---", header.fid, header.src, header.dst,
+                               header.seq, header.uid))
 
     def _is_honest_data(self, header: CommonHeader) -> bool:
         return header.kind is PacketKind.DATA and header.src != self.attacker_id
@@ -303,7 +306,7 @@ class Simulation:
             channel = select_channel(rv1, rv2, cfg.num_channels)
         header = CommonHeader(uid, kind, size, src, dst, prev_hop, seq, fid, rv1, rv2,
                               channel, hop_count, sender_kin)
-        if cfg.protocol.uses_let and kind in cfg.mlet_applies_to:
+        if self.uses_let and kind in cfg.mlet_applies_to:
             header = annotate(header, self.grid.kin[nid], cfg.mlet_annex_bytes)
         self._debit(node, cfg.energy.tx_per_byte * header.size, t)
         self._emit("f" if tx.forward else "s", t, nid, tx.link_dst, header)
@@ -346,7 +349,7 @@ class Simulation:
         if self._debit(node, rx_per_byte * header_cost, t):
             self._lose(header)
             return
-        if self.cfg.protocol.verifies:
+        if self.verifies:
             outcome = verify(header, self.cfg.num_channels, self.cfg.paper_range_check)
             if outcome is not VerifyOutcome.ACCEPT:
                 # Rejected before the payload is read: header RX cost only.
@@ -379,15 +382,17 @@ class Simulation:
 
     def _mobility_update(self, t: float):
         cfg = self.cfg
+        place = self.grid.place
         for nid, node in self.nodes.items():
             if node.energy <= 0.0:
                 continue  # the grid holds where it died
-            if t >= node.waypoint.pause_until:
-                node.waypoint = advance_waypoint(node.waypoint, node.mob_rng, t,
-                                                 cfg.area_x, cfg.area_y,
-                                                 cfg.speed_min, cfg.speed_max,
-                                                 cfg.pause)
-            self.grid.place(nid, kinematics_at(node.waypoint, t))
+            waypoint = node.waypoint
+            if t >= waypoint.pause_until:
+                waypoint = node.waypoint = advance_waypoint(waypoint, node.mob_rng, t,
+                                                            cfg.area_x, cfg.area_y,
+                                                            cfg.speed_min, cfg.speed_max,
+                                                            cfg.pause)
+            place(nid, kinematics_at(waypoint, t))
         self._schedule(t + MOBILITY_STEP, MOBILITY_UPDATE, ())
 
     def _app_send(self, flow_idx: int, t: float):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
 from typing import NamedTuple
@@ -26,11 +27,18 @@ class Kinematics(NamedTuple):
     vel: Vec2
 
 
-class WaypointState(NamedTuple):
+#: The velocity of a node at rest.
+STILL = Vec2(0.0, 0.0)
+
+
+@dataclass(frozen=True, slots=True)
+class WaypointState:
     """One leg of random-waypoint motion: travel current -> target, then pause.
 
     ``pause_until`` marks the earliest time a new leg may start (arrival time
     plus the pause); ``math.inf`` parks the node after this leg, for good.
+    Two legs are equal when these five fields are.  The leg's geometry is
+    worked out once, when it is made, for `kinematics_at` to read.
     """
 
     current: Vec2
@@ -38,6 +46,34 @@ class WaypointState(NamedTuple):
     speed: float
     pause_until: float
     leg_start_time: float
+    #: Unit direction of travel; 0.0 on a leg that does not move.
+    ux: float = field(init=False, repr=False, compare=False)
+    uy: float = field(init=False, repr=False, compare=False)
+    #: Velocity while travelling.
+    vel: Vec2 = field(init=False, repr=False, compare=False)
+    #: Seconds from the leg's start to arrival; -inf on a leg that does not
+    #: move, so that every instant finds it at rest.
+    travel: float = field(init=False, repr=False, compare=False)
+    #: Kinematics once arrived: at the target, or where it stands if it
+    #: does not move; velocity zero.
+    rest: Kinematics = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        current, target, speed = self.current, self.target, self.speed
+        dx = target.x - current.x
+        dy = target.y - current.y
+        dist = math.hypot(dx, dy)
+        if speed <= 0.0 or dist == 0.0:
+            geometry = (0.0, 0.0, STILL, -math.inf, Kinematics(current, STILL))
+        else:
+            # Scale by 1 / dist, not divide by dist: positions, and so the
+            # trace bytes, depend on this rounding.
+            inv = 1.0 / dist
+            ux, uy = dx * inv, dy * inv
+            geometry = (ux, uy, Vec2(ux * speed, uy * speed), dist / speed,
+                        Kinematics(target, STILL))
+        for name, value in zip(("ux", "uy", "vel", "travel", "rest"), geometry):
+            object.__setattr__(self, name, value)  # frozen: set once, here
 
 
 def initial_waypoint(pos: Vec2, t0: float, pause: float) -> WaypointState:
@@ -60,23 +96,24 @@ def scripted_waypoint(pos: Vec2, target: Vec2 | None, speed: float) -> WaypointS
                          pause_until=math.inf, leg_start_time=0.0)
 
 
+#: Builds a NamedTuple from a tuple of its fields, without the keyword
+#: parsing of its constructor: kinematics_at runs for every node at every tick.
+_new = tuple.__new__
+
+
 def kinematics_at(state: WaypointState, t: float) -> Kinematics:
     """Position and velocity at time t >= leg_start_time.
 
     Position interpolates linearly along the leg and clamps at the target;
     velocity is the leg's constant vector, zero once arrived or while paused.
     """
-    delta = state.target - state.current
-    dist = delta.norm()
-    if state.speed <= 0.0 or dist == 0.0:
-        return Kinematics(pos=state.current, vel=Vec2(0.0, 0.0))
-    travel = dist / state.speed
     elapsed = t - state.leg_start_time
-    if elapsed >= travel:
-        return Kinematics(pos=state.target, vel=Vec2(0.0, 0.0))
-    direction = delta.scaled(1.0 / dist)
-    return Kinematics(pos=state.current + direction.scaled(state.speed * elapsed),
-                      vel=direction.scaled(state.speed))
+    if elapsed >= state.travel:
+        return state.rest
+    step = state.speed * elapsed
+    x, y = state.current
+    return _new(Kinematics, (_new(Vec2, (x + state.ux * step, y + state.uy * step)),
+                             state.vel))
 
 
 def advance_waypoint(state: WaypointState, rng: Random, t: float,

@@ -14,11 +14,12 @@ from manetsim.config import (MAX_NODES, AttackerParams, ConfigError, EnergyParam
                              Sophistication, load_config, validate_config)
 from manetsim.engine import DELIVER, METRIC_SAMPLE, Simulation, debit, run_scenario
 from manetsim.medium import in_range
-from manetsim.mobility import kinematics_at
+from manetsim.mobility import Kinematics, kinematics_at
 from manetsim.model import BROADCAST, PacketKind, Vec2
 from manetsim.saodv import VerifyOutcome, verify
 
 from .conftest import CONFIG_DIR, scan_broadcast
+from .test_mobility import kinematics_bits, reference_kinematics_at
 
 
 # -- energy accounting -----------------------------------------------------------
@@ -528,6 +529,40 @@ def test_engine_neighbour_search_matches_a_full_scan(seed):
 def test_engine_neighbour_search_is_checked_on_unicast_frames():
     calls = _search_against_a_full_scan(0)
     assert BROADCAST in calls and any(dst != BROADCAST for dst in calls)
+
+
+def test_every_tick_places_each_node_where_the_reference_does():
+    """Nodes move with no pause and die mid-leg; each tick's grid is checked.
+
+    A live node's kinematics must equal the reference's at the tick, bit for
+    bit; a dead node's must stay frozen where its battery ran out.
+    """
+    cfg = validate_config({
+        "nn": 30, "x": 60, "y": 60, "stop": 12, "seed": 3, "range_r": 12,
+        "speed_min": 1, "speed_max": 15, "pause": 0,
+        "energy.initial": 0.05, "flows": "0:29:8:100:0.5; 5:20:8:100:1"})
+    sim = Simulation(cfg)
+    real_update = sim._mobility_update
+    ticks, died_moving = [], set()
+
+    def mobility_update(t):
+        real_update(t)
+        ticks.append(t)
+        for nid, node in sim.nodes.items():
+            if node.energy > 0.0:
+                expected = reference_kinematics_at(node.waypoint, t)
+            else:
+                died = sim.report.depletion_times[nid]
+                at_death = reference_kinematics_at(node.waypoint, died)
+                if at_death.vel != Vec2(0.0, 0.0):
+                    died_moving.add(nid)
+                expected = Kinematics(pos=at_death.pos, vel=Vec2(0.0, 0.0))
+            assert kinematics_bits(sim.grid.kin[nid]) == kinematics_bits(expected)
+
+    sim._mobility_update = mobility_update
+    sim.run()
+    assert len(ticks) == 120  # the last, 11.999..., falls before stop
+    assert died_moving and len(sim.report.depletion_times) < cfg.nn  # some live to the end
 
 
 def test_a_depleted_source_fires_no_flow_timer_after_its_death():

@@ -1,11 +1,12 @@
 import math
 import random
 
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from manetsim.mobility import (WaypointState, advance_waypoint, initial_waypoint,
-                               kinematics_at, parked_waypoint, scripted_waypoint)
+from manetsim.mobility import (Kinematics, WaypointState, advance_waypoint,
+                               initial_waypoint, kinematics_at, parked_waypoint,
+                               scripted_waypoint)
 from manetsim.model import Vec2
 
 
@@ -96,3 +97,81 @@ def test_scripted_leg_moves_then_parks():
 def test_scripted_without_target_is_parked():
     state = scripted_waypoint(Vec2(1.0, 2.0), None, speed=0.0)
     assert kinematics_at(state, 55.0).pos == Vec2(1.0, 2.0)
+
+
+def reference_kinematics_at(state, t):
+    """Reference kinematics: the whole leg's geometry worked out at every call."""
+    delta = state.target - state.current
+    dist = delta.norm()
+    if state.speed <= 0.0 or dist == 0.0:
+        return Kinematics(pos=state.current, vel=Vec2(0.0, 0.0))
+    travel = dist / state.speed
+    elapsed = t - state.leg_start_time
+    if elapsed >= travel:
+        return Kinematics(pos=state.target, vel=Vec2(0.0, 0.0))
+    direction = delta.scaled(1.0 / dist)
+    return Kinematics(pos=state.current + direction.scaled(state.speed * elapsed),
+                      vel=direction.scaled(state.speed))
+
+
+def kinematics_bits(kin):
+    """The four floats as reprs, which tell -0.0 from 0.0 and every last bit."""
+    return tuple(repr(v) for v in (kin.pos.x, kin.pos.y, kin.vel.x, kin.vel.y))
+
+
+_coord = st.floats(-1e4, 1e4)
+# Zero, sub-metre and long displacements from a leg's start to its target.
+_offset = st.one_of(st.just(0.0), st.floats(-1.0, 1.0), st.floats(-2e3, 2e3))
+_speed = st.one_of(st.just(0.0), st.floats(-5.0, 50.0), st.floats(1e-9, 1e-3))
+_time = st.floats(0.0, 1e5)
+
+
+@st.composite
+def _legs(draw):
+    """Legs from each constructor: keyword, initial, parked, scripted and advanced."""
+    current = Vec2(draw(_coord), draw(_coord))
+    target = Vec2(current.x + draw(_offset), current.y + draw(_offset))
+    speed, start, pause = draw(_speed), draw(_time), draw(st.floats(0.0, 100.0))
+    maker = draw(st.sampled_from(["keyword", "initial", "parked", "scripted", "advance"]))
+    if maker == "keyword":
+        return WaypointState(current=current, target=target, speed=speed,
+                             pause_until=start + pause, leg_start_time=start)
+    if maker == "initial":
+        return initial_waypoint(current, start, pause)
+    if maker == "parked":
+        return parked_waypoint(current)
+    if maker == "scripted":
+        return scripted_waypoint(current, draw(st.sampled_from([None, target])), speed)
+    area = st.one_of(st.floats(0.0, 2.0), st.floats(0.0, 1e3))
+    speed_min = draw(st.floats(0.0, 20.0))
+    speed_max = draw(st.one_of(st.just(speed_min), st.floats(speed_min, 50.0)))
+    return advance_waypoint(initial_waypoint(current, 0.0, 0.0),
+                            random.Random(draw(st.integers(0, 2**32))), start,
+                            draw(area), draw(area), speed_min, speed_max, pause)
+
+
+@settings(max_examples=500)
+@given(leg=_legs(), where=st.sampled_from(["before", "arrival", "after"]),
+       fraction=st.floats(0.0, 1.0, exclude_max=True), late=_time)
+@example(leg=WaypointState(current=Vec2(0.1, 0.2), target=Vec2(0.1, 0.2), speed=3.0,
+                           pause_until=1.0, leg_start_time=0.0),
+         where="before", fraction=0.5, late=0.0)
+# speed * elapsed, then times the direction: (ux * speed) * elapsed differs here.
+@example(leg=WaypointState(current=Vec2(1.0, 2.0), target=Vec2(7.3, -4.1), speed=0.7,
+                           pause_until=math.inf, leg_start_time=4.1),
+         where="before", fraction=0.5, late=0.0)
+# Arrival is t - leg_start_time >= travel: t >= leg_start_time + travel differs here.
+@example(leg=WaypointState(current=Vec2(0.0, 0.0), target=Vec2(0.3, -0.4), speed=0.7,
+                           pause_until=math.inf, leg_start_time=12.3),
+         where="arrival", fraction=0.0, late=0.0)
+def test_kinematics_match_the_reference(leg, where, fraction, late):
+    dist = (leg.target - leg.current).norm()
+    travel = dist / leg.speed if leg.speed > 0.0 and dist > 0.0 else 0.0
+    t = leg.leg_start_time + {"before": fraction * travel, "arrival": travel,
+                              "after": travel + late}[where]
+    assert kinematics_bits(kinematics_at(leg, t)) == kinematics_bits(
+        reference_kinematics_at(leg, t))
+    twin = WaypointState(current=leg.current, target=leg.target, speed=leg.speed,
+                         pause_until=leg.pause_until, leg_start_time=leg.leg_start_time)
+    assert twin == leg and hash(twin) == hash(leg)
+    assert kinematics_bits(kinematics_at(twin, t)) == kinematics_bits(kinematics_at(leg, t))
