@@ -3,29 +3,40 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .config import MAX_TIMER_FIRINGS
-from .model import PacketKind, TraceEvent, TraceParseError, read_utf8, trace_line_parser
+from .model import PacketKind, TraceEvent, TraceParseError, trace_line_parser, utf8_lines
 
 
-def parse_trace_text(text: str) -> List[TraceEvent]:
-    """Parse a whole trace; any malformed line aborts with its line number.
+def _parse_lines(lines: Iterable[str]) -> List[TraceEvent]:
+    """Parse trace lines in order; the first malformed one aborts with its number.
 
-    Lines are split at ``str.splitlines`` boundaries; blank and
-    whitespace-only lines are skipped.
+    Blank and whitespace-only lines are skipped but counted.
     """
     parse = trace_line_parser()
     events = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
         if tokens:
             events.append(parse(tokens, lineno))
     return events
 
 
+def parse_trace_text(text: str) -> List[TraceEvent]:
+    """Parse a whole trace, split into lines at ``str.splitlines`` boundaries."""
+    return _parse_lines(text.splitlines())
+
+
 def read_trace(path: str) -> List[TraceEvent]:
-    return parse_trace_text(read_utf8(path, TraceParseError))
+    """Parse a trace file line by line, as ``parse_trace_text`` parses its text.
+
+    No copy of the file is held: only the records are kept.  The first
+    defect in file order is reported, a malformed line or a byte that is
+    not UTF-8, as ``TraceParseError``.
+    """
+    with open(path, "rb") as fh:
+        return _parse_lines(utf8_lines(fh, TraceParseError))
 
 
 def interval_series(events: Sequence[TraceEvent], interval: float,

@@ -382,7 +382,7 @@ class Simulation:
 
     def _mobility_update(self, t: float):
         cfg = self.cfg
-        place = self.grid.place
+        place, placed = self.grid.place, self.grid.kin
         for nid, node in self.nodes.items():
             if node.energy <= 0.0:
                 continue  # the grid holds where it died
@@ -392,7 +392,9 @@ class Simulation:
                                                             cfg.area_x, cfg.area_y,
                                                             cfg.speed_min, cfg.speed_max,
                                                             cfg.pause)
-            place(nid, kinematics_at(waypoint, t))
+            kin = kinematics_at(waypoint, t)
+            if kin is not placed[nid]:  # a node at rest gets back the kinematics it has
+                place(nid, kin)
         self._schedule(t + MOBILITY_STEP, MOBILITY_UPDATE, ())
 
     def _app_send(self, flow_idx: int, t: float):

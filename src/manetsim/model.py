@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 if TYPE_CHECKING:
     from .mobility import Kinematics
@@ -124,14 +124,38 @@ class TraceParseError(ValueError):
 
 
 def read_utf8(path: str, error: Callable[[int, str], Exception]) -> str:
-    """A file's text; a byte that is not UTF-8 raises ``error(lineno, message)``."""
+    """A file's lines as ``utf8_lines`` reads them, errors included, joined by ``\\n``."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise error(lineno, f"not UTF-8 ({exc.reason})") from None
+        return "\n".join(utf8_lines(fh, error))
+
+
+#: Bytes of whole lines ``utf8_lines`` reads and decodes at once, give or take a line.
+READ_BYTES = 16384
+
+
+def utf8_lines(fh: BinaryIO, error: Callable[[int, str], Exception]) -> Iterator[str]:
+    """The lines of a binary file, as ``str.splitlines`` gives them, read as they are used.
+
+    The file is read in runs of whole lines, about ``READ_BYTES`` at a time
+    and cut at ``\\n`` bytes only, and each run is decoded and split on its
+    own, so no copy of the whole file is made.  A byte that is not UTF-8
+    raises ``error(lineno, message)`` once the lines before its own are
+    given; ``lineno`` counts lines as ``str.splitlines`` does.
+    """
+    given = 0
+    while True:
+        run = b"".join(fh.readlines(READ_BYTES))
+        if not run:
+            return
+        try:
+            lines = run.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            # The bad byte's line is the last; a stand-in char keeps it when empty.
+            lines = (run[:exc.start].decode("utf-8") + "\ufffd").splitlines()
+            yield from lines[:-1]
+            raise error(given + len(lines), f"not UTF-8 ({exc.reason})") from None
+        given += len(lines)
+        yield from lines
 
 
 _EVENT_SYMBOLS = frozenset(("s", "r", "d", "f"))
@@ -170,10 +194,16 @@ class TraceEvent(NamedTuple):
                 f"{self.src_addr} {self.dst_addr} {self.seq_num} {self.pkt_id}")
 
 
+#: Most distinct tokens one memo of ``trace_line_parser`` holds at a time.
+MEMO_TOKENS = 1024
+
+
 class _Memo(dict):
     """``convert(token)`` of each distinct token, computed at its first lookup.
 
     A token that ``convert`` rejects raises its ``ValueError`` and is not stored.
+    It holds at most ``MEMO_TOKENS`` tokens and starts afresh when full, so a
+    trace of ever-new times and packet ids does not keep every token string.
     """
 
     def __init__(self, convert: Callable[[str], object]):
@@ -181,6 +211,8 @@ class _Memo(dict):
         self.convert = convert
 
     def __missing__(self, token: str):
+        if len(self) >= MEMO_TOKENS:
+            self.clear()
         value = self[token] = self.convert(token)
         return value
 
@@ -192,27 +224,33 @@ def _trace_time(token: str) -> float:
     return round(time, 6)
 
 
+def _pkt_type(token: str) -> str:
+    return PacketKind(token).value  # an unknown type raises ValueError
+
+
 def trace_line_parser() -> Callable[[List[str], int], TraceEvent]:
     """A parser of one trace line, given as its whitespace-split tokens and number.
 
-    Integer and time tokens repeat heavily within a trace, so the parser
-    converts each distinct token once and keeps the result for as long as it
-    lives: make one per read.  Integers are Python ``int`` literals and times
-    ``float`` literals that are finite and not negative, rounded to 6 decimals.
-    A malformed line raises ``TraceParseError``.
+    Tokens repeat heavily within a trace, so the parser memoises them: it
+    converts a repeated integer or time token once, and records with equal
+    packet type or flags tokens share one string.  Make one parser per read.
+    Integers are Python ``int`` literals and times ``float`` literals that
+    are finite and not negative, rounded to 6 decimals.  A malformed line
+    raises ``TraceParseError``.
     """
     ints, times = _Memo(int), _Memo(_trace_time)
+    pkt_types, flags_tokens = _Memo(_pkt_type), _Memo(str)
     new = tuple.__new__
 
     def parse(tokens: List[str], lineno: int) -> TraceEvent:
         try:
             (event, time, source, destination, pkt_type, pkt_size, flags, fid,
              src_addr, dst_addr, seq_num, pkt_id) = tokens
-            if event in _EVENT_SYMBOLS and pkt_type in _PKT_TYPE_TOKENS:
+            if event in _EVENT_SYMBOLS:
                 return new(TraceEvent, (event, times[time], ints[source], ints[destination],
-                                        pkt_type, ints[pkt_size], flags, ints[fid],
-                                        ints[src_addr], ints[dst_addr], ints[seq_num],
-                                        ints[pkt_id]))
+                                        pkt_types[pkt_type], ints[pkt_size],
+                                        flags_tokens[flags], ints[fid], ints[src_addr],
+                                        ints[dst_addr], ints[seq_num], ints[pkt_id]))
         except ValueError:
             pass
         raise _diagnose(tokens, lineno)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -159,6 +160,60 @@ def test_parser_matches_the_reference(lines, newline):
     for line in text.splitlines():
         if line.strip():
             assert _outcome(parse_trace_text, line) == _outcome(reference_parse_text, line)
+
+
+# Every boundary at which str.splitlines ends a line.
+_LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+              "\u2028", "\u2029"]
+
+
+@settings(max_examples=300)
+@given(lines=st.lists(st.tuples(st.one_of(_trace_line(), _blank_line),
+                                st.sampled_from(_LINE_ENDS)), max_size=8),
+       last_ended=st.booleans())
+@example(lines=[("s 0.100000 0 1 DATA 100 --- 1 0 1 0 0", "\r"), ("s 0.2 0 1", "\r")],
+         last_ended=True)
+@example(lines=[("s 0.1 0 1 DATA 100 --- 1 0 1 0 0", "\u2028"), ("", "\r"), ("", "\n"),
+                ("d 0.2 0 1 HELLO 16 --- 0 0 1 0 1", "\x85")], last_ended=False)
+def test_reading_a_file_equals_parsing_its_text(tmp_path_factory, lines, last_ended):
+    text = "".join(line + end for line, end in lines)
+    if lines and not last_ended:
+        text = text[:-len(lines[-1][1])]
+    path = tmp_path_factory.getbasetemp() / "read_equals_parse.tr"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(read_trace, str(path)) == _outcome(parse_trace_text, text)
+
+
+@pytest.mark.parametrize("content,error", [
+    (b"s 0.100000 0 1 DATA 100 --- 1 0 1 0\ns 0.2\xc3 0 1\n",
+     "line 1: expected 12 fields, got 11"),
+    (b"s 0.1 0 1\rs 0.2\xc3 0 1\n", "line 1: expected 12 fields, got 4"),
+    (b"\n\x0c\r\n\xc2\x85\xff", "line 5: not UTF-8 (invalid start byte)"),
+], ids=["malformed-line-1", "malformed-line-1-same-run", "blank-lines"])
+def test_the_first_defect_in_file_order_is_reported(tmp_path, content, error):
+    path = tmp_path / "trace.tr"
+    path.write_bytes(content)
+    with pytest.raises(TraceParseError) as exc:
+        read_trace(str(path))
+    assert str(exc.value) == error
+
+
+def test_reading_keeps_the_records_and_no_copy_of_the_file(tmp_path):
+    trace = run_scenario(load_config(str(CONFIG_DIR / "table1_saodv.cfg"))).trace
+    assert len(trace) >= 20_000
+    path = tmp_path / "trace.tr"
+    write_events(path, trace)
+    tracemalloc.start()
+    try:
+        events = read_trace(str(path))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert events == trace
+    assert peak - retained < path.stat().st_size / 4
+    for field in ("pkt_type", "flags"):
+        values = [getattr(e, field) for e in events]
+        assert len({id(v) for v in values}) == len(set(values))
 
 
 def test_empty_trace_yields_empty_series():

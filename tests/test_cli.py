@@ -217,6 +217,7 @@ def _cli(*args, python_flags=()):
      "line 3: victim_energy is not a number: 'n/a'"),
     (b"\xff\xfe", "line 1: not UTF-8 (invalid start byte)"),
     (b"t,victim_energy\n1.0,9.9\n\xff", "line 3: not UTF-8 (invalid start byte)"),
+    (b"t,victim_energy\r1.0,9.9\r\xff", "line 3: not UTF-8 (invalid start byte)"),
 ])
 def test_analyze_malformed_metrics_exits_4_without_traceback(tmp_path, content, error):
     trace = tmp_path / "trace.tr"
@@ -232,7 +233,9 @@ def test_analyze_malformed_metrics_exits_4_without_traceback(tmp_path, content, 
     (b"\xffs 0.100000 0 1 DATA 100 --- 1 0 1 0 0\n", "line 1: not UTF-8 (invalid start byte)"),
     (b"s 0.100000 0 1 DATA 100 --- 1 0 1 0 0\ns 0.2\xc3 0 1\n",
      "line 2: not UTF-8 (invalid continuation byte)"),
-], ids=["first-byte", "line-2"])
+    (b"s 0.100000 0 1 DATA 100 --- 1 0 1 0 0\rs 0.2\xc3 0 1\r",
+     "line 2: not UTF-8 (invalid continuation byte)"),
+], ids=["first-byte", "line-2", "cr-line-2"])
 def test_analyze_non_utf8_trace_exits_4_without_traceback(tmp_path, content, error):
     trace = tmp_path / "trace.tr"
     trace.write_bytes(content)
@@ -556,6 +559,9 @@ REJECTED_CONFIGS = [
      "retry_timeout: a timer every 1e-300 s"),
     # A byte that is not UTF-8 ended in a UnicodeDecodeError traceback.
     pytest.param("\udcff = 1", "line 2: not UTF-8 (invalid start byte)", id="non-utf8"),
+    # Lines are counted as the config parser counts them, at str.splitlines ends.
+    pytest.param("stop = 5\r\udcff = 1", "line 3: not UTF-8 (invalid start byte)",
+                 id="non-utf8-cr"),
 ]
 
 

@@ -565,6 +565,32 @@ def test_every_tick_places_each_node_where_the_reference_does():
     assert died_moving and len(sim.report.depletion_times) < cfg.nn  # some live to the end
 
 
+def test_a_tick_places_no_node_whose_kinematics_did_not_change(monkeypatch):
+    """A node at rest gets back the very kinematics the grid holds; it is not placed."""
+    cfg = validate_config({"nn": 20, "x": 60, "y": 60, "stop": 10, "seed": 5, "range_r": 12,
+                           "speed_min": 1, "speed_max": 15, "pause": 2,
+                           "flows": "0:19:8:100:0.5"})
+    sim = Simulation(cfg)
+    grid, real_place, real_kinematics_at = sim.grid, sim.grid.place, engine.kinematics_at
+    placed, at_rest = [], []
+
+    def place(nid, kin):
+        assert kin is not grid.kin[nid]
+        placed.append(nid)
+        real_place(nid, kin)
+
+    def kinematics_at(waypoint, t):
+        kin = real_kinematics_at(waypoint, t)
+        if kin is waypoint.rest:
+            at_rest.append(t)
+        return kin
+
+    grid.place = place
+    monkeypatch.setattr(engine, "kinematics_at", kinematics_at)
+    sim.run()
+    assert at_rest and placed  # nodes both rested and moved
+
+
 def test_a_depleted_source_fires_no_flow_timer_after_its_death():
     cfg = validate_config({"nn": 2, "x": 50, "y": 50, "stop": 20, "nodes": "10,10; 20,10",
                            "flows": "0:1:4:100:1", "energy.initial": 0.5,
