@@ -319,12 +319,14 @@ class Simulation:
             receivers = []  # sent on no channel its tags imply: nobody hears it
         else:
             receivers = broadcast(nid, tx.link_dst, self.grid, cfg.loss_prob, self.loss_rng)
-        if tx.link_dst != BROADCAST and not receivers:
-            self._lose(header)  # next hop unreachable: the packet is gone
-        arrival = t + tx_delay(header.size, cfg.bitrate) + cfg.prop_delay
-        frame = Tx(header, tx.link_dst, tx.body, tx.forward)
-        for receiver in receivers:
-            self._schedule(arrival, DELIVER, (receiver, frame))
+        if not receivers:
+            if tx.link_dst != BROADCAST:
+                self._lose(header)  # next hop unreachable: the packet is gone
+            return
+        # One event for all receivers: their receptions share one instant, and
+        # no other event may come between them.
+        self._schedule(t + tx_delay(header.size, cfg.bitrate) + cfg.prop_delay, DELIVER,
+                       (receivers, Tx(header, tx.link_dst, tx.body, tx.forward)))
 
     def _process(self, nid: int, actions, t: float):
         for action in actions:
@@ -338,38 +340,53 @@ class Simulation:
 
     # -- reception ----------------------------------------------------------------
 
-    def _deliver(self, receiver: int, frame: Tx, t: float):
-        node = self.nodes[receiver]
+    def _deliver(self, receivers: List[int], frame: Tx, t: float):
+        """Hand one frame to each of its receivers, in ascending id order.
+
+        What depends on the frame alone is worked out once: the RX costs, the
+        verification outcome and the fields of the ``r`` record.
+        """
+        # events= counts receptions; the main loop counted this frame once.
+        self.report.events_processed += len(receivers) - 1
+        cfg = self.cfg
         header = frame.header
-        rx_per_byte = self.cfg.energy.rx_per_byte
-        if not self._alive(node, t):  # idle drain may kill it at this very instant
-            self._lose(header)
-            return
-        header_cost = min(header.size, HEADER_RX_BYTES)
-        if self._debit(node, rx_per_byte * header_cost, t):
-            self._lose(header)
-            return
+        (uid, kind, size, src, dst, prev_hop, seq, fid, _, _, _, _, sender_kin) = header
+        header_cost = min(size, HEADER_RX_BYTES)
+        rx_per_byte = cfg.energy.rx_per_byte
+        header_rx = rx_per_byte * header_cost
+        body_rx = rx_per_byte * (size - header_cost)
+        rejected = None
         if self.verifies:
-            outcome = verify(header, self.cfg.num_channels, self.cfg.paper_range_check)
+            outcome = verify(header, cfg.num_channels, cfg.paper_range_check)
             if outcome is not VerifyOutcome.ACCEPT:
+                rejected = outcome.value
+        when, token = round(t, 6), kind._value_
+        for receiver in receivers:
+            node = self.nodes[receiver]
+            # Idle drain, then the header's RX cost, may kill it at this instant.
+            if not self._alive(node, t) or self._debit(node, header_rx, t):
+                self._lose(header)
+                continue
+            if rejected is not None:
                 # Rejected before the payload is read: header RX cost only.
-                self._drop(receiver, header, header.prev_hop, outcome.value, t)
-                return
-        if self._debit(node, rx_per_byte * (header.size - header_cost), t):
-            self._lose(header)
-            return
-        if header.sender_kin is not None and not admit_link(
-                header.sender_kin, self.grid.kin[receiver], self.cfg.range_r,
-                self.cfg.let_threshold, self.cfg.let_mode):
-            self._drop(receiver, header, header.prev_hop, LET_REJECT, t)
-            return
-        self._emit("r", t, receiver, header.prev_hop, header)
-        if header.kind is PacketKind.DATA and header.dst == receiver:
-            if header.src != self.attacker_id:
-                self.report.honest_data_delivered += 1
-            elif receiver == self.victim:
-                self.report.victim_malicious_accepts += 1
-        self._process(receiver, node.aodv.receive(header, frame.body, t), t)
+                self._drop(receiver, header, prev_hop, rejected, t)
+                continue
+            if self._debit(node, body_rx, t):
+                self._lose(header)
+                continue
+            if sender_kin is not None and not admit_link(
+                    sender_kin, self.grid.kin[receiver], cfg.range_r, cfg.let_threshold,
+                    cfg.let_mode):
+                self._drop(receiver, header, prev_hop, LET_REJECT, t)
+                continue
+            self.record(TraceEvent("r", when, receiver, prev_hop, token, size, "---", fid,
+                                   src, dst, seq, uid))
+            if kind is PacketKind.DATA and dst == receiver:
+                if src != self.attacker_id:
+                    self.report.honest_data_delivered += 1
+                elif receiver == self.victim:
+                    self.report.victim_malicious_accepts += 1
+            self._process(receiver, node.aodv.receive(header, frame.body, t), t)
 
     # -- timers ----------------------------------------------------------------
 
@@ -434,7 +451,7 @@ class Simulation:
         report = self.report
         buffered = sum(len(queue) for node in self.nodes.values()
                        for queue in node.aodv.pending.values())
-        in_flight = sum(1 for _, _, kind, payload in self.heap
+        in_flight = sum(len(payload[0]) for _, _, kind, payload in self.heap
                         if kind == DELIVER and self._is_honest_data(payload[1].header))
         if report.honest_data_originated != (report.honest_data_delivered
                                              + report.honest_data_lost + buffered + in_flight):
@@ -448,12 +465,15 @@ class Simulation:
                     MOBILITY_UPDATE: self._mobility_update, APP_SEND: self._app_send,
                     ATTACK_STEP: self._attack_step, RETRY_TIMER: self._retry_timer,
                     METRIC_SAMPLE: self._metric_sample}
+        heap, pop = self.heap, heapq.heappop
+        events = 0
         while True:
-            t, _, kind, payload = heapq.heappop(self.heap)
+            t, _, kind, payload = pop(heap)
             if kind == STOP:
                 break
-            self.report.events_processed += 1
+            events += 1
             handlers[kind](*payload, t)
+        self.report.events_processed += events
         for node in self.nodes.values():
             self._alive(node, self.cfg.stop)
         self.report.victim_final_energy = self.nodes[self.victim].energy

@@ -46,11 +46,11 @@ class CellGrid:
         self._members.setdefault(cell, []).append(nid)
 
     def near(self, nid: int) -> List[int]:
-        """Ids in the 3x3 cells around ``nid``'s cell, ``nid`` included, ascending."""
+        """Ids in the 3x3 cells around ``nid``'s cell, ``nid`` included, in no set order."""
         cx, cy = self._cell[nid]
         members = self._members
-        return sorted(m for x in (cx - 1, cx, cx + 1) for y in (cy - 1, cy, cy + 1)
-                      for m in members.get((x, y), ()))
+        return [m for x in (cx - 1, cx, cx + 1) for y in (cy - 1, cy, cy + 1)
+                for m in members.get((x, y), ())]
 
 
 def in_range(a: Vec2, b: Vec2, r: float) -> bool:
@@ -83,17 +83,18 @@ def broadcast(sender: int, link_dst: int, grid: CellGrid, loss_prob: float,
     kin = grid.kin
     sender_pos = kin[sender].pos
     range_r = grid.range_r
-    lossy = loss_prob > 0.0
-    if link_dst == BROADCAST or lossy:
-        candidates = grid.near(sender)
-    else:  # no loss draws to keep in step: only the addressee can hear it
-        candidates = (link_dst,) if link_dst in kin else ()
-    receivers = []
-    for nid in candidates:
-        if nid == sender or not in_range(sender_pos, kin[nid].pos, range_r):
-            continue
-        if lossy and rng.random() < loss_prob:
-            continue
-        if link_dst == BROADCAST or nid == link_dst:
-            receivers.append(nid)
-    return receivers
+    if link_dst != BROADCAST and loss_prob <= 0.0:
+        # No loss draws to keep in step: only the addressee can hear it.
+        if (link_dst != sender and link_dst in kin
+                and in_range(sender_pos, kin[link_dst].pos, range_r)):
+            return [link_dst]
+        return []
+    # Range first, so that only the hearers are sorted for the draws.
+    hearers = [nid for nid in grid.near(sender)
+               if nid != sender and in_range(sender_pos, kin[nid].pos, range_r)]
+    hearers.sort()
+    if loss_prob > 0.0:
+        hearers = [nid for nid in hearers if rng.random() >= loss_prob]
+    if link_dst == BROADCAST:
+        return hearers
+    return [link_dst] if link_dst in hearers else []

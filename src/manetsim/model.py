@@ -129,24 +129,33 @@ def read_utf8(path: str, error: Callable[[int, str], Exception]) -> str:
         return "\n".join(utf8_lines(fh, error))
 
 
-#: Bytes of whole lines ``utf8_lines`` reads and decodes at once, give or take a line.
+#: Bytes ``utf8_lines`` reads at once; it decodes them in runs of whole lines.
 READ_BYTES = 16384
 
 
 def utf8_lines(fh: BinaryIO, error: Callable[[int, str], Exception]) -> Iterator[str]:
     """The lines of a binary file, as ``str.splitlines`` gives them, read as they are used.
 
-    The file is read in runs of whole lines, about ``READ_BYTES`` at a time
-    and cut at ``\\n`` bytes only, and each run is decoded and split on its
-    own, so no copy of the whole file is made.  A byte that is not UTF-8
-    raises ``error(lineno, message)`` once the lines before its own are
+    The file is read ``READ_BYTES`` at a time and cut into runs of whole
+    lines, after a ``\\n`` or a ``\\r``, and each run is decoded and split on
+    its own, so no copy of the whole file is made.  A ``\\r`` that ends a read
+    is no cut: it may be the first half of a ``\\r\\n``.  A byte that is not
+    UTF-8 raises ``error(lineno, message)`` once the lines before its own are
     given; ``lineno`` counts lines as ``str.splitlines`` does.
     """
     given = 0
+    parts: List[bytes] = []  # read since the last cut
     while True:
-        run = b"".join(fh.readlines(READ_BYTES))
+        block = fh.read(READ_BYTES)
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
+        if block and not cut:
+            parts.append(block)
+            continue
+        parts.append(block[:cut])
+        run = b"".join(parts)
         if not run:
             return
+        parts = [block[cut:]]
         try:
             lines = run.decode("utf-8").splitlines()
         except UnicodeDecodeError as exc:

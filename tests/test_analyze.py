@@ -9,7 +9,8 @@ from manetsim.analyze import (MetricsParseError, interval_series, parse_metrics_
                               parse_trace_text, read_trace, victim_energy_series)
 from manetsim.config import MAX_TIMER_FIRINGS, load_config, validate_config
 from manetsim.engine import run_scenario
-from manetsim.model import PacketKind, TraceEvent, TraceParseError
+from manetsim import model
+from manetsim.model import READ_BYTES, PacketKind, TraceEvent, TraceParseError
 
 from .conftest import CONFIG_DIR, DATA_DIR, write_events
 
@@ -170,18 +171,27 @@ _LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85"
 @settings(max_examples=300)
 @given(lines=st.lists(st.tuples(st.one_of(_trace_line(), _blank_line),
                                 st.sampled_from(_LINE_ENDS)), max_size=8),
-       last_ended=st.booleans())
+       last_ended=st.booleans(), read_bytes=st.sampled_from([1, 2, 3, 5, 8, READ_BYTES]))
 @example(lines=[("s 0.100000 0 1 DATA 100 --- 1 0 1 0 0", "\r"), ("s 0.2 0 1", "\r")],
-         last_ended=True)
+         last_ended=True, read_bytes=READ_BYTES)
 @example(lines=[("s 0.1 0 1 DATA 100 --- 1 0 1 0 0", "\u2028"), ("", "\r"), ("", "\n"),
-                ("d 0.2 0 1 HELLO 16 --- 0 0 1 0 1", "\x85")], last_ended=False)
-def test_reading_a_file_equals_parsing_its_text(tmp_path_factory, lines, last_ended):
+                ("d 0.2 0 1 HELLO 16 --- 0 0 1 0 1", "\x85")], last_ended=False,
+         read_bytes=READ_BYTES)
+@example(lines=[("", "\r\n"), ("", "\r\n"), ("", "\r")], last_ended=True, read_bytes=1)
+def test_reading_a_file_equals_parsing_its_text(tmp_path_factory, lines, last_ended,
+                                                read_bytes):
+    # Small reads cut the runs at every kind of place, a \r\n pair included.
     text = "".join(line + end for line, end in lines)
     if lines and not last_ended:
         text = text[:-len(lines[-1][1])]
     path = tmp_path_factory.getbasetemp() / "read_equals_parse.tr"
     path.write_bytes(text.encode("utf-8"))
-    assert _outcome(read_trace, str(path)) == _outcome(parse_trace_text, text)
+    try:
+        model.READ_BYTES = read_bytes
+        outcome = _outcome(read_trace, str(path))
+    finally:
+        model.READ_BYTES = READ_BYTES
+    assert outcome == _outcome(parse_trace_text, text)
 
 
 @pytest.mark.parametrize("content,error", [
@@ -198,19 +208,38 @@ def test_the_first_defect_in_file_order_is_reported(tmp_path, content, error):
     assert str(exc.value) == error
 
 
-def test_reading_keeps_the_records_and_no_copy_of_the_file(tmp_path):
+@pytest.fixture(scope="module")
+def saodv_trace():
     trace = run_scenario(load_config(str(CONFIG_DIR / "table1_saodv.cfg"))).trace
     assert len(trace) >= 20_000
-    path = tmp_path / "trace.tr"
-    write_events(path, trace)
+    return trace
+
+
+def _read_measured(path):
+    """The records ``read_trace`` returns and the bytes it held beyond them at its peak."""
     tracemalloc.start()
     try:
         events = read_trace(str(path))
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert events == trace
-    assert peak - retained < path.stat().st_size / 4
+    return events, peak - retained
+
+
+def test_a_file_of_cr_line_ends_is_read_in_runs_too(tmp_path, saodv_trace):
+    path = tmp_path / "trace.tr"
+    path.write_bytes("".join(e.format_line() + "\r" for e in saodv_trace).encode("utf-8"))
+    events, transient = _read_measured(path)
+    assert events == saodv_trace
+    assert transient < path.stat().st_size / 4
+
+
+def test_reading_keeps_the_records_and_no_copy_of_the_file(tmp_path, saodv_trace):
+    path = tmp_path / "trace.tr"
+    write_events(path, saodv_trace)
+    events, transient = _read_measured(path)
+    assert events == saodv_trace
+    assert transient < path.stat().st_size / 4
     for field in ("pkt_type", "flags"):
         values = [getattr(e, field) for e in events]
         assert len({id(v) for v in values}) == len(set(values))

@@ -1,3 +1,4 @@
+import bisect
 import math
 from collections import Counter
 from dataclasses import replace
@@ -468,8 +469,61 @@ def test_no_delivery_is_queued_for_an_overheard_unicast(monkeypatch):
     sim._schedule = schedule
     sim.run()
     assert len(overheard) > 100
-    assert delivered
-    assert all(frame.link_dst in (BROADCAST, receiver) for receiver, frame in delivered)
+    unicast = [(receivers, frame) for receivers, frame in delivered
+               if frame.link_dst != BROADCAST]
+    assert unicast
+    assert all(receivers == [frame.link_dst] for receivers, frame in unicast)
+
+
+def _observed_run(cfg, split):
+    """(trace, metrics.csv, summary) of a run of ``cfg``.
+
+    With ``split`` each frame's DELIVER becomes one event per receiver, pushed
+    one after another, as the engine queued receptions before it queued
+    frames.
+    """
+    sim = Simulation(cfg)
+    if split:
+        batched = sim._schedule
+
+        def schedule(t, kind, payload):
+            if kind != DELIVER:
+                return batched(t, kind, payload)
+            receivers, frame = payload
+            for receiver in receivers:
+                batched(t, DELIVER, ([receiver], frame))
+
+        sim._schedule = schedule
+    result = sim.run()
+    return result.trace, result.metrics.to_csv_text(), result.report.summary_lines()
+
+
+def _sends_amid_receptions(trace):
+    """Whether a node sends between two receptions of one frame, at their instant."""
+    spans = {}
+    for i, e in enumerate(trace):
+        if e.event == "r":
+            spans.setdefault((e.pkt_id, e.destination, e.time), [i, i])[1] = i
+    sends = [i for i, e in enumerate(trace) if e.event in ("s", "f")]
+    return any(bisect.bisect_right(sends, first) < bisect.bisect_left(sends, last)
+               for first, last in spans.values())
+
+
+@pytest.mark.parametrize("name", [*(p.stem for p in sorted(CONFIG_DIR.glob("*.cfg"))),
+                                  *_LEDGER_VARIANTS, "zero_delay"])
+def test_one_event_per_frame_changes_no_byte(name):
+    if name in _LEDGER_VARIANTS:
+        cfg = validate_config(_LEDGER_VARIANTS[name])
+    elif name == "zero_delay":
+        # Every frame lands at its own instant, so do the frames its receivers send.
+        cfg = replace(load_config(str(CONFIG_DIR / "table1_aodv.cfg")), bitrate=1e300,
+                      prop_delay=0.0)
+    else:
+        cfg = load_config(str(CONFIG_DIR / f"{name}.cfg"))
+    batched = _observed_run(cfg, split=False)
+    assert batched == _observed_run(cfg, split=True)
+    if name == "zero_delay":
+        assert _sends_amid_receptions(batched[0])
 
 
 def _search_against_a_full_scan(seed):
