@@ -14,12 +14,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from manetsim.config import Protocol, load_config
 from manetsim.engine import run_scenario
+from manetsim.model import PacketKind
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-
-
-def _rerr_count(result):
-    return sum(1 for e in result.trace if e.pkt_type == "RERR" and e.event in ("s", "f"))
 
 
 def main():
@@ -41,7 +38,8 @@ def main():
     for name, result in (("baseline AODV", baseline), ("with admission filter", filtered)):
         report = result.report
         print(f"{name}: delivered {report.honest_data_delivered}/{report.honest_data_sent},"
-              f" lost {report.honest_data_lost}, RERR transmissions {_rerr_count(result)}")
+              f" lost {report.honest_data_lost},"
+              f" RERR transmissions {report.control_tx[PacketKind.RERR]}")
     print(f"wrote {args.out}")
 
 

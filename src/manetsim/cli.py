@@ -29,22 +29,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_TRACE = 4
 
-SEED_ENV_VAR = "MANETSIM_SEED"
-
-
-def _resolve_seed(cfg: ScenarioConfig, flag: Optional[int]) -> int:
-    """Flag wins over the environment variable, which wins over the config."""
-    if flag is not None:
-        return flag
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError([f"{SEED_ENV_VAR}: expected an integer, got {env!r}"]) from None
-    return cfg.rng_seed
-
-
 class TraceWriter:
     """A trace sink: writes each record as one line of the trace file, and counts them."""
 
@@ -91,7 +75,8 @@ def cmd_run(args) -> int:
         print(f"error: config file not found: {args.config}", file=sys.stderr)
         return EXIT_IO
     cfg = load_config(args.config)
-    cfg = replace(cfg, rng_seed=_resolve_seed(cfg, args.seed))
+    if args.seed is not None:
+        cfg = replace(cfg, rng_seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, "trace.tr")
     with write_trace(trace_path) as writer:  # streamed: no record is held in memory
@@ -154,7 +139,7 @@ def _run_share(cfg: ScenarioConfig, runs: List[Tuple[int, int]]) -> List[Tuple[i
     pairs = []
     for k, rep in runs:
         run_cfg = replace(cfg, num_channels=k, rng_seed=cfg.rng_seed * 1000 + rep)
-        report = run_scenario(run_cfg, lambda event: None).report  # keeps no record
+        report = run_scenario(run_cfg).report
         pairs.append((report.victim_malicious_accepts, report.victim_malicious_drops))
     return pairs
 

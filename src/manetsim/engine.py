@@ -121,12 +121,12 @@ class RunReport:
 
 @dataclass
 class RunResult:
-    #: Every trace record in order; empty when the run streamed them to a sink.
-    trace: List[TraceEvent]
     metrics: Metrics
     report: RunReport
-    nodes: Dict[int, AodvNode]
-    config: ScenarioConfig
+
+
+def _keep_nothing(event: TraceEvent) -> None:
+    """The default trace sink: it drops every record."""
 
 
 class _Node:
@@ -145,12 +145,11 @@ class _Node:
 class Simulation:
     """One scenario run; build it from a validated config and call run().
 
-    Each trace record goes to ``record`` as it is made.  Without a sink the
-    records are kept, in order, in ``RunResult.trace``; with one, none is held.
+    Each trace record goes to ``record`` as it is made; the run holds none.
     """
 
     def __init__(self, cfg: ScenarioConfig,
-                 record: Optional[Callable[[TraceEvent], object]] = None):
+                 record: Callable[[TraceEvent], object] = _keep_nothing):
         check_config(cfg)
         self.cfg = cfg
         # Read once: each is an Enum property that tests tuple membership.
@@ -163,8 +162,7 @@ class Simulation:
         self._alloc_uid = itertools.count().__next__
         self.heap: List[Tuple[float, int, str, tuple]] = []
         self.event_seq = 0
-        self.trace: List[TraceEvent] = []
-        self.record = self.trace.append if record is None else record
+        self.record = record
         self.metrics = Metrics()
         self.report = RunReport(protocol=cfg.protocol.value, seed=cfg.rng_seed,
                                 victim=self.victim)
@@ -478,12 +476,10 @@ class Simulation:
             self._alive(node, self.cfg.stop)
         self.report.victim_final_energy = self.nodes[self.victim].energy
         self._check_conservation()
-        return RunResult(trace=self.trace, metrics=self.metrics, report=self.report,
-                         nodes={nid: node.aodv for nid, node in self.nodes.items()},
-                         config=self.cfg)
+        return RunResult(metrics=self.metrics, report=self.report)
 
 
 def run_scenario(cfg: ScenarioConfig,
-                 record: Optional[Callable[[TraceEvent], object]] = None) -> RunResult:
+                 record: Callable[[TraceEvent], object] = _keep_nothing) -> RunResult:
     """Run one validated scenario to completion; ``record`` is its trace sink."""
     return Simulation(cfg, record).run()

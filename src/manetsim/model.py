@@ -48,14 +48,8 @@ class Vec2(NamedTuple):
     x: float
     y: float
 
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
-
     def __sub__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x - other.x, self.y - other.y)
-
-    def scaled(self, s: float) -> "Vec2":
-        return Vec2(self.x * s, self.y * s)
 
     def norm(self) -> float:
         return math.hypot(self.x, self.y)

@@ -7,6 +7,7 @@ from hypothesis import settings
 
 from manetsim.cli import write_trace
 from manetsim.config import validate_config
+from manetsim.engine import run_scenario
 from manetsim.medium import in_range
 from manetsim.mobility import Kinematics
 from manetsim.model import BROADCAST, Vec2
@@ -23,6 +24,13 @@ def write_events(path, events):
     with write_trace(str(path)) as record:
         for event in events:
             record(event)
+
+
+def run_traced(cfg):
+    """Run ``cfg`` to its end; returns its trace records, in order, and its RunResult."""
+    records = []
+    result = run_scenario(cfg, records.append)
+    return records, result
 
 
 def kin(px, py, vx=0.0, vy=0.0):

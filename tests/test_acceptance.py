@@ -11,13 +11,13 @@ from dataclasses import replace
 from manetsim.analyze import interval_series, parse_trace_text
 from manetsim.cli import sweep_accept_fractions
 from manetsim.config import Protocol, load_config, validate_config
-from manetsim.engine import run_scenario
+from manetsim.engine import Simulation, run_scenario
 from manetsim.mobility import LetMode, link_expiration_time
 from manetsim.model import CommonHeader, PacketKind
 from manetsim.saodv import VerifyOutcome, select_channel, verify
 
 from .conftest import (CONFIG_DIR, DATA_DIR, bfs_hops, kin,
-                       random_connected_topology, static_topology_config,
+                       random_connected_topology, run_traced, static_topology_config,
                        stepping_let)
 
 
@@ -129,18 +129,19 @@ def test_c3_one_over_k_attenuation():
 # -- criterion 4: drops at the victim appear only under verification ------------------
 
 
-def _victim_attacker_data(result, victim, attacker):
-    return [e for e in result.trace
+def _victim_attacker_data(trace, victim, attacker):
+    return [e for e in trace
             if e.source == victim and e.src_addr == attacker
             and e.pkt_type == "DATA" and e.event in ("r", "d")]
 
 
 def test_c4_drop_direction_at_the_victim():
-    aodv = run_scenario(load_config(str(CONFIG_DIR / "table1_aodv.cfg")))
-    saodv = run_scenario(load_config(str(CONFIG_DIR / "table1_saodv.cfg")))
-    attacker = aodv.config.nn  # one attacker, appended after the honest nodes
-    at_victim_aodv = _victim_attacker_data(aodv, 0, attacker)
-    at_victim_saodv = _victim_attacker_data(saodv, 0, attacker)
+    aodv_cfg = load_config(str(CONFIG_DIR / "table1_aodv.cfg"))
+    aodv_trace, _ = run_traced(aodv_cfg)
+    saodv_trace, _ = run_traced(load_config(str(CONFIG_DIR / "table1_saodv.cfg")))
+    attacker = aodv_cfg.nn  # one attacker, appended after the honest nodes
+    at_victim_aodv = _victim_attacker_data(aodv_trace, 0, attacker)
+    at_victim_saodv = _victim_attacker_data(saodv_trace, 0, attacker)
     assert at_victim_aodv and at_victim_saodv, "the flood must reach the victim"
     aodv_drops = [e for e in at_victim_aodv if e.event == "d"]
     assert aodv_drops == [], "baseline must accept every flood packet"
@@ -183,24 +184,23 @@ def test_c5_victim_energy_direction():
 def test_c6_mlet_direction_and_zero_threshold_equivalence():
     mlet_cfg = load_config(str(CONFIG_DIR / "fig11_mlet.cfg"))
     baseline_cfg = replace(mlet_cfg, protocol=Protocol.AODV, let_threshold=0.0)
-    mlet = run_scenario(mlet_cfg)
-    baseline = run_scenario(baseline_cfg)
+    mlet, _ = run_traced(mlet_cfg)
+    baseline, _ = run_traced(baseline_cfg)
 
-    def rerr_tx(result):
-        return sum(1 for e in result.trace
+    def rerr_tx(trace):
+        return sum(1 for e in trace
                    if e.pkt_type == "RERR" and e.event in ("s", "f"))
 
-    def data_drops(result):
-        return sum(1 for e in result.trace
+    def data_drops(trace):
+        return sum(1 for e in trace
                    if e.pkt_type == "DATA" and e.event == "d")
 
     assert rerr_tx(baseline) > rerr_tx(mlet), "expected strictly fewer RERR events"
     assert data_drops(baseline) > data_drops(mlet), "expected strictly fewer DATA drops"
 
     neutral = replace(mlet_cfg, let_threshold=0.0, mlet_annex_bytes=0)
-    neutral_trace = run_scenario(neutral).trace
-    baseline_trace = run_scenario(baseline_cfg).trace
-    assert neutral_trace == baseline_trace, \
+    neutral_trace, _ = run_traced(neutral)
+    assert neutral_trace == baseline, \
         "threshold 0 with a zero-size annex must reproduce the baseline byte for byte"
     _passed(f"criterion 6: RERR {rerr_tx(baseline)}->{rerr_tx(mlet)}, DATA drops "
             f"{data_drops(baseline)}->{data_drops(mlet)}, threshold-0 trace identical")
@@ -210,13 +210,13 @@ def test_c6_mlet_direction_and_zero_threshold_equivalence():
 
 
 def _assert_loop_free(nodes, t):
-    for origin, aodv in nodes.items():
-        for dest, entry in aodv.routes.items():
+    for origin, node in nodes.items():
+        for dest, entry in node.aodv.routes.items():
             if not entry.valid:
                 continue
             current, seen = origin, {origin}
             while current != dest:
-                hop = nodes[current].routes.get(dest)
+                hop = nodes[current].aodv.routes.get(dest)
                 if hop is None or not hop.valid:
                     break
                 current = hop.next_hop
@@ -231,13 +231,14 @@ def test_c7_min_hop_and_loop_freedom():
         cfg = static_topology_config(points, r=25.0, area=60.0,
                                      flow=f"0:{n - 1}:5:50:0.2", stop=3.0,
                                      seed=trial + 1)
-        result = run_scenario(cfg)
-        route = result.nodes[0].routes.get(n - 1)
+        sim = Simulation(cfg)
+        sim.run()
+        route = sim.nodes[0].aodv.routes.get(n - 1)
         assert route is not None and route.valid, f"trial {trial}: no route discovered"
         expected = bfs_hops(points, 25.0, 0)[n - 1]
         assert route.hop_count == expected, \
             f"trial {trial}: hop_count {route.hop_count} != BFS {expected}"
-        _assert_loop_free(result.nodes, cfg.stop)
+        _assert_loop_free(sim.nodes, cfg.stop)
     _passed("criterion 7: 50 random topologies, hop counts equal BFS, tables loop-free")
 
 
@@ -247,8 +248,8 @@ def test_c7_min_hop_and_loop_freedom():
 def test_c8_determinism_and_format():
     cfg = load_config(str(DATA_DIR / "golden_3node.cfg"))
     golden = (DATA_DIR / "golden_3node.tr").read_text()
-    first = run_scenario(cfg).trace
-    second = run_scenario(cfg).trace
+    first, _ = run_traced(cfg)
+    second, _ = run_traced(cfg)
     assert first == second, "same seed must reproduce the trace byte for byte"
     text = "".join(e.format_line() + "\n" for e in first)
     assert text == golden, "trace deviates from the frozen golden file"

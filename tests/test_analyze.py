@@ -12,7 +12,7 @@ from manetsim.engine import run_scenario
 from manetsim import model
 from manetsim.model import READ_BYTES, PacketKind, TraceEvent, TraceParseError
 
-from .conftest import CONFIG_DIR, DATA_DIR, write_events
+from .conftest import CONFIG_DIR, DATA_DIR, run_traced, write_events
 
 
 def test_golden_trace_parses_line_by_line():
@@ -23,16 +23,16 @@ def test_golden_trace_parses_line_by_line():
 
 def test_simulator_output_round_trips_through_parser(tmp_path):
     cfg = validate_config({"stop": 5, "seed": 13})
-    result = run_scenario(cfg)
-    write_events(tmp_path / "trace.tr", result.trace)
-    assert read_trace(str(tmp_path / "trace.tr")) == result.trace
+    trace, _ = run_traced(cfg)
+    write_events(tmp_path / "trace.tr", trace)
+    assert read_trace(str(tmp_path / "trace.tr")) == trace
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
 def test_series_of_the_run_equals_series_of_its_written_trace(path, tmp_path):
     # Record times are quantized where they are made, so windows agree exactly.
     cfg = load_config(str(path))
-    trace = run_scenario(cfg).trace
+    trace, _ = run_traced(cfg)
     write_events(tmp_path / "trace.tr", trace)
     written = read_trace(str(tmp_path / "trace.tr"))
     victim = cfg.attacker.target
@@ -210,7 +210,7 @@ def test_the_first_defect_in_file_order_is_reported(tmp_path, content, error):
 
 @pytest.fixture(scope="module")
 def saodv_trace():
-    trace = run_scenario(load_config(str(CONFIG_DIR / "table1_saodv.cfg"))).trace
+    trace, _ = run_traced(load_config(str(CONFIG_DIR / "table1_saodv.cfg")))
     assert len(trace) >= 20_000
     return trace
 

@@ -5,11 +5,11 @@ import random
 from manetsim.aodv import (BUFFER_OVERFLOW, NO_ROUTE, RETRY_EXHAUSTED, RREQ_SWEEP_MIN,
                            AodvNode, Drop, StartRetry, Tx)
 from manetsim.config import ScenarioConfig, validate_config
-from manetsim.engine import run_scenario
+from manetsim.engine import Simulation
 from manetsim.model import (BROADCAST, CommonHeader, PacketKind, RerrBody, RouteEntry,
                             RrepBody, RreqBody)
 
-from .conftest import bfs_hops, random_connected_topology, static_topology_config
+from .conftest import bfs_hops, random_connected_topology, run_traced, static_topology_config
 
 
 def make_node(nid=1, **over):
@@ -327,11 +327,13 @@ def test_chain_discovery_delivers_within_one_second():
     cfg = static_topology_config(
         points=[(10, 10), (20, 10), (30, 10)], r=15.0, area=50.0,
         flow="0:2:5:100:0.5", stop=2.0, seed=1)
-    result = run_scenario(cfg)
-    deliveries = [e for e in result.trace
+    trace = []
+    sim = Simulation(cfg, trace.append)
+    sim.run()
+    deliveries = [e for e in trace
                   if e.event == "r" and e.pkt_type == "DATA" and e.source == 2]
     assert deliveries and deliveries[0].time <= 1.5  # originate at 0.5 + bound 1 s
-    assert result.nodes[0].routes[2].hop_count == 2
+    assert sim.nodes[0].aodv.routes[2].hop_count == 2
 
 
 def test_break_triggers_rerr_then_rediscovery():
@@ -342,9 +344,9 @@ def test_break_triggers_rerr_then_rediscovery():
         "range_r": 15, "nodes": "10,10; 20,10,20,48,5; 30,10",
         "flows": "0:2:5:100:0.3",
     })
-    result = run_scenario(cfg)
-    rerr_times = [e.time for e in result.trace if e.pkt_type == "RERR" and e.event == "s"]
-    rreq_times = [e.time for e in result.trace if e.pkt_type == "RREQ" and e.event == "s"]
+    trace, _ = run_traced(cfg)
+    rerr_times = [e.time for e in trace if e.pkt_type == "RERR" and e.event == "s"]
+    rreq_times = [e.time for e in trace if e.pkt_type == "RREQ" and e.event == "s"]
     assert rerr_times, "expected a break-detection RERR"
     first_rerr = min(rerr_times)
     assert any(t > first_rerr for t in rreq_times), "expected re-discovery after the break"
@@ -355,9 +357,9 @@ def test_no_duplicate_rreq_rebroadcast_per_node():
     n, points = random_connected_topology(rng)
     cfg = static_topology_config(points, r=25.0, area=60.0,
                                  flow=f"0:{n - 1}:5:50:0.2", stop=2.0, seed=2)
-    result = run_scenario(cfg)
+    trace, _ = run_traced(cfg)
     per_node_flood = {}
-    for e in result.trace:
+    for e in trace:
         if e.pkt_type == "RREQ" and e.event in ("s", "f"):
             key = (e.source, e.pkt_id)
             per_node_flood[key] = per_node_flood.get(key, 0) + 1
@@ -371,8 +373,9 @@ def test_min_hop_routes_on_random_connected_graphs():
         cfg = static_topology_config(points, r=25.0, area=60.0,
                                      flow=f"0:{n - 1}:5:50:0.2", stop=3.0,
                                      seed=trial + 1)
-        result = run_scenario(cfg)
+        sim = Simulation(cfg)
+        sim.run()
         hops = bfs_hops(points, 25.0, 0)
-        route = result.nodes[0].routes.get(n - 1)
+        route = sim.nodes[0].aodv.routes.get(n - 1)
         assert route is not None and route.valid
         assert route.hop_count == hops[n - 1]

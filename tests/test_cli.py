@@ -3,17 +3,16 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from manetsim import engine
-from manetsim.analyze import read_trace
-from manetsim.cli import SEED_ENV_VAR, main, sweep_accept_fractions
+from manetsim.cli import build_parser, main, sweep_accept_fractions
 from manetsim.config import ConfigError, load_config, parse_config_text, validate_config
-from manetsim.engine import run_scenario
 
-from .conftest import CONFIG_DIR, DATA_DIR, write_events
+from .conftest import CONFIG_DIR, DATA_DIR, run_traced, write_events
 
 GOLDEN_CFG = str(DATA_DIR / "golden_3node.cfg")
 
@@ -52,10 +51,9 @@ def test_run_twice_is_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")) + [DATA_DIR / "golden_3node.cfg"],
                          ids=lambda p: p.stem)
-def test_streamed_trace_equals_the_written_list(path, tmp_path, monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+def test_streamed_trace_equals_the_written_list(path, tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "cli")]) == 0
-    write_events(tmp_path / "list.tr", run_scenario(load_config(str(path))).trace)
+    write_events(tmp_path / "list.tr", run_traced(load_config(str(path)))[0])
     assert (tmp_path / "cli" / "trace.tr").read_bytes() == (tmp_path / "list.tr").read_bytes()
 
 
@@ -143,31 +141,27 @@ def test_run_invalid_config_lists_all_violations(tmp_path, capsys):
 
 
 def test_seed_flag_overrides_config(tmp_path):
-    code, out = _run(tmp_path, "--seed", "42")
-    assert code == 0
-    baseline = (out / "trace.tr").read_bytes()
-    code, out2 = _run(tmp_path / "again", "--seed", "42")
-    assert (out2 / "trace.tr").read_bytes() == baseline
+    # table1_aodv places its nodes at random, so its bytes depend on the seed.
+    config = str(CONFIG_DIR / "table1_aodv.cfg")
+    for name, extra in (("plain", []), ("flag", ["--seed", "42"])):
+        assert main(["run", "--config", config, "--out", str(tmp_path / name), *extra]) == 0
+    write_events(tmp_path / "seed42.tr", run_traced(replace(load_config(config), rng_seed=42))[0])
+    flagged = (tmp_path / "flag" / "trace.tr").read_bytes()
+    assert flagged == (tmp_path / "seed42.tr").read_bytes()
+    assert flagged != (tmp_path / "plain" / "trace.tr").read_bytes()
 
 
-def test_env_var_overrides_config_but_not_flag(tmp_path, monkeypatch):
-    cfg = load_config(GOLDEN_CFG)
-    from dataclasses import replace
-    env_trace = run_scenario(replace(cfg, rng_seed=777)).trace
-    flag_trace = run_scenario(replace(cfg, rng_seed=42)).trace
-
-    monkeypatch.setenv("MANETSIM_SEED", "777")
-    _, out = _run(tmp_path / "env")
-    assert read_trace(str(out / "trace.tr")) == env_trace
-
-    _, out = _run(tmp_path / "flag", "--seed", "42")
-    assert read_trace(str(out / "trace.tr")) == flag_trace
-
-
-def test_bad_env_seed_is_a_usage_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("MANETSIM_SEED", "not-a-number")
-    code, _ = _run(tmp_path)
-    assert code == 2
+def test_an_ambient_seed_variable_changes_no_byte(tmp_path, monkeypatch):
+    # Only --seed overrides the config seed, in run as in sweep: a seed variable
+    # named after the program is ignored.  table1_aodv places its nodes at
+    # random, so another seed would change its bytes.
+    config = str(CONFIG_DIR / "table1_aodv.cfg")
+    assert main(["run", "--config", config, "--out", str(tmp_path / "plain")]) == 0
+    monkeypatch.setenv(build_parser().prog.upper() + "_SEED", "12345")
+    assert main(["run", "--config", config, "--out", str(tmp_path / "ambient")]) == 0
+    for name in ("trace.tr", "metrics.csv"):
+        assert (tmp_path / "ambient" / name).read_bytes() == \
+            (tmp_path / "plain" / name).read_bytes()
 
 
 def test_analyze_closes_the_loop_on_run_output(tmp_path, capsys):
@@ -375,10 +369,10 @@ def test_a_failing_worker_fails_the_sweep_and_is_reaped(monkeypatch, capfd):
     cfg = validate_config(parse_config_text(QUICK_SWEEP_CFG))
     parent, real = os.getpid(), engine.run_scenario
 
-    def fail_in_a_worker(run_cfg, record=None):
+    def fail_in_a_worker(*args):
         if os.getpid() != parent:
             raise ValueError("a run failed in a worker")
-        return real(run_cfg, record)
+        return real(*args)
 
     # Patched before the fork, so every worker inherits it.
     monkeypatch.setattr(engine, "run_scenario", fail_in_a_worker)
@@ -424,6 +418,33 @@ def test_channel_sweep_script_reports_a_bad_k_without_traceback():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "config error: k: must be >= 1, got 0\n"
+
+
+#: Script -> (its CSV under out/, the summary lines it prints before "wrote").
+SCRIPT_OUTPUTS = {
+    "attack_energy": ("attack_energy", [
+        "AODV: victim final energy 0.000 J, depleted at t=18.13s, "
+        "flood accepted 811 / dropped 0",
+        "SAODV: victim final energy 7.344 J, flood accepted 0 / dropped 3998",
+    ]),
+    "mlet": ("mlet_loss", [
+        "baseline AODV: delivered 216/236, lost 20, RERR transmissions 3",
+        "with admission filter: delivered 236/236, lost 0, RERR transmissions 0",
+    ]),
+}
+
+
+@pytest.mark.parametrize("script", SCRIPT_OUTPUTS)
+def test_experiment_script_rewrites_its_csv_and_summary(script, tmp_path):
+    repo = Path(__file__).parents[1]
+    csv, summary = SCRIPT_OUTPUTS[script]
+    out = tmp_path / f"{csv}.csv"
+    # -S: the scripts run on the standard library alone.
+    proc = subprocess.run([sys.executable, "-S", str(repo / "scripts" / f"{script}_experiment.py"),
+                           "--out", str(out)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [*summary, f"wrote {out}"]
+    assert out.read_bytes() == (repo / "out" / f"{csv}.csv").read_bytes()
 
 
 def test_sweep_insider_attacker_is_always_accepted(tmp_path, capsys):

@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 from manetsim import engine
 from manetsim.analyze import parse_metrics_csv
 from manetsim.config import (MAX_NODES, AttackerParams, ConfigError, EnergyParams,
-                             Sophistication, load_config, validate_config)
+                             Protocol, Sophistication, load_config, validate_config)
 from manetsim.engine import DELIVER, METRIC_SAMPLE, Simulation, debit, run_scenario
 from manetsim.medium import in_range
 from manetsim.mobility import Kinematics, kinematics_at
 from manetsim.model import BROADCAST, PacketKind, Vec2
 from manetsim.saodv import VerifyOutcome, verify
 
-from .conftest import CONFIG_DIR, scan_broadcast
+from .conftest import CONFIG_DIR, run_traced, scan_broadcast
 from .test_mobility import kinematics_bits, reference_kinematics_at
 
 
@@ -58,54 +58,55 @@ def test_infinite_battery_never_depletes():
 
 def test_quiescent_single_node_traces_only_hello_sends():
     cfg = validate_config({"nn": 1, "stop": 5, "flows": "none"})
-    result = run_scenario(cfg)
-    assert result.trace, "hello beacons expected"
-    assert all(e.event == "s" and e.pkt_type == "HELLO" for e in result.trace)
+    trace, result = run_traced(cfg)
+    assert trace, "hello beacons expected"
+    assert all(e.event == "s" and e.pkt_type == "HELLO" for e in trace)
     assert result.report.drops_by_reason == Counter()
 
 
 def test_same_seed_runs_are_byte_identical():
     cfg = validate_config({"stop": 8, "seed": 21})
-    a = run_scenario(cfg).trace
-    b = run_scenario(cfg).trace
+    a, _ = run_traced(cfg)
+    b, _ = run_traced(cfg)
     assert a == b
 
 
 def test_a_sink_receives_the_records_the_list_keeps():
+    # What a run counts does not depend on whether anything keeps its records.
     cfg = load_config(str(CONFIG_DIR / "table1_saodv.cfg"))
-    kept = run_scenario(cfg)
-    sink = []
-    streamed = Simulation(cfg, record=sink.append).run()
-    assert streamed.trace == []
-    assert sink == kept.trace
-    assert streamed.report == kept.report
+    records, kept = run_traced(cfg)
+    dropped = run_scenario(cfg)
+    assert records
+    assert dropped.report == kept.report
+    assert dropped.metrics.rows == kept.metrics.rows
 
 
 def test_changing_seed_changes_the_trace():
     cfg = validate_config({"stop": 8, "seed": 21})
-    a = run_scenario(cfg).trace
-    c = run_scenario(replace(cfg, rng_seed=22)).trace
+    a, _ = run_traced(cfg)
+    c, _ = run_traced(replace(cfg, rng_seed=22))
     assert a != c
 
 
 def test_lossy_runs_stay_deterministic():
     cfg = validate_config({"stop": 6, "seed": 4, "loss_prob": 0.3})
-    a = run_scenario(cfg).trace
-    b = run_scenario(cfg).trace
+    a, _ = run_traced(cfg)
+    b, _ = run_traced(cfg)
     assert a == b
-    lossless = run_scenario(replace(cfg, loss_prob=0.0)).trace
+    lossless, _ = run_traced(replace(cfg, loss_prob=0.0))
     assert a != lossless
 
 
 def test_trace_times_are_non_decreasing():
     cfg = validate_config({"stop": 8, "seed": 3})
-    times = [e.time for e in run_scenario(cfg).trace]
+    trace, _ = run_traced(cfg)
+    times = [e.time for e in trace]
     assert all(a <= b for a, b in zip(times, times[1:]))
 
 
 def test_created_uids_are_distinct():
     cfg = validate_config({"stop": 8, "seed": 3})
-    trace = run_scenario(cfg).trace
+    trace, _ = run_traced(cfg)
     created = [e.pkt_id for e in trace if e.event == "s"]
     assert len(created) == len(set(created))
 
@@ -114,7 +115,7 @@ def test_data_conservation_per_packet():
     # For every DATA uid: transmissions >= receptions, and nothing is
     # received that was never sent.
     cfg = validate_config({"stop": 10, "seed": 6})
-    trace = run_scenario(cfg).trace
+    trace, _ = run_traced(cfg)
     sent, received = Counter(), Counter()
     for e in trace:
         if e.pkt_type != "DATA":
@@ -144,7 +145,7 @@ def test_attacker_emits_no_attack_traffic_before_start_time():
     # The attacker beacons like any node from t=0, but its discovery and
     # flood traffic only begin at the configured start time.
     cfg = _attack_config()
-    trace = run_scenario(cfg).trace
+    trace, _ = run_traced(cfg)
     attack_events = [e for e in trace
                      if e.src_addr == 2 and e.event in ("s", "f")
                      and e.pkt_type != "HELLO"]
@@ -154,7 +155,7 @@ def test_attacker_emits_no_attack_traffic_before_start_time():
 
 def test_attacker_discovers_before_flooding():
     cfg = _attack_config()
-    trace = run_scenario(cfg).trace
+    trace, _ = run_traced(cfg)
     rreq = [e for e in trace if e.src_addr == 2 and e.pkt_type == "RREQ" and e.event == "s"]
     data = [e for e in trace if e.src_addr == 2 and e.pkt_type == "DATA" and e.event == "s"]
     assert rreq and data
@@ -250,10 +251,10 @@ def test_victim_protection_holds_for_random_guessing_attacker():
 
 def test_dead_node_is_silent_afterwards():
     cfg = _attack_config(rp="AODV")
-    result = run_scenario(cfg)
+    trace, result = run_traced(cfg)
     died_at = result.report.depletion_times.get(0)
     assert died_at is not None and died_at < 50.0
-    for e in result.trace:
+    for e in trace:
         if e.source == 0 and e.event in ("s", "f"):
             assert e.time <= died_at
 
@@ -287,10 +288,10 @@ def test_depleted_sender_drops_remaining_transmissions():
         "flows": "0:1:1:10000:0.5; 0:1:1:10000:0.5; 0:1:1:10000:0.5",
         "energy.initial": 1.0,  # each 10 kB transmission costs 0.6 J
     })
-    result = run_scenario(cfg)
+    trace, result = run_traced(cfg)
     assert result.report.drops_by_reason.get("DEAD_SENDER", 0) >= 1
     died_at = result.report.depletion_times[0]
-    for e in result.trace:
+    for e in trace:
         if e.source == 0 and e.event in ("s", "f"):
             assert e.time <= died_at
 
@@ -311,7 +312,7 @@ def test_kinematics_annex_enlarges_only_configured_kinds():
         "range_r": 15, "nodes": "10,10; 20,10; 30,10", "flows": "0:2:5:100:0.5",
         "mlet_applies_to": "RREQ", "mlet_annex_bytes": 24,
     })
-    trace = run_scenario(cfg).trace
+    trace, _ = run_traced(cfg)
     sizes = {kind: {e.pkt_size for e in trace if e.pkt_type == kind}
              for kind in ("RREQ", "RREP", "DATA")}
     assert sizes["RREQ"] == {24 + 24}
@@ -328,12 +329,18 @@ def test_report_summary_mentions_key_counters():
     assert "DROP_MISMATCH" in text
 
 
-def test_control_overhead_counter_counts_routing_packets():
-    cfg = validate_config({"stop": 6, "seed": 9})
-    result = run_scenario(cfg)
-    from_trace = sum(1 for e in result.trace
-                     if e.pkt_type in ("RREQ", "RREP", "RERR") and e.event in ("s", "f"))
-    assert sum(result.report.control_tx.values()) == from_trace
+@pytest.mark.parametrize("name", [*(p.stem for p in sorted(CONFIG_DIR.glob("*.cfg"))),
+                                  "fig11_mlet+aodv"])
+def test_control_overhead_counter_counts_routing_packets(name):
+    if name == "fig11_mlet+aodv":  # the baseline scripts/mlet_experiment.py runs
+        cfg = replace(load_config(str(CONFIG_DIR / "fig11_mlet.cfg")),
+                      protocol=Protocol.AODV, let_threshold=0.0)
+    else:
+        cfg = load_config(str(CONFIG_DIR / f"{name}.cfg"))
+    trace, result = run_traced(cfg)
+    sent = Counter(e.pkt_type for e in trace if e.event in ("s", "f"))
+    for kind in (PacketKind.RREQ, PacketKind.RREP, PacketKind.RERR):
+        assert result.report.control_tx[kind] == sent[kind.value]
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
@@ -378,7 +385,7 @@ def test_metric_samples_are_queued_one_ahead():
 def test_frames_arrive_after_serialization_and_propagation_delay():
     cfg = validate_config({"nn": 2, "x": 50, "y": 50, "stop": 6, "prop_delay": 0.5,
                            "nodes": "10,10; 20,10", "flows": "0:1:2:100:1"})
-    trace = run_scenario(cfg).trace
+    trace, _ = run_traced(cfg)
     sent = {(e.pkt_id, e.source): e for e in trace if e.event in ("s", "f")}
     received = [e for e in trace if e.event == "r"]
     assert {e.pkt_type for e in received} >= {"HELLO", "RREQ", "RREP", "DATA"}
@@ -392,9 +399,10 @@ def test_stop_alone_ends_a_run_with_frames_still_in_flight():
     # after stop = 6: it stays queued, and nothing is traced past the stop.
     cfg = validate_config({"nn": 2, "x": 50, "y": 50, "stop": 6, "prop_delay": 0.5,
                            "nodes": "10,10; 20,10", "flows": "0:1:2:100:1"})
-    sim = Simulation(cfg)
+    trace = []
+    sim = Simulation(cfg, trace.append)
     result = sim.run()
-    assert max(e.time for e in result.trace) <= cfg.stop
+    assert max(e.time for e in trace) <= cfg.stop
     assert any(kind == DELIVER and t > cfg.stop for t, _, kind, _ in sim.heap)
     assert result.report.summary_lines()[0] == "protocol=AODV seed=1 events=111"
 
@@ -482,7 +490,8 @@ def _observed_run(cfg, split):
     one after another, as the engine queued receptions before it queued
     frames.
     """
-    sim = Simulation(cfg)
+    trace = []
+    sim = Simulation(cfg, trace.append)
     if split:
         batched = sim._schedule
 
@@ -495,7 +504,7 @@ def _observed_run(cfg, split):
 
         sim._schedule = schedule
     result = sim.run()
-    return result.trace, result.metrics.to_csv_text(), result.report.summary_lines()
+    return trace, result.metrics.to_csv_text(), result.report.summary_lines()
 
 
 def _sends_amid_receptions(trace):
@@ -670,10 +679,10 @@ def test_receiver_killed_by_idle_drain_at_arrival_loses_the_frame():
         "nodes": "5,5; 15,5; 25,5", "flows": "0:2:3:100:1.1", "hello_interval": 5,
         "metrics_interval": 10, "energy.initial": 3, "energy.idle_per_sec": 0.25,
         "energy.tx_per_byte": 0.0002, "energy.rx_per_byte": 0.0002})
-    result = run_scenario(cfg)
+    trace, result = run_traced(cfg)
     report = result.report
     assert report.depletion_times[1] == pytest.approx(8.436533, abs=1e-6)
-    assert [(e.event, e.source) for e in result.trace if e.pkt_id == 27] == [("s", 0)]
+    assert [(e.event, e.source) for e in trace if e.pkt_id == 27] == [("s", 0)]
     assert not report.drops_by_reason  # no DEAD_SENDER drop of a forward from node 1
     assert report.honest_data_lost == 5
     assert report.honest_data_sent == report.honest_data_delivered + report.honest_data_lost

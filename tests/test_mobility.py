@@ -109,9 +109,10 @@ def reference_kinematics_at(state, t):
     elapsed = t - state.leg_start_time
     if elapsed >= travel:
         return Kinematics(pos=state.target, vel=Vec2(0.0, 0.0))
-    direction = delta.scaled(1.0 / dist)
-    return Kinematics(pos=state.current + direction.scaled(state.speed * elapsed),
-                      vel=direction.scaled(state.speed))
+    ux, uy = delta.x * (1.0 / dist), delta.y * (1.0 / dist)
+    step = state.speed * elapsed
+    return Kinematics(pos=Vec2(state.current.x + ux * step, state.current.y + uy * step),
+                      vel=Vec2(ux * state.speed, uy * state.speed))
 
 
 def kinematics_bits(kin):

@@ -7,9 +7,7 @@ from manetsim.model import TraceEvent, TraceParseError, Vec2
 
 
 def test_vec2_arithmetic():
-    assert Vec2(1.0, 2.0) + Vec2(3.0, 4.0) == Vec2(4.0, 6.0)
     assert (Vec2(3.0, 4.0) - Vec2(0.0, 0.0)).norm() == 5.0
-    assert Vec2(1.0, -2.0).scaled(2.0) == Vec2(2.0, -4.0)
 
 
 def test_trace_line_format_matches_field_order():
