@@ -13,7 +13,7 @@ from dataclasses import replace
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from manetsim.config import Protocol, load_config
-from manetsim.engine import run_scenario
+from manetsim.engine import Simulation
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
@@ -25,19 +25,18 @@ def main():
     args = parser.parse_args()
 
     cfg = load_config(args.config)
-    saodv = run_scenario(replace(cfg, protocol=Protocol.SAODV))
-    aodv = run_scenario(replace(cfg, protocol=Protocol.AODV))
+    saodv = Simulation(replace(cfg, protocol=Protocol.SAODV)).run()
+    aodv = Simulation(replace(cfg, protocol=Protocol.AODV)).run()
 
     os.makedirs(os.path.dirname(args.out), exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("t,aodv_energy,saodv_energy,aodv_accepts,saodv_accepts,saodv_drops\n")
-        for row_a, row_s in zip(aodv.metrics.rows, saodv.metrics.rows):
+        for row_a, row_s in zip(aodv.samples, saodv.samples):
             t = row_a[0]
             fh.write(f"{t:.6f},{row_a[3]:.9f},{row_s[3]:.9f},"
                      f"{row_a[2]},{row_s[2]},{row_s[1]}\n")
 
-    for name, result in (("AODV", aodv), ("SAODV", saodv)):
-        report = result.report
+    for name, report in (("AODV", aodv), ("SAODV", saodv)):
         died = report.depletion_times.get(report.victim)
         print(f"{name}: victim final energy {report.victim_final_energy:.3f} J"
               + (f", depleted at t={died:.2f}s" if died is not None else "")

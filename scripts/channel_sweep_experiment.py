@@ -37,9 +37,8 @@ def main():
         cfg = load_config(args.config)
         # Uniform guesser with a battery large enough to survive accepted floods.
         cfg = replace(cfg, protocol=Protocol.SAODV,
-                      attacker=replace(cfg.attacker,
-                                       sophistication=Sophistication.NAIVE_RANDOM),
-                      energy=replace(cfg.energy, initial=1000.0))
+                      attacker_sophistication=Sophistication.NAIVE_RANDOM,
+                      energy_initial=1000.0)
         rows = sweep_accept_fractions(cfg, k_values, args.reps, default_jobs())
     except ConfigError as exc:
         for violation in exc.violations:

@@ -13,7 +13,7 @@ from dataclasses import replace
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from manetsim.config import Protocol, load_config
-from manetsim.engine import run_scenario
+from manetsim.engine import Simulation
 from manetsim.model import PacketKind
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -26,17 +26,16 @@ def main():
     args = parser.parse_args()
 
     cfg = load_config(args.config)
-    filtered = run_scenario(cfg)
-    baseline = run_scenario(replace(cfg, protocol=Protocol.AODV, let_threshold=0.0))
+    filtered = Simulation(cfg).run()
+    baseline = Simulation(replace(cfg, protocol=Protocol.AODV)).run()
 
     os.makedirs(os.path.dirname(args.out), exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("t,baseline_cum_loss,filtered_cum_loss\n")
-        for row_b, row_f in zip(baseline.metrics.rows, filtered.metrics.rows):
+        for row_b, row_f in zip(baseline.samples, filtered.samples):
             fh.write(f"{row_b[0]:.6f},{row_b[4]},{row_f[4]}\n")
 
-    for name, result in (("baseline AODV", baseline), ("with admission filter", filtered)):
-        report = result.report
+    for name, report in (("baseline AODV", baseline), ("with admission filter", filtered)):
         print(f"{name}: delivered {report.honest_data_delivered}/{report.honest_data_sent},"
               f" lost {report.honest_data_lost},"
               f" RERR transmissions {report.control_tx[PacketKind.RERR]}")

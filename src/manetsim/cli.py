@@ -22,7 +22,7 @@ from .mobility import Kinematics, LetMode, link_expiration_time
 from .model import TraceEvent, TraceParseError, Vec2, read_utf8
 
 if TYPE_CHECKING:
-    from .engine import Metrics
+    from .engine import RunReport
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -62,14 +62,14 @@ def write_trace(path: str) -> Iterator[TraceWriter]:
         raise
 
 
-def write_metrics(path: str, metrics: Metrics):
+def write_metrics(path: str, report: RunReport):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(metrics.to_csv_text())
+        fh.write(report.metrics_csv())
 
 
 def cmd_run(args) -> int:
     # The simulator loads only on the paths that run it, never for analyze or let.
-    from .engine import run_scenario
+    from .engine import Simulation
 
     if not os.path.isfile(args.config):
         print(f"error: config file not found: {args.config}", file=sys.stderr)
@@ -80,12 +80,12 @@ def cmd_run(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, "trace.tr")
     with write_trace(trace_path) as writer:  # streamed: no record is held in memory
-        result = run_scenario(cfg, writer)
-    write_metrics(os.path.join(args.out, "metrics.csv"), result.metrics)
-    for line in result.report.summary_lines():
+        report = Simulation(cfg, writer).run()
+    write_metrics(os.path.join(args.out, "metrics.csv"), report)
+    for line in report.summary_lines():
         print(line)
     print(f"wrote {trace_path} ({writer.lines} events) and metrics.csv "
-          f"({len(result.metrics.rows)} samples)")
+          f"({len(report.samples)} samples)")
     return EXIT_OK
 
 
@@ -134,12 +134,12 @@ def default_jobs() -> int:
 
 def _run_share(cfg: ScenarioConfig, runs: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     """(victim malicious accepts, drops) of each (k, rep) run, in order."""
-    from .engine import run_scenario
+    from .engine import Simulation
 
     pairs = []
     for k, rep in runs:
         run_cfg = replace(cfg, num_channels=k, rng_seed=cfg.rng_seed * 1000 + rep)
-        report = run_scenario(run_cfg).report
+        report = Simulation(run_cfg).run()
         pairs.append((report.victim_malicious_accepts, report.victim_malicious_drops))
     return pairs
 
@@ -256,8 +256,8 @@ def cmd_sweep(args) -> int:
         print(f"error: --k expects a comma-separated integer list, got {args.k!r}",
               file=sys.stderr)
         return EXIT_USAGE
-    if not k_values or any(not 1 <= k <= MAX_COUNT for k in k_values):
-        print(f"error: every k must be in 1..{MAX_COUNT}", file=sys.stderr)
+    if not k_values:  # sweep_accept_fractions checks each k's bounds
+        print("error: --k names no channel count", file=sys.stderr)
         return EXIT_USAGE
     if not 1 <= args.reps <= MAX_COUNT:
         print(f"error: --reps must be in 1..{MAX_COUNT}", file=sys.stderr)
@@ -268,9 +268,9 @@ def cmd_sweep(args) -> int:
     if not os.path.isfile(args.config):
         print(f"error: config file not found: {args.config}", file=sys.stderr)
         return EXIT_IO
-    cfg = load_config(args.config)
+    rows = sweep_accept_fractions(load_config(args.config), k_values, args.reps, args.jobs)
     print("k,mean_accept_fraction,stddev")
-    for k, mean, dev in sweep_accept_fractions(cfg, k_values, args.reps, args.jobs):
+    for k, mean, dev in rows:
         print(f"{k},{mean:.6f},{dev:.6f}")
     return EXIT_OK
 

@@ -1,6 +1,7 @@
 """Scenario configuration: flat ``key = value`` files, validation, serialization.
 
-Each key is declared once, by the `_key` default of a dataclass field below.
+Each key is declared once, by the `_key` default of a dataclass field below;
+a dotted key ``group.name`` is the field ``group_name``.
 `SCHEMA` is derived from those fields and drives known-key checks, parsing,
 defaults and `serialize_config`; `flows`, `nodes` and the checks that span
 several keys are the only hand-written parts.
@@ -130,28 +131,6 @@ def _key(default, *bounds, key: Optional[str] = None, finite: bool = True, parse
 
 
 @dataclass(frozen=True)
-class EnergyParams:
-    initial: float = _key(10.0, ">", 0.0, finite=False)
-    tx_per_byte: float = _key(60e-6, ">=", 0.0)
-    rx_per_byte: float = _key(30e-6, ">=", 0.0)
-    idle_per_sec: float = _key(1e-3, ">=", 0.0)
-
-
-@dataclass(frozen=True)
-class AttackerParams:
-    enabled: bool = _key(False)
-    #: Attackers default to an unlimited battery; a flood at full rate would
-    #: otherwise drain the attacker before the victim.
-    energy: float = _key(math.inf, ">", 0.0, finite=False)
-    target: int = _key(0, ">=", 0, "<", MAX_NODES)
-    start: float = _key(10.0, ">=", 0.0)
-    rate: float = _key(200.0, ">", 0.0)
-    payload: int = _key(100, ">=", 1, "<=", MAX_PACKET_BYTES)
-    sophistication: Sophistication = _key(Sophistication.NAIVE_RANDOM)
-    pos: Optional[Vec2] = _key(None, parse=_vec2)
-
-
-@dataclass(frozen=True)
 class FlowSpec:
     """A constant-bit-rate application flow src -> dst."""
 
@@ -205,24 +184,28 @@ class ScenarioConfig:
     rreq_cache_ttl: float = _key(10.0, ">", 0.0)
     intermediate_rrep: bool = _key(False)
     metrics_interval: float = _key(1.0, ">", 0.0)
-    energy: EnergyParams = EnergyParams()
-    attacker: AttackerParams = AttackerParams()
+    energy_initial: float = _key(10.0, ">", 0.0, key="energy.initial", finite=False)
+    energy_tx_per_byte: float = _key(60e-6, ">=", 0.0, key="energy.tx_per_byte")
+    energy_rx_per_byte: float = _key(30e-6, ">=", 0.0, key="energy.rx_per_byte")
+    energy_idle_per_sec: float = _key(1e-3, ">=", 0.0, key="energy.idle_per_sec")
+    attacker_enabled: bool = _key(False, key="attacker.enabled")
+    #: Attackers default to an unlimited battery; a flood at full rate would
+    #: otherwise drain the attacker before the victim.
+    attacker_energy: float = _key(math.inf, ">", 0.0, key="attacker.energy", finite=False)
+    attacker_target: int = _key(0, ">=", 0, "<", MAX_NODES, key="attacker.target")
+    attacker_start: float = _key(10.0, ">=", 0.0, key="attacker.start")
+    attacker_rate: float = _key(200.0, ">", 0.0, key="attacker.rate")
+    attacker_payload: int = _key(100, ">=", 1, "<=", MAX_PACKET_BYTES, key="attacker.payload")
+    attacker_sophistication: Sophistication = _key(Sophistication.NAIVE_RANDOM,
+                                                   key="attacker.sophistication")
+    attacker_pos: Optional[Vec2] = _key(None, key="attacker.pos", parse=_vec2)
     flows: Tuple[FlowSpec, ...] = ()
     node_scripts: Optional[Tuple[NodeScript, ...]] = None
 
 
-def _schema(cls, group=""):
-    for f in fields(cls):
-        if isinstance(f.default, (EnergyParams, AttackerParams)):
-            yield from _schema(type(f.default), f.name)
-        elif f.metadata:
-            key = f.metadata["key"] or f.name
-            yield (f"{group}.{key}" if group else key, group, f.name,
-                   f.metadata["parse"], f.default)
-
-
-#: (key, group, attribute, parser, default) per key; group is "", "energy" or "attacker".
-SCHEMA = tuple(_schema(ScenarioConfig))
+#: (key, attribute, parser, default) per key, in field order.
+SCHEMA = tuple((f.metadata["key"] or f.name, f.name, f.metadata["parse"], f.default)
+               for f in fields(ScenarioConfig) if f.metadata)
 KNOWN_KEYS = frozenset(entry[0] for entry in SCHEMA) | {"flows", "nodes"}
 
 
@@ -348,16 +331,15 @@ def validate_config(raw: Mapping[str, object]) -> ScenarioConfig:
     def fail(key: str, message: str):
         violations.append(f"{key}: {message}")
 
-    # group -> attribute -> value; a rejected value keeps its default for later checks
-    groups: Dict[str, Dict[str, object]] = {"": {}, "energy": {}, "attacker": {}}
-    for key, group, attr, parse, default in SCHEMA:
-        groups[group][attr] = default
+    # attribute -> value; a rejected value keeps its default for later checks
+    v: Dict[str, object] = {}
+    for key, attr, parse, default in SCHEMA:
+        v[attr] = default
         if key in data:
             try:
-                groups[group][attr] = parse(data[key])
+                v[attr] = parse(data[key])
             except ValueError as exc:
                 violations.extend(f"{key}: {message}" for message in exc.args)
-    v, atk = groups[""], groups["attacker"]
     if "let_threshold" not in data and v["protocol"].uses_let:
         v["let_threshold"] = 5.0  # the admission filter is on by default under *_MLET
 
@@ -365,16 +347,16 @@ def validate_config(raw: Mapping[str, object]) -> ScenarioConfig:
         fail("range_r", f"must leave x / range_r and y / range_r finite, got {v['range_r']}")
     if v["speed_max"] < v["speed_min"]:
         fail("speed_max", f"must be >= speed_min ({v['speed_min']}), got {v['speed_max']}")
-    if atk["target"] >= v["nn"]:  # the victim's energy is sampled, attack or not
+    if v["attacker_target"] >= v["nn"]:  # the victim's energy is sampled, attack or not
         fail("attacker.target", f"must name an honest node (< {v['nn']})")
-    if atk["pos"] is not None and not _inside(atk["pos"].x, atk["pos"].y,
-                                               v["area_x"], v["area_y"]):
+    pos = v["attacker_pos"]
+    if pos is not None and not _inside(pos.x, pos.y, v["area_x"], v["area_y"]):
         fail("attacker.pos", f"outside the {v['area_x']}x{v['area_y']} area")
     timers = [("stop", MOBILITY_STEP), ("hello_interval", v["hello_interval"]),
               ("metrics_interval", v["metrics_interval"]),
               ("retry_timeout", v["retry_timeout"])]
-    if atk["enabled"]:
-        timers.append(("attacker.rate", 1.0 / atk["rate"]))
+    if v["attacker_enabled"]:
+        timers.append(("attacker.rate", 1.0 / v["attacker_rate"]))
     for key, period in timers:
         if problem := _timer_problem(period, v["stop"]):
             fail(key, problem)
@@ -382,8 +364,7 @@ def validate_config(raw: Mapping[str, object]) -> ScenarioConfig:
     nodes = _parse_nodes(data.get("nodes"), v["nn"], v["area_x"], v["area_y"], fail)
     if violations:
         raise ConfigError(violations)
-    return ScenarioConfig(**v, energy=EnergyParams(**groups["energy"]),
-                          attacker=AttackerParams(**atk), flows=flows, node_scripts=nodes)
+    return ScenarioConfig(**v, flows=flows, node_scripts=nodes)
 
 
 def _format(value) -> str:
@@ -400,10 +381,7 @@ def _format(value) -> str:
 
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Emit every field as a ``key = value`` line; re-validating reproduces cfg."""
-    lines = []
-    for key, group, attr, _, _ in SCHEMA:
-        owner = getattr(cfg, group) if group else cfg
-        lines.append(f"{key} = {_format(getattr(owner, attr))}")
+    lines = [f"{key} = {_format(getattr(cfg, attr))}" for key, attr, _, _ in SCHEMA]
     flows = ";".join(f"{f.src}:{f.dst}:{f.rate!r}:{f.size}:{f.start!r}" for f in cfg.flows)
     lines.append(f"flows = {flows or 'none'}")
     nodes = "none" if cfg.node_scripts is None else "; ".join(

@@ -54,29 +54,6 @@ def debit(remaining: float, cost: float) -> float:
 METRICS_HEADER = "t,malicious_drops,malicious_accepts,victim_energy,cum_loss,ctrl_overhead,delivered"
 
 
-class Metrics:
-    """Per-interval time series, sampled from the run's `RunReport`."""
-
-    def __init__(self):
-        self.rows: List[Tuple[float, int, int, float, int, int, int]] = []
-        #: The victim's malicious drops and accepts at the last sample.
-        self.last_drops = 0
-        self.last_accepts = 0
-
-    def sample(self, t: float, victim_energy: float, report: RunReport):
-        drops, accepts = report.victim_malicious_drops, report.victim_malicious_accepts
-        self.rows.append((t, drops - self.last_drops, accepts - self.last_accepts,
-                          victim_energy, report.honest_data_lost,
-                          sum(report.control_tx.values()), report.honest_data_delivered))
-        self.last_drops, self.last_accepts = drops, accepts
-
-    def to_csv_text(self) -> str:
-        lines = [METRICS_HEADER]
-        for t, drops, accepts, energy, loss, ctrl, delivered in self.rows:
-            lines.append(f"{t:.6f},{drops},{accepts},{energy:.9f},{loss},{ctrl},{delivered}")
-        return "\n".join(lines) + "\n"
-
-
 @dataclass
 class RunReport:
     protocol: str
@@ -94,6 +71,14 @@ class RunReport:
     control_tx: Counter = field(default_factory=Counter)
     drops_by_reason: Counter = field(default_factory=Counter)
     depletion_times: Dict[int, float] = field(default_factory=dict)
+    #: One ``metrics.csv`` row per ``metrics_interval``, in METRICS_HEADER's order.
+    samples: List[Tuple[float, int, int, float, int, int, int]] = field(default_factory=list)
+
+    def metrics_csv(self) -> str:
+        lines = [METRICS_HEADER]
+        for t, drops, accepts, energy, loss, ctrl, delivered in self.samples:
+            lines.append(f"{t:.6f},{drops},{accepts},{energy:.9f},{loss},{ctrl},{delivered}")
+        return "\n".join(lines) + "\n"
 
     def summary_lines(self) -> List[str]:
         lines = [
@@ -119,12 +104,6 @@ class RunReport:
         return lines
 
 
-@dataclass
-class RunResult:
-    metrics: Metrics
-    report: RunReport
-
-
 def _keep_nothing(event: TraceEvent) -> None:
     """The default trace sink: it drops every record."""
 
@@ -143,7 +122,7 @@ class _Node:
 
 
 class Simulation:
-    """One scenario run; build it from a validated config and call run().
+    """One scenario run; build it from a validated config, and run() returns its RunReport.
 
     Each trace record goes to ``record`` as it is made; the run holds none.
     """
@@ -155,24 +134,25 @@ class Simulation:
         # Read once: each is an Enum property that tests tuple membership.
         self.verifies = cfg.protocol.verifies
         self.uses_let = cfg.protocol.uses_let
-        self.attacker_id: Optional[int] = cfg.nn if cfg.attacker.enabled else None
-        self.victim = cfg.attacker.target
+        self.attacker_id: Optional[int] = cfg.nn if cfg.attacker_enabled else None
+        self.victim = cfg.attacker_target
         self.loss_rng = Random(f"{cfg.rng_seed}/loss")
         self.attacker_rng = Random(f"{cfg.rng_seed}/attacker")
         self._alloc_uid = itertools.count().__next__
         self.heap: List[Tuple[float, int, str, tuple]] = []
         self.event_seq = 0
         self.record = record
-        self.metrics = Metrics()
         self.report = RunReport(protocol=cfg.protocol.value, seed=cfg.rng_seed,
                                 victim=self.victim)
+        #: The victim's malicious drops and accepts at the last sample.
+        self.sampled_drops = self.sampled_accepts = 0
         self.nodes: Dict[int, _Node] = {}
-        total = cfg.nn + (1 if cfg.attacker.enabled else 0)
+        total = cfg.nn + (1 if cfg.attacker_enabled else 0)
         for nid in range(total):
             mob_rng = Random(f"{cfg.rng_seed}/mobility/{nid}")
             tag_rng = Random(f"{cfg.rng_seed}/tags/{nid}")
             waypoint = self._initial_waypoint(nid, mob_rng)
-            energy = cfg.attacker.energy if nid == self.attacker_id else cfg.energy.initial
+            energy = cfg.attacker_energy if nid == self.attacker_id else cfg.energy_initial
             self.nodes[nid] = _Node(nid=nid, aodv=AodvNode(nid, cfg, self._alloc_uid),
                                     waypoint=waypoint, energy=energy,
                                     mob_rng=mob_rng, tag_rng=tag_rng)
@@ -186,8 +166,8 @@ class Simulation:
     def _initial_waypoint(self, nid: int, mob_rng: Random):
         cfg = self.cfg
         if nid == self.attacker_id:
-            if cfg.attacker.pos is not None:
-                return parked_waypoint(cfg.attacker.pos)
+            if cfg.attacker_pos is not None:
+                return parked_waypoint(cfg.attacker_pos)
         elif cfg.node_scripts is not None:
             script = cfg.node_scripts[nid]
             return scripted_waypoint(script.pos, script.target, script.speed)
@@ -202,8 +182,8 @@ class Simulation:
             self._schedule(cfg.hello_interval, HELLO_TIMER, (nid,))
         for i, flow in enumerate(cfg.flows):
             self._schedule(flow.start, APP_SEND, (i,))
-        if cfg.attacker.enabled:
-            self._schedule(cfg.attacker.start, ATTACK_STEP, ())
+        if cfg.attacker_enabled:
+            self._schedule(cfg.attacker_start, ATTACK_STEP, ())
         # Sample j+1 is pushed when sample j runs, under the one sequence number
         # reserved here: it sorts after set-up and before run-time events alike.
         self.sample_seq = self.event_seq
@@ -239,7 +219,7 @@ class Simulation:
         elapsed = t - node.last_sync
         if elapsed > 0.0:
             node.last_sync = t
-            self._debit(node, self.cfg.energy.idle_per_sec * elapsed, t)
+            self._debit(node, self.cfg.energy_idle_per_sec * elapsed, t)
         return node.energy > 0.0
 
     # -- trace / accounting ------------------------------------------------------
@@ -272,7 +252,7 @@ class Simulation:
     # -- transmission -----------------------------------------------------------
 
     def _attacker_tags(self) -> Tuple[float, float, int]:
-        mode = self.cfg.attacker.sophistication
+        mode = self.cfg.attacker_sophistication
         k = self.cfg.num_channels
         if mode is Sophistication.NAIVE_FIXED:
             # Constant tags implying channel 1, announced on channel 2.
@@ -306,7 +286,7 @@ class Simulation:
                               channel, hop_count, sender_kin)
         if self.uses_let and kind in cfg.mlet_applies_to:
             header = annotate(header, self.grid.kin[nid], cfg.mlet_annex_bytes)
-        self._debit(node, cfg.energy.tx_per_byte * header.size, t)
+        self._debit(node, cfg.energy_tx_per_byte * header.size, t)
         self._emit("f" if tx.forward else "s", t, nid, tx.link_dst, header)
         if kind in _CONTROL_KINDS:
             self.report.control_tx[kind] += 1
@@ -350,7 +330,7 @@ class Simulation:
         header = frame.header
         (uid, kind, size, src, dst, prev_hop, seq, fid, _, _, _, _, sender_kin) = header
         header_cost = min(size, HEADER_RX_BYTES)
-        rx_per_byte = cfg.energy.rx_per_byte
+        rx_per_byte = cfg.energy_rx_per_byte
         header_rx = rx_per_byte * header_cost
         body_rx = rx_per_byte * (size - header_cost)
         rejected = None
@@ -426,10 +406,10 @@ class Simulation:
         node = self.nodes[self.attacker_id]
         if not self._alive(node, t):
             return
-        attacker = self.cfg.attacker
-        self._process(node.nid, node.aodv.send_unbuffered(attacker.target, attacker.payload,
-                                                          ATTACK_FID, t), t)
-        self._schedule(t + 1.0 / attacker.rate, ATTACK_STEP, ())
+        cfg = self.cfg
+        self._process(node.nid, node.aodv.send_unbuffered(cfg.attacker_target,
+                                                          cfg.attacker_payload, ATTACK_FID, t), t)
+        self._schedule(t + 1.0 / cfg.attacker_rate, ATTACK_STEP, ())
 
     def _retry_timer(self, nid: int, dst: int, bid: int, t: float):
         node = self.nodes[nid]
@@ -440,7 +420,12 @@ class Simulation:
         self._push_sample(j + 1)
         for node in self.nodes.values():
             self._alive(node, t)
-        self.metrics.sample(t, self.nodes[self.victim].energy, self.report)
+        report = self.report
+        drops, accepts = report.victim_malicious_drops, report.victim_malicious_accepts
+        report.samples.append((t, drops - self.sampled_drops, accepts - self.sampled_accepts,
+                               self.nodes[self.victim].energy, report.honest_data_lost,
+                               sum(report.control_tx.values()), report.honest_data_delivered))
+        self.sampled_drops, self.sampled_accepts = drops, accepts
 
     # -- main loop ----------------------------------------------------------------
 
@@ -458,7 +443,7 @@ class Simulation:
                 f"delivered={report.honest_data_delivered} lost={report.honest_data_lost} "
                 f"buffered={buffered} in_flight={in_flight}")
 
-    def run(self) -> RunResult:
+    def run(self) -> RunReport:
         handlers = {DELIVER: self._deliver, HELLO_TIMER: self._hello_timer,
                     MOBILITY_UPDATE: self._mobility_update, APP_SEND: self._app_send,
                     ATTACK_STEP: self._attack_step, RETRY_TIMER: self._retry_timer,
@@ -476,10 +461,4 @@ class Simulation:
             self._alive(node, self.cfg.stop)
         self.report.victim_final_energy = self.nodes[self.victim].energy
         self._check_conservation()
-        return RunResult(metrics=self.metrics, report=self.report)
-
-
-def run_scenario(cfg: ScenarioConfig,
-                 record: Callable[[TraceEvent], object] = _keep_nothing) -> RunResult:
-    """Run one validated scenario to completion; ``record`` is its trace sink."""
-    return Simulation(cfg, record).run()
+        return self.report

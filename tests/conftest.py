@@ -7,7 +7,7 @@ from hypothesis import settings
 
 from manetsim.cli import write_trace
 from manetsim.config import validate_config
-from manetsim.engine import run_scenario
+from manetsim.engine import Simulation
 from manetsim.medium import in_range
 from manetsim.mobility import Kinematics
 from manetsim.model import BROADCAST, Vec2
@@ -27,10 +27,10 @@ def write_events(path, events):
 
 
 def run_traced(cfg):
-    """Run ``cfg`` to its end; returns its trace records, in order, and its RunResult."""
+    """Run ``cfg`` to its end; returns its trace records, in order, and its RunReport."""
     records = []
-    result = run_scenario(cfg, records.append)
-    return records, result
+    report = Simulation(cfg, records.append).run()
+    return records, report
 
 
 def kin(px, py, vx=0.0, vy=0.0):

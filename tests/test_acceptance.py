@@ -11,7 +11,7 @@ from dataclasses import replace
 from manetsim.analyze import interval_series, parse_trace_text
 from manetsim.cli import sweep_accept_fractions
 from manetsim.config import Protocol, load_config, validate_config
-from manetsim.engine import Simulation, run_scenario
+from manetsim.engine import Simulation
 from manetsim.mobility import LetMode, link_expiration_time
 from manetsim.model import CommonHeader, PacketKind
 from manetsim.saodv import VerifyOutcome, select_channel, verify
@@ -112,7 +112,7 @@ def _sweep_base_config():
 def test_c3_one_over_k_attenuation():
     started = time.monotonic()
     cfg = _sweep_base_config()
-    one_rep = run_scenario(replace(cfg, rng_seed=cfg.rng_seed * 1000)).report
+    one_rep = Simulation(replace(cfg, rng_seed=cfg.rng_seed * 1000)).run()
     sample = one_rep.victim_malicious_accepts + one_rep.victim_malicious_drops
     assert sample >= 2000, f"each repetition must see >= 2000 attack packets, got {sample}"
     rows = sweep_accept_fractions(cfg, [1, 2, 4, 8], reps=10)
@@ -157,11 +157,11 @@ def test_c4_drop_direction_at_the_victim():
 
 def test_c5_victim_energy_direction():
     demo = load_config(str(CONFIG_DIR / "attack_demo.cfg"))
-    saodv = run_scenario(demo)
-    aodv = run_scenario(replace(demo, protocol=Protocol.AODV))
-    rows_s, rows_a = saodv.metrics.rows, aodv.metrics.rows
+    saodv = Simulation(demo).run()
+    aodv = Simulation(replace(demo, protocol=Protocol.AODV)).run()
+    rows_s, rows_a = saodv.samples, aodv.samples
     assert len(rows_s) == len(rows_a)
-    attack_start = demo.attacker.start
+    attack_start = demo.attacker_start
     for (ts, *_rest_s), (ta, *_rest_a) in zip(rows_s, rows_a):
         assert ts == ta
     for row_s, row_a in zip(rows_s, rows_a):
@@ -169,10 +169,10 @@ def test_c5_victim_energy_direction():
         assert energy_s >= energy_a, f"t={t}: {energy_s} < {energy_a}"
         if t >= attack_start + 1.0:
             assert energy_s > energy_a, f"t={t}: expected strict separation"
-    died_at = aodv.report.depletion_times.get(0)
+    died_at = aodv.depletion_times.get(0)
     assert died_at is not None and died_at < demo.stop, \
         "baseline victim must run out of energy before the stop time"
-    retained = saodv.report.victim_final_energy / demo.energy.initial
+    retained = saodv.victim_final_energy / demo.energy_initial
     assert retained > 0.5, f"verified victim kept only {retained:.0%}"
     _passed(f"criterion 5: baseline victim dead at t={died_at:.1f}s, verified victim "
             f"retains {retained:.0%}")
@@ -183,7 +183,7 @@ def test_c5_victim_energy_direction():
 
 def test_c6_mlet_direction_and_zero_threshold_equivalence():
     mlet_cfg = load_config(str(CONFIG_DIR / "fig11_mlet.cfg"))
-    baseline_cfg = replace(mlet_cfg, protocol=Protocol.AODV, let_threshold=0.0)
+    baseline_cfg = replace(mlet_cfg, protocol=Protocol.AODV)
     mlet, _ = run_traced(mlet_cfg)
     baseline, _ = run_traced(baseline_cfg)
 

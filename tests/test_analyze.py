@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from manetsim.analyze import (MetricsParseError, interval_series, parse_metrics_csv,
                               parse_trace_text, read_trace, victim_energy_series)
 from manetsim.config import MAX_TIMER_FIRINGS, load_config, validate_config
-from manetsim.engine import run_scenario
+from manetsim.engine import Simulation
 from manetsim import model
 from manetsim.model import READ_BYTES, PacketKind, TraceEvent, TraceParseError
 
@@ -35,7 +35,7 @@ def test_series_of_the_run_equals_series_of_its_written_trace(path, tmp_path):
     trace, _ = run_traced(cfg)
     write_events(tmp_path / "trace.tr", trace)
     written = read_trace(str(tmp_path / "trace.tr"))
-    victim = cfg.attacker.target
+    victim = cfg.attacker_target
     assert interval_series(written, 0.1, victim) == interval_series(trace, 0.1, victim)
 
 
@@ -282,10 +282,10 @@ def test_window_count_is_capped_like_a_timer():
 
 def test_metrics_csv_round_trip_helpers():
     cfg = validate_config({"stop": 4, "seed": 3})
-    metrics = run_scenario(cfg).metrics
-    rows = parse_metrics_csv(metrics.to_csv_text())
-    assert len(rows) == len(metrics.rows)
-    assert victim_energy_series(rows, [0.5, 2.0]) == [None, pytest.approx(metrics.rows[1][3])]
+    report = Simulation(cfg).run()
+    rows = parse_metrics_csv(report.metrics_csv())
+    assert len(rows) == len(report.samples)
+    assert victim_energy_series(rows, [0.5, 2.0]) == [None, pytest.approx(report.samples[1][3])]
 
 
 def victim_energy_at(metrics_rows, t):

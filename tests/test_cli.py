@@ -79,7 +79,7 @@ def test_uncreatable_out_exits_3_before_the_run(tmp_path, monkeypatch, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
     calls = []
-    monkeypatch.setattr(engine, "run_scenario", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(engine, "Simulation", lambda *args, **kwargs: calls.append(args))
     code = main(["run", "--config", GOLDEN_CFG, "--out", str(blocker / "out")])
     assert code == 3
     assert calls == []
@@ -291,6 +291,9 @@ def test_sweep_rejects_bad_k_list(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1, args
+    # A k out of bounds is reported by the config check, as the sweep script reports it.
+    assert main(["sweep", "--config", cfg, "--k", "0,2"]) == 2
+    assert capsys.readouterr().err == "config error: k: must be >= 1, got 0\n"
     with pytest.raises(SystemExit) as exc:  # argparse rejects it, after its usage line
         main(["sweep", "--config", cfg, "--k", "2", "--jobs", "x"])
     assert exc.value.code == 2
@@ -367,15 +370,15 @@ def _assert_no_child_left():
 
 def test_a_failing_worker_fails_the_sweep_and_is_reaped(monkeypatch, capfd):
     cfg = validate_config(parse_config_text(QUICK_SWEEP_CFG))
-    parent, real = os.getpid(), engine.run_scenario
+    parent, real = os.getpid(), engine.Simulation.run
 
-    def fail_in_a_worker(*args):
+    def fail_in_a_worker(sim):
         if os.getpid() != parent:
             raise ValueError("a run failed in a worker")
-        return real(*args)
+        return real(sim)
 
     # Patched before the fork, so every worker inherits it.
-    monkeypatch.setattr(engine, "run_scenario", fail_in_a_worker)
+    monkeypatch.setattr(engine.Simulation, "run", fail_in_a_worker)
     started = time.monotonic()
     with pytest.raises(RuntimeError, match="sweep worker 1 exited with status 1"):
         sweep_accept_fractions(cfg, [1, 2], reps=2, jobs=2)
@@ -388,12 +391,12 @@ def test_a_failing_sweep_kills_and_reaps_its_workers(monkeypatch):
     cfg = validate_config(parse_config_text(QUICK_SWEEP_CFG))
     parent = os.getpid()
 
-    def fail_here_stall_there(run_cfg, record=None):
+    def fail_here_stall_there(sim):
         if os.getpid() == parent:
             raise ValueError("a run failed in the sweep's own process")
         time.sleep(60.0)
 
-    monkeypatch.setattr(engine, "run_scenario", fail_here_stall_there)
+    monkeypatch.setattr(engine.Simulation, "run", fail_here_stall_there)
     started = time.monotonic()
     with pytest.raises(ValueError, match="own process"):
         sweep_accept_fractions(cfg, [1, 2, 4], reps=2, jobs=3)
@@ -403,7 +406,7 @@ def test_a_failing_sweep_kills_and_reaps_its_workers(monkeypatch):
 
 def test_a_bad_k_fails_before_any_run(monkeypatch):
     cfg = validate_config(parse_config_text(QUICK_SWEEP_CFG))
-    monkeypatch.setattr(engine, "run_scenario", None)  # any run would raise TypeError
+    monkeypatch.setattr(engine, "Simulation", None)  # any run would raise TypeError
     with pytest.raises(ConfigError) as exc:
         sweep_accept_fractions(cfg, [2, 0, 1000001, -1], reps=2, jobs=2)
     assert exc.value.violations == ["k: must be >= 1, got -1", "k: must be >= 1, got 0",

@@ -140,14 +140,14 @@ def test_round_trip_preserves_every_field():
         "nodes": "1,1; 2,2,70,20,3.5; 3,3; 4,4",
     })
     assert cfg.let_mode is LetMode.PAPER
-    assert cfg.attacker.sophistication is Sophistication.INSIDER
+    assert cfg.attacker_sophistication is Sophistication.INSIDER
     again = validate_config(parse_config_text(serialize_config(cfg)))
     assert again == cfg
 
 
 def test_round_trip_keeps_infinite_attacker_energy():
     cfg = validate_config({"attacker.enabled": "true"})
-    assert math.isinf(cfg.attacker.energy)
+    assert math.isinf(cfg.attacker_energy)
     again = validate_config(parse_config_text(serialize_config(cfg)))
     assert again == cfg
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from manetsim.config import (KNOWN_KEYS, MAX_COUNT, MAX_NODES, MAX_PACKET_BYTES,
-                             MAX_TIMER_FIRINGS, ConfigError, ScenarioConfig,
+                             MAX_TIMER_FIRINGS, SCHEMA, ConfigError, ScenarioConfig,
                              validate_config)
 from manetsim.engine import Simulation
 from manetsim.mobility import MOBILITY_STEP
@@ -179,18 +180,33 @@ def test_upper_bounds_admit_their_limits():
         "hello_loss_limit": MAX_COUNT, "retry_limit": MAX_COUNT, "buffer_cap": MAX_COUNT,
         "attacker.target": MAX_NODES - 1, "attacker.payload": MAX_PACKET_BYTES,
         "flows": f"0:1:4:{MAX_PACKET_BYTES}"})
-    assert (cfg.nn, cfg.attacker.target, cfg.flows[0].size) == (
+    assert (cfg.nn, cfg.attacker_target, cfg.flows[0].size) == (
         MAX_NODES, MAX_NODES - 1, MAX_PACKET_BYTES)
 
 
 def test_batteries_may_be_unlimited():
     cfg = validate_config({"energy.initial": "inf", "attacker.energy": "inf"})
-    assert math.isinf(cfg.energy.initial) and math.isinf(cfg.attacker.energy)
+    assert math.isinf(cfg.energy_initial) and math.isinf(cfg.attacker_energy)
 
 
 def test_timer_cap_admits_the_boundary():
     cfg = validate_config({"stop": 100, "metrics_interval": 100 / MAX_TIMER_FIRINGS})
     assert cfg.stop / cfg.metrics_interval == MAX_TIMER_FIRINGS
+
+
+def test_each_key_names_one_field_by_the_flat_naming_rule():
+    # A dotted key "group.name" is the field group_name; flows and nodes are
+    # parsed by hand into the only two fields that have no key of their own.
+    keys = [key for key, _, _, _ in SCHEMA]
+    attrs = [attr for _, attr, _, _ in SCHEMA]
+    assert len(set(keys)) == len(keys) and len(set(attrs)) == len(attrs)
+    assert KNOWN_KEYS == set(keys) | {"flows", "nodes"}
+    assert attrs == [f.name for f in fields(ScenarioConfig)
+                     if f.name not in ("flows", "node_scripts")]
+    for key, attr, _, default in SCHEMA:
+        if "." in key:
+            assert attr == key.replace(".", "_")
+        assert getattr(ScenarioConfig(), attr) == default
 
 
 def test_defaults_come_from_the_dataclass_declarations():
@@ -219,11 +235,11 @@ def test_every_valid_config_keeps_its_timers_within_the_cap(timing, rate, start)
     except ConfigError:
         return
     periods = [MOBILITY_STEP, cfg.hello_interval, cfg.metrics_interval,
-               1.0 / cfg.attacker.rate] + [1.0 / flow.rate for flow in cfg.flows]
+               1.0 / cfg.attacker_rate] + [1.0 / flow.rate for flow in cfg.flows]
     for period in periods:
         assert cfg.stop / period <= MAX_TIMER_FIRINGS
         assert cfg.stop + period > cfg.stop
-    starts = [cfg.attacker.start] + [flow.start for flow in cfg.flows]
+    starts = [cfg.attacker_start] + [flow.start for flow in cfg.flows]
     assert all(math.isfinite(t) for t in [cfg.stop] + starts)
     # Set-up queues a bounded number of events, however many samples the run takes.
     assert len(Simulation(cfg).heap) <= 8

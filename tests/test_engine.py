@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from manetsim import engine
 from manetsim.analyze import parse_metrics_csv
-from manetsim.config import (MAX_NODES, AttackerParams, ConfigError, EnergyParams,
-                             Protocol, Sophistication, load_config, validate_config)
-from manetsim.engine import DELIVER, METRIC_SAMPLE, Simulation, debit, run_scenario
+from manetsim.config import (MAX_NODES, ConfigError, Protocol, ScenarioConfig, Sophistication,
+                             load_config, validate_config)
+from manetsim.engine import DELIVER, METRIC_SAMPLE, Simulation, debit
 from manetsim.medium import in_range
 from manetsim.mobility import Kinematics, kinematics_at
 from manetsim.model import BROADCAST, PacketKind, Vec2
@@ -25,43 +25,42 @@ from .test_mobility import kinematics_bits, reference_kinematics_at
 
 # -- energy accounting -----------------------------------------------------------
 
-PARAMS = EnergyParams(initial=10.0, tx_per_byte=60e-6, rx_per_byte=30e-6,
-                      idle_per_sec=1e-3)
+DEFAULTS = ScenarioConfig()  # 60e-6 J/B to send, 30e-6 J/B to receive, 1e-3 J/s idle
 
 
 def test_rx_debit_is_linear_in_bytes():
-    assert debit(10.0, PARAMS.rx_per_byte * 100) == pytest.approx(10.0 - 100 * 30e-6)
+    assert debit(10.0, DEFAULTS.energy_rx_per_byte * 100) == pytest.approx(10.0 - 100 * 30e-6)
 
 
 def test_tx_and_idle_debits():
-    assert debit(10.0, PARAMS.tx_per_byte * 100) == pytest.approx(10.0 - 0.006)
-    assert debit(10.0, PARAMS.idle_per_sec * 2.0) == pytest.approx(10.0 - 0.002)
+    assert debit(10.0, DEFAULTS.energy_tx_per_byte * 100) == pytest.approx(10.0 - 0.006)
+    assert debit(10.0, DEFAULTS.energy_idle_per_sec * 2.0) == pytest.approx(10.0 - 0.002)
 
 
 def test_crossing_zero_clamps_and_kills():
-    remaining = debit(0.001, PARAMS.rx_per_byte * 100)  # costs 0.003 J
+    remaining = debit(0.001, DEFAULTS.energy_rx_per_byte * 100)  # costs 0.003 J
     assert remaining == 0.0 and math.copysign(1.0, remaining) == 1.0
     assert math.copysign(1.0, debit(0.5, 0.5)) == 1.0  # never -0.0 in metrics.csv
 
 
 def test_debit_on_dead_node_is_noop():
-    assert debit(0.0, PARAMS.rx_per_byte * 1000) == 0.0
+    assert debit(0.0, DEFAULTS.energy_rx_per_byte * 1000) == 0.0
     assert debit(0.0, 0.0) == 0.0
     assert debit(math.inf, math.inf) == 0.0  # inf - inf is NaN: dead, and recorded so
 
 
 def test_infinite_battery_never_depletes():
-    assert math.isinf(debit(math.inf, PARAMS.rx_per_byte * 10**9))
+    assert math.isinf(debit(math.inf, DEFAULTS.energy_rx_per_byte * 10**9))
 
 
 # -- whole-run behavior ------------------------------------------------------------
 
 def test_quiescent_single_node_traces_only_hello_sends():
     cfg = validate_config({"nn": 1, "stop": 5, "flows": "none"})
-    trace, result = run_traced(cfg)
+    trace, report = run_traced(cfg)
     assert trace, "hello beacons expected"
     assert all(e.event == "s" and e.pkt_type == "HELLO" for e in trace)
-    assert result.report.drops_by_reason == Counter()
+    assert report.drops_by_reason == Counter()
 
 
 def test_same_seed_runs_are_byte_identical():
@@ -75,10 +74,9 @@ def test_a_sink_receives_the_records_the_list_keeps():
     # What a run counts does not depend on whether anything keeps its records.
     cfg = load_config(str(CONFIG_DIR / "table1_saodv.cfg"))
     records, kept = run_traced(cfg)
-    dropped = run_scenario(cfg)
+    dropped = Simulation(cfg).run()
     assert records
-    assert dropped.report == kept.report
-    assert dropped.metrics.rows == kept.metrics.rows
+    assert dropped == kept  # the samples included
 
 
 def test_changing_seed_changes_the_trace():
@@ -164,7 +162,7 @@ def test_attacker_discovers_before_flooding():
 
 def test_insider_attacker_is_never_dropped_by_verification():
     cfg = _attack_config(rp="SAODV", **{"attacker.sophistication": "INSIDER"})
-    report = run_scenario(cfg).report
+    report = Simulation(cfg).run()
     assert report.victim_malicious_drops == 0
     assert report.victim_malicious_accepts > 0
 
@@ -174,7 +172,7 @@ def test_naive_random_attacker_near_half_acceptance_at_two_channels():
     # mid-run, or the sample would be truncated.
     cfg = _attack_config(rp="SAODV", **{"attacker.sophistication": "NAIVE_RANDOM",
                                         "energy.initial": 1000})
-    report = run_scenario(cfg).report
+    report = Simulation(cfg).run()
     seen = report.victim_malicious_accepts + report.victim_malicious_drops
     assert seen > 2000
     assert abs(report.victim_malicious_accepts / seen - 0.5) <= 0.05
@@ -220,8 +218,7 @@ def test_only_the_attackers_own_data_frames_carry_its_tags(mode):
 
 def test_victim_energy_series_is_non_increasing():
     cfg = _attack_config(rp="SAODV")
-    metrics = run_scenario(cfg).metrics
-    energies = [row[3] for row in metrics.rows]
+    energies = [row[3] for row in Simulation(cfg).run().samples]
     assert all(a >= b for a, b in zip(energies, energies[1:]))
 
 
@@ -229,7 +226,7 @@ def test_physical_channel_gating_silences_mistagged_flood():
     # NAIVE_FIXED announces channel 2 while its tags imply channel 1: with
     # physically separated channels the flood never reaches the victim at all.
     cfg = _attack_config(rp="SAODV", physical_channels="true")
-    report = run_scenario(cfg).report
+    report = Simulation(cfg).run()
     assert report.attacker_data_sent > 0
     assert report.victim_malicious_accepts == 0
     assert report.victim_malicious_drops == 0
@@ -239,20 +236,19 @@ def test_physical_channel_gating_silences_mistagged_flood():
 def test_victim_protection_holds_for_random_guessing_attacker():
     # Half the flood is accepted at full cost under verification, yet the
     # victim is still never worse off than the unverified baseline.
-    saodv = run_scenario(_attack_config(rp="SAODV",
-                                        **{"attacker.sophistication": "NAIVE_RANDOM"}))
-    aodv = run_scenario(_attack_config(rp="AODV",
-                                       **{"attacker.sophistication": "NAIVE_RANDOM"}))
-    for row_s, row_a in zip(saodv.metrics.rows, aodv.metrics.rows):
+    saodv = Simulation(_attack_config(rp="SAODV",
+                                      **{"attacker.sophistication": "NAIVE_RANDOM"})).run()
+    aodv = Simulation(_attack_config(rp="AODV",
+                                     **{"attacker.sophistication": "NAIVE_RANDOM"})).run()
+    for row_s, row_a in zip(saodv.samples, aodv.samples):
         assert row_s[3] >= row_a[3]
-    assert any(row_s[3] > row_a[3]
-               for row_s, row_a in zip(saodv.metrics.rows, aodv.metrics.rows))
+    assert any(row_s[3] > row_a[3] for row_s, row_a in zip(saodv.samples, aodv.samples))
 
 
 def test_dead_node_is_silent_afterwards():
     cfg = _attack_config(rp="AODV")
-    trace, result = run_traced(cfg)
-    died_at = result.report.depletion_times.get(0)
+    trace, report = run_traced(cfg)
+    died_at = report.depletion_times.get(0)
     assert died_at is not None and died_at < 50.0
     for e in trace:
         if e.source == 0 and e.event in ("s", "f"):
@@ -270,12 +266,12 @@ def test_depletion_time_matches_linear_model():
         "attacker.rate": 100, "attacker.payload": 200,
         "attacker.sophistication": "NAIVE_RANDOM",
     })
-    result = run_scenario(cfg)
+    report = Simulation(cfg).run()
     drain = 100 * 200 * 30e-6 + 1e-3
     expected = 1.0 + 10.0 / drain
-    died_at = result.report.depletion_times[0]
+    died_at = report.depletion_times[0]
     assert died_at == pytest.approx(expected, abs=cfg.metrics_interval)
-    zero_rows = [row for row in result.metrics.rows if row[3] == 0.0]
+    zero_rows = [row for row in report.samples if row[3] == 0.0]
     assert zero_rows and zero_rows[0][0] >= died_at
 
 
@@ -288,9 +284,9 @@ def test_depleted_sender_drops_remaining_transmissions():
         "flows": "0:1:1:10000:0.5; 0:1:1:10000:0.5; 0:1:1:10000:0.5",
         "energy.initial": 1.0,  # each 10 kB transmission costs 0.6 J
     })
-    trace, result = run_traced(cfg)
-    assert result.report.drops_by_reason.get("DEAD_SENDER", 0) >= 1
-    died_at = result.report.depletion_times[0]
+    trace, report = run_traced(cfg)
+    assert report.drops_by_reason.get("DEAD_SENDER", 0) >= 1
+    died_at = report.depletion_times[0]
     for e in trace:
         if e.source == 0 and e.event in ("s", "f"):
             assert e.time <= died_at
@@ -298,8 +294,7 @@ def test_depleted_sender_drops_remaining_transmissions():
 
 def test_metrics_csv_shape():
     cfg = validate_config({"stop": 5, "seed": 2})
-    metrics = run_scenario(cfg).metrics
-    text = metrics.to_csv_text()
+    text = Simulation(cfg).run().metrics_csv()
     lines = text.strip().splitlines()
     assert lines[0] == "t,malicious_drops,malicious_accepts,victim_energy,cum_loss,ctrl_overhead,delivered"
     assert len(lines) == 1 + 5  # one row per whole second
@@ -322,7 +317,7 @@ def test_kinematics_annex_enlarges_only_configured_kinds():
 
 def test_report_summary_mentions_key_counters():
     cfg = _attack_config(rp="SAODV")
-    report = run_scenario(cfg).report
+    report = Simulation(cfg).run()
     text = "\n".join(report.summary_lines())
     assert "protocol=SAODV" in text
     assert "malicious_drops" in text
@@ -333,21 +328,19 @@ def test_report_summary_mentions_key_counters():
                                   "fig11_mlet+aodv"])
 def test_control_overhead_counter_counts_routing_packets(name):
     if name == "fig11_mlet+aodv":  # the baseline scripts/mlet_experiment.py runs
-        cfg = replace(load_config(str(CONFIG_DIR / "fig11_mlet.cfg")),
-                      protocol=Protocol.AODV, let_threshold=0.0)
+        cfg = replace(load_config(str(CONFIG_DIR / "fig11_mlet.cfg")), protocol=Protocol.AODV)
     else:
         cfg = load_config(str(CONFIG_DIR / f"{name}.cfg"))
-    trace, result = run_traced(cfg)
+    trace, report = run_traced(cfg)
     sent = Counter(e.pkt_type for e in trace if e.event in ("s", "f"))
     for kind in (PacketKind.RREQ, PacketKind.RREP, PacketKind.RERR):
-        assert result.report.control_tx[kind] == sent[kind.value]
+        assert report.control_tx[kind] == sent[kind.value]
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
 def test_metrics_csv_agrees_with_the_run_summary(path):
-    result = run_scenario(load_config(str(path)))
-    report = result.report
-    rows = parse_metrics_csv(result.metrics.to_csv_text())
+    report = Simulation(load_config(str(path))).run()
+    rows = parse_metrics_csv(report.metrics_csv())
     assert sum(row["malicious_drops"] for row in rows) == report.victim_malicious_drops
     assert sum(row["malicious_accepts"] for row in rows) == report.victim_malicious_accepts
     assert rows[-1]["cum_loss"] == report.honest_data_lost
@@ -364,7 +357,7 @@ def test_metrics_csv_agrees_with_the_run_summary(path):
     ("let_threshold", -1.0, "let_threshold"),
     ("mlet_applies_to", (PacketKind.HELLO,), "mlet_applies_to"),
     ("nn", MAX_NODES + 1, "nn"),
-    ("attacker", AttackerParams(pos=Vec2(math.inf, 0.0)), "attacker.pos"),
+    ("attacker_pos", Vec2(math.inf, 0.0), "attacker.pos"),
 ])
 def test_simulation_checks_a_config_built_in_code(name, value, key):
     with pytest.raises(ConfigError) as info:
@@ -377,7 +370,7 @@ def test_metric_samples_are_queued_one_ahead():
                            "flows": "none", "nodes": "10,10; 20,10"})
     sim = Simulation(cfg)
     assert [event[2] for event in sim.heap].count(METRIC_SAMPLE) == 1
-    rows = sim.run().metrics.rows
+    rows = sim.run().samples
     assert len(rows) == 5000
     assert [row[0] for row in rows[:3]] == [0.001, 0.002, 0.003]
 
@@ -401,10 +394,10 @@ def test_stop_alone_ends_a_run_with_frames_still_in_flight():
                            "nodes": "10,10; 20,10", "flows": "0:1:2:100:1"})
     trace = []
     sim = Simulation(cfg, trace.append)
-    result = sim.run()
+    report = sim.run()
     assert max(e.time for e in trace) <= cfg.stop
     assert any(kind == DELIVER and t > cfg.stop for t, _, kind, _ in sim.heap)
-    assert result.report.summary_lines()[0] == "protocol=AODV seed=1 events=111"
+    assert report.summary_lines()[0] == "protocol=AODV seed=1 events=111"
 
 
 # Beside the shipped configs: lossy, moving nodes whose batteries run out,
@@ -429,7 +422,7 @@ def test_every_honest_packet_is_delivered_lost_buffered_or_in_flight(name):
     else:
         cfg = load_config(str(CONFIG_DIR / f"{name}.cfg"))
     sim = Simulation(cfg)
-    report = sim.run().report  # run() itself raises when the ledger does not balance
+    report = sim.run()  # run() itself raises when the ledger does not balance
     buffered = sum(len(queue) for node in sim.nodes.values()
                    for queue in node.aodv.pending.values())
     in_flight = sum(1 for _, _, kind, payload in sim.heap if kind == DELIVER
@@ -448,7 +441,7 @@ def test_an_uncounted_loss_fails_the_run(monkeypatch):
     monkeypatch.setattr(Simulation, "_lose", lambda self, header: None)
     with pytest.raises(RuntimeError, match="honest DATA not conserved: originated=196 "
                                            "delivered=51 lost=0 buffered=11 in_flight=0"):
-        run_scenario(load_config(str(CONFIG_DIR / "table1_aodv.cfg")))
+        Simulation(load_config(str(CONFIG_DIR / "table1_aodv.cfg"))).run()
 
 
 def test_no_delivery_is_queued_for_an_overheard_unicast(monkeypatch):
@@ -503,8 +496,8 @@ def _observed_run(cfg, split):
                 batched(t, DELIVER, ([receiver], frame))
 
         sim._schedule = schedule
-    result = sim.run()
-    return trace, result.metrics.to_csv_text(), result.report.summary_lines()
+    report = sim.run()
+    return trace, report.metrics_csv(), report.summary_lines()
 
 
 def _sends_amid_receptions(trace):
@@ -533,6 +526,17 @@ def test_one_event_per_frame_changes_no_byte(name):
     assert batched == _observed_run(cfg, split=True)
     if name == "zero_delay":
         assert _sends_amid_receptions(batched[0])
+
+
+@pytest.mark.parametrize("protocol", [Protocol.AODV, Protocol.SAODV], ids=lambda p: p.value)
+def test_let_threshold_changes_no_byte_without_mlet(protocol):
+    # Without MLET no frame carries the kinematics annex, so no link is admitted
+    # against the threshold.
+    for name in ("fig11_mlet", "table1_saodv", "attack_demo"):
+        cfg = replace(load_config(str(CONFIG_DIR / f"{name}.cfg")), protocol=protocol)
+        zero, five, huge = (_observed_run(replace(cfg, let_threshold=threshold), split=False)
+                            for threshold in (0.0, 5.0, 1e9))
+        assert zero == five == huge, name
 
 
 def _search_against_a_full_scan(seed):
@@ -565,7 +569,7 @@ def _search_against_a_full_scan(seed):
 
     engine.broadcast = broadcast  # hypothesis runs no function-scoped monkeypatch
     try:
-        report = sim.run().report
+        report = sim.run()
     finally:
         engine.broadcast = real_broadcast
     assert report.depletion_times
@@ -666,7 +670,7 @@ def test_a_depleted_source_fires_no_flow_timer_after_its_death():
         real_app_send(flow_idx, t)
 
     sim._app_send = app_send
-    died = sim.run().report.depletion_times[0]
+    died = sim.run().depletion_times[0]
     assert died < 10.0
     assert sends and [t for t in sends if t > died] == []
 
@@ -679,8 +683,7 @@ def test_receiver_killed_by_idle_drain_at_arrival_loses_the_frame():
         "nodes": "5,5; 15,5; 25,5", "flows": "0:2:3:100:1.1", "hello_interval": 5,
         "metrics_interval": 10, "energy.initial": 3, "energy.idle_per_sec": 0.25,
         "energy.tx_per_byte": 0.0002, "energy.rx_per_byte": 0.0002})
-    trace, result = run_traced(cfg)
-    report = result.report
+    trace, report = run_traced(cfg)
     assert report.depletion_times[1] == pytest.approx(8.436533, abs=1e-6)
     assert [(e.event, e.source) for e in trace if e.pkt_id == 27] == [("s", 0)]
     assert not report.drops_by_reason  # no DEAD_SENDER drop of a forward from node 1
