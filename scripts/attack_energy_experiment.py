@@ -8,7 +8,6 @@ tool."""
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -25,8 +24,8 @@ def main():
     args = parser.parse_args()
 
     cfg = load_config(args.config)
-    saodv = Simulation(replace(cfg, protocol=Protocol.SAODV)).run()
-    aodv = Simulation(replace(cfg, protocol=Protocol.AODV)).run()
+    saodv = Simulation(cfg._replace(protocol=Protocol.SAODV)).run()
+    aodv = Simulation(cfg._replace(protocol=Protocol.AODV)).run()
 
     os.makedirs(os.path.dirname(args.out), exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as fh:

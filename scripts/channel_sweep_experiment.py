@@ -9,7 +9,6 @@ writes k,mean,stddev rows to a CSV."""
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -36,9 +35,9 @@ def main():
     try:
         cfg = load_config(args.config)
         # Uniform guesser with a battery large enough to survive accepted floods.
-        cfg = replace(cfg, protocol=Protocol.SAODV,
-                      attacker_sophistication=Sophistication.NAIVE_RANDOM,
-                      energy_initial=1000.0)
+        cfg = cfg._replace(protocol=Protocol.SAODV,
+                           attacker_sophistication=Sophistication.NAIVE_RANDOM,
+                           energy_initial=1000.0)
         rows = sweep_accept_fractions(cfg, k_values, args.reps, default_jobs())
     except ConfigError as exc:
         for violation in exc.violations:

@@ -8,7 +8,6 @@ prints the control-traffic comparison."""
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -27,7 +26,7 @@ def main():
 
     cfg = load_config(args.config)
     filtered = Simulation(cfg).run()
-    baseline = Simulation(replace(cfg, protocol=Protocol.AODV)).run()
+    baseline = Simulation(cfg._replace(protocol=Protocol.AODV)).run()
 
     os.makedirs(os.path.dirname(args.out), exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -14,8 +14,7 @@ from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from .config import ScenarioConfig
 from .model import (BROADCAST, CONTROL_FID, HELLO_BYTES, RERR_BYTES, RREP_BYTES,
-                    RREQ_BYTES, CommonHeader, PacketKind, RerrBody, RouteEntry,
-                    RrepBody, RreqBody)
+                    RREQ_BYTES, CommonHeader, PacketKind, RerrBody, RrepBody, RreqBody)
 
 # Drop reason codes (kept out of the trace format; reported separately).
 NO_ROUTE = "NO_ROUTE"
@@ -25,6 +24,9 @@ RETRY_EXHAUSTED = "RETRY_EXHAUSTED"
 
 #: Size of ``AodvNode.rreq_seen`` that triggers its first sweep of expired entries.
 RREQ_SWEEP_MIN = 64
+#: Most hops an RREQ travels (RFC 3561 section 10).  Duplicate suppression
+#: alone does not end a flood whose cache entries expire while it spreads.
+NET_DIAMETER = 35
 
 
 class Tx(NamedTuple):
@@ -57,6 +59,18 @@ class StartRetry(NamedTuple):
 
 
 Action = object
+
+
+@dataclass
+class RouteEntry:
+    """A routing-table row: a use extends its expiry and a break invalidates it, in place."""
+
+    dest: int
+    next_hop: int
+    hop_count: int
+    dest_seq: int
+    expiry: float
+    valid: bool = True
 
 
 @dataclass
@@ -240,6 +254,8 @@ class AodvNode:
                 return self._reply(orig=header.src, dest=body.dest,
                                    dest_seq=cached.dest_seq,
                                    hop_count=cached.hop_count, t=t)
+        if header.hop_count + 1 >= NET_DIAMETER:
+            return []  # the flood ends here, as silently as a duplicate
         return [Tx(header=header, link_dst=BROADCAST, body=body, forward=True)]
 
     def _reply(self, orig: int, dest: int, dest_seq: int, hop_count: int,

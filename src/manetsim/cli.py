@@ -9,10 +9,8 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import statistics
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from typing import TYPE_CHECKING, Iterator, List, Optional, TextIO, Tuple
 
 from .analyze import (MetricsParseError, interval_series, parse_metrics_csv, read_trace,
@@ -76,7 +74,7 @@ def cmd_run(args) -> int:
         return EXIT_IO
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = replace(cfg, rng_seed=args.seed)
+        cfg = cfg._replace(rng_seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, "trace.tr")
     with write_trace(trace_path) as writer:  # streamed: no record is held in memory
@@ -138,7 +136,7 @@ def _run_share(cfg: ScenarioConfig, runs: List[Tuple[int, int]]) -> List[Tuple[i
 
     pairs = []
     for k, rep in runs:
-        run_cfg = replace(cfg, num_channels=k, rng_seed=cfg.rng_seed * 1000 + rep)
+        run_cfg = cfg._replace(num_channels=k, rng_seed=cfg.rng_seed * 1000 + rep)
         report = Simulation(run_cfg).run()
         pairs.append((report.victim_malicious_accepts, report.victim_malicious_drops))
     return pairs
@@ -223,11 +221,13 @@ def sweep_accept_fractions(cfg: ScenarioConfig, k_values: List[int], reps: int,
     exists; the rows do not depend on ``jobs``.  With ``jobs`` above 1, call
     it from a process that runs no other thread, whose locks a fork would copy.
     """
+    import statistics  # loaded only by the sweep, like the simulator
+
     ks = sorted(set(k_values))
     violations: List[str] = []
     for k in ks:  # a bad k fails here, in this process, before any fork
         try:
-            check_config(replace(cfg, num_channels=k))
+            check_config(cfg._replace(num_channels=k))
         except ConfigError as exc:
             violations += [v for v in exc.violations if v not in violations]
     if violations:

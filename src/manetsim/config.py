@@ -1,7 +1,7 @@
 """Scenario configuration: flat ``key = value`` files, validation, serialization.
 
-Each key is declared once, by the `_key` default of a dataclass field below;
-a dotted key ``group.name`` is the field ``group_name``.
+Each key is declared once, by the `_key` default of a `ScenarioConfig` field
+below; a dotted key ``group.name`` is the field ``group_name``.
 `SCHEMA` is derived from those fields and drives known-key checks, parsing,
 defaults and `serialize_config`; `flows`, `nodes` and the checks that span
 several keys are the only hand-written parts.
@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .mobility import MOBILITY_STEP, LetMode
 from .model import PacketKind, Vec2, read_utf8
@@ -117,21 +116,27 @@ def _vec2(raw: str) -> Optional[Vec2]:
     return Vec2(x, y)
 
 
+#: (name if not the field's, parser) of each `_key`, in declaration order.
+_DECLARED: List[Tuple[Optional[str], Callable[[str], object]]] = []
+
+
 def _key(default, *bounds, key: Optional[str] = None, finite: bool = True, parse=None):
     """Declare a config key: its default, bounds as (op, limit) pairs, and its name
     if not the field's.
 
-    The parser follows the default's type unless ``parse`` is given.  A float key
-    must be finite unless ``finite=False`` lets ``inf`` mean unlimited.
+    Returns the default, for the field to take; the name and the parser are kept
+    for `SCHEMA`.  The parser follows the default's type unless ``parse`` is
+    given.  A float key must be finite unless ``finite=False`` lets ``inf`` mean
+    unlimited.
     """
     if parse is None:
         def parse(raw):
             return _parse(raw, default, bounds, finite)
-    return field(default=default, metadata={"key": key, "parse": parse})
+    _DECLARED.append((key, parse))
+    return default
 
 
-@dataclass(frozen=True)
-class FlowSpec:
+class FlowSpec(NamedTuple):
     """A constant-bit-rate application flow src -> dst."""
 
     src: int
@@ -141,8 +146,7 @@ class FlowSpec:
     start: float
 
 
-@dataclass(frozen=True)
-class NodeScript:
+class NodeScript(NamedTuple):
     """Pinned start position and an optional single travel leg."""
 
     pos: Vec2
@@ -150,9 +154,12 @@ class NodeScript:
     speed: float = 0.0
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """A validated scenario.  Keys are read, and reported, in field order."""
+class ScenarioConfig(NamedTuple):
+    """A validated scenario.  Keys are read, and reported, in field order.
+
+    Every field but the last two is a `_key`; ``flows`` and ``nodes`` are
+    parsed by hand into those two.
+    """
 
     nn: int = _key(25, ">=", 1, "<=", MAX_NODES)
     area_x: float = _key(50.0, ">", 0.0, key="x")
@@ -204,8 +211,8 @@ class ScenarioConfig:
 
 
 #: (key, attribute, parser, default) per key, in field order.
-SCHEMA = tuple((f.metadata["key"] or f.name, f.name, f.metadata["parse"], f.default)
-               for f in fields(ScenarioConfig) if f.metadata)
+SCHEMA = tuple((key or attr, attr, parse, ScenarioConfig._field_defaults[attr])
+               for attr, (key, parse) in zip(ScenarioConfig._fields, _DECLARED))
 KNOWN_KEYS = frozenset(entry[0] for entry in SCHEMA) | {"flows", "nodes"}
 
 

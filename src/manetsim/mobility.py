@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
 from typing import NamedTuple
@@ -31,15 +30,8 @@ class Kinematics(NamedTuple):
 STILL = Vec2(0.0, 0.0)
 
 
-@dataclass(frozen=True, slots=True)
-class WaypointState:
-    """One leg of random-waypoint motion: travel current -> target, then pause.
-
-    ``pause_until`` marks the earliest time a new leg may start (arrival time
-    plus the pause); ``math.inf`` parks the node after this leg, for good.
-    Two legs are equal when these five fields are.  The leg's geometry is
-    worked out once, when it is made, for `kinematics_at` to read.
-    """
+class _Leg(NamedTuple):
+    """The fields of a `WaypointState`: five given, then five worked out from them."""
 
     current: Vec2
     target: Vec2
@@ -47,19 +39,33 @@ class WaypointState:
     pause_until: float
     leg_start_time: float
     #: Unit direction of travel; 0.0 on a leg that does not move.
-    ux: float = field(init=False, repr=False, compare=False)
-    uy: float = field(init=False, repr=False, compare=False)
+    ux: float
+    uy: float
     #: Velocity while travelling.
-    vel: Vec2 = field(init=False, repr=False, compare=False)
+    vel: Vec2
     #: Seconds from the leg's start to arrival; -inf on a leg that does not
     #: move, so that every instant finds it at rest.
-    travel: float = field(init=False, repr=False, compare=False)
+    travel: float
     #: Kinematics once arrived: at the target, or where it stands if it
     #: does not move; velocity zero.
-    rest: Kinematics = field(init=False, repr=False, compare=False)
+    rest: Kinematics
 
-    def __post_init__(self):
-        current, target, speed = self.current, self.target, self.speed
+
+class WaypointState(_Leg):
+    """One leg of random-waypoint motion: travel current -> target, then pause.
+
+    ``pause_until`` marks the earliest time a new leg may start (arrival time
+    plus the pause); ``math.inf`` parks the node after this leg, for good.
+    The constructor takes these five fields and works out the leg's geometry
+    once, for `kinematics_at` to read; legs with equal fields are equal.
+    Make a changed leg with the constructor: ``_replace`` would keep the old
+    geometry.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, current: Vec2, target: Vec2, speed: float, pause_until: float,
+                leg_start_time: float):
         dx = target.x - current.x
         dy = target.y - current.y
         dist = math.hypot(dx, dy)
@@ -72,8 +78,13 @@ class WaypointState:
             ux, uy = dx * inv, dy * inv
             geometry = (ux, uy, Vec2(ux * speed, uy * speed), dist / speed,
                         Kinematics(target, STILL))
-        for name, value in zip(("ux", "uy", "vel", "travel", "rest"), geometry):
-            object.__setattr__(self, name, value)  # frozen: set once, here
+        return tuple.__new__(cls, (current, target, speed, pause_until, leg_start_time)
+                             + geometry)
+
+    def __repr__(self) -> str:
+        return (f"WaypointState(current={self.current!r}, target={self.target!r}, "
+                f"speed={self.speed!r}, pause_until={self.pause_until!r}, "
+                f"leg_start_time={self.leg_start_time!r})")
 
 
 def initial_waypoint(pos: Vec2, t0: float, pause: float) -> WaypointState:

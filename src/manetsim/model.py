@@ -1,9 +1,8 @@
-"""Shared domain types: identifiers, packet headers, routes, and trace records."""
+"""Shared domain types: identifiers, packet headers, and trace records."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -97,16 +96,6 @@ class RrepBody(NamedTuple):
 class RerrBody(NamedTuple):
     #: (destination, its bumped sequence number) per unreachable destination
     unreachable: Tuple[Tuple[int, int], ...]
-
-
-@dataclass
-class RouteEntry:
-    dest: int
-    next_hop: int
-    hop_count: int
-    dest_seq: int
-    expiry: float
-    valid: bool = True
 
 
 class TraceParseError(ValueError):

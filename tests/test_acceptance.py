@@ -6,7 +6,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 import math
 import random
 import time
-from dataclasses import replace
 
 from manetsim.analyze import interval_series, parse_trace_text
 from manetsim.cli import sweep_accept_fractions
@@ -112,7 +111,7 @@ def _sweep_base_config():
 def test_c3_one_over_k_attenuation():
     started = time.monotonic()
     cfg = _sweep_base_config()
-    one_rep = Simulation(replace(cfg, rng_seed=cfg.rng_seed * 1000)).run()
+    one_rep = Simulation(cfg._replace(rng_seed=cfg.rng_seed * 1000)).run()
     sample = one_rep.victim_malicious_accepts + one_rep.victim_malicious_drops
     assert sample >= 2000, f"each repetition must see >= 2000 attack packets, got {sample}"
     rows = sweep_accept_fractions(cfg, [1, 2, 4, 8], reps=10)
@@ -158,7 +157,7 @@ def test_c4_drop_direction_at_the_victim():
 def test_c5_victim_energy_direction():
     demo = load_config(str(CONFIG_DIR / "attack_demo.cfg"))
     saodv = Simulation(demo).run()
-    aodv = Simulation(replace(demo, protocol=Protocol.AODV)).run()
+    aodv = Simulation(demo._replace(protocol=Protocol.AODV)).run()
     rows_s, rows_a = saodv.samples, aodv.samples
     assert len(rows_s) == len(rows_a)
     attack_start = demo.attacker_start
@@ -183,7 +182,7 @@ def test_c5_victim_energy_direction():
 
 def test_c6_mlet_direction_and_zero_threshold_equivalence():
     mlet_cfg = load_config(str(CONFIG_DIR / "fig11_mlet.cfg"))
-    baseline_cfg = replace(mlet_cfg, protocol=Protocol.AODV)
+    baseline_cfg = mlet_cfg._replace(protocol=Protocol.AODV)
     mlet, _ = run_traced(mlet_cfg)
     baseline, _ = run_traced(baseline_cfg)
 
@@ -198,7 +197,7 @@ def test_c6_mlet_direction_and_zero_threshold_equivalence():
     assert rerr_tx(baseline) > rerr_tx(mlet), "expected strictly fewer RERR events"
     assert data_drops(baseline) > data_drops(mlet), "expected strictly fewer DATA drops"
 
-    neutral = replace(mlet_cfg, let_threshold=0.0, mlet_annex_bytes=0)
+    neutral = mlet_cfg._replace(let_threshold=0.0, mlet_annex_bytes=0)
     neutral_trace, _ = run_traced(neutral)
     assert neutral_trace == baseline, \
         "threshold 0 with a zero-size annex must reproduce the baseline byte for byte"

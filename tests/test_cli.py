@@ -3,7 +3,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -145,7 +144,7 @@ def test_seed_flag_overrides_config(tmp_path):
     config = str(CONFIG_DIR / "table1_aodv.cfg")
     for name, extra in (("plain", []), ("flag", ["--seed", "42"])):
         assert main(["run", "--config", config, "--out", str(tmp_path / name), *extra]) == 0
-    write_events(tmp_path / "seed42.tr", run_traced(replace(load_config(config), rng_seed=42))[0])
+    write_events(tmp_path / "seed42.tr", run_traced(load_config(config)._replace(rng_seed=42))[0])
     flagged = (tmp_path / "flag" / "trace.tr").read_bytes()
     assert flagged == (tmp_path / "seed42.tr").read_bytes()
     assert flagged != (tmp_path / "plain" / "trace.tr").read_bytes()
@@ -620,6 +619,17 @@ def test_overflowing_charge_depletes_an_infinite_battery(tmp_path):
     assert [part.split("@")[0] for part in depleted.split()[1:]] == ["node0", "node1",
                                                                      "node2"]
     assert "nan" not in (tmp_path / "out" / "metrics.csv").read_text()
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_statistics():
+    # analyze and let use neither; only the run and sweep paths load them.
+    proc = subprocess.run([sys.executable, "-S", "-c",
+                           "import sys, manetsim.cli; print(*sorted(sys.modules))"],
+                          capture_output=True, text=True, env=_cli_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "manetsim.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "statistics"})
 
 
 def test_analyze_loads_no_simulator_layer(tmp_path):

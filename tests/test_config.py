@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -154,6 +153,6 @@ def test_round_trip_keeps_infinite_attacker_energy():
 
 def test_replace_keeps_config_usable():
     cfg = validate_config({})
-    other = replace(cfg, protocol=Protocol.SAODV)
+    other = cfg._replace(protocol=Protocol.SAODV)
     assert other.protocol is Protocol.SAODV
     assert isinstance(other, ScenarioConfig)

@@ -2,7 +2,6 @@
 
 import math
 import re
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -201,15 +200,15 @@ def test_each_key_names_one_field_by_the_flat_naming_rule():
     attrs = [attr for _, attr, _, _ in SCHEMA]
     assert len(set(keys)) == len(keys) and len(set(attrs)) == len(attrs)
     assert KNOWN_KEYS == set(keys) | {"flows", "nodes"}
-    assert attrs == [f.name for f in fields(ScenarioConfig)
-                     if f.name not in ("flows", "node_scripts")]
+    assert attrs == [name for name in ScenarioConfig._fields
+                     if name not in ("flows", "node_scripts")]
     for key, attr, _, default in SCHEMA:
         if "." in key:
             assert attr == key.replace(".", "_")
         assert getattr(ScenarioConfig(), attr) == default
 
 
-def test_defaults_come_from_the_dataclass_declarations():
+def test_defaults_come_from_the_field_declarations():
     # validate_config({}) adds only the default background flow.
     assert validate_config({"flows": "none"}) == ScenarioConfig()
 

@@ -1,8 +1,6 @@
 import bisect
 import math
 from collections import Counter
-from dataclasses import replace
-
 from random import Random
 
 import pytest
@@ -82,7 +80,7 @@ def test_a_sink_receives_the_records_the_list_keeps():
 def test_changing_seed_changes_the_trace():
     cfg = validate_config({"stop": 8, "seed": 21})
     a, _ = run_traced(cfg)
-    c, _ = run_traced(replace(cfg, rng_seed=22))
+    c, _ = run_traced(cfg._replace(rng_seed=22))
     assert a != c
 
 
@@ -91,7 +89,7 @@ def test_lossy_runs_stay_deterministic():
     a, _ = run_traced(cfg)
     b, _ = run_traced(cfg)
     assert a == b
-    lossless, _ = run_traced(replace(cfg, loss_prob=0.0))
+    lossless, _ = run_traced(cfg._replace(loss_prob=0.0))
     assert a != lossless
 
 
@@ -328,7 +326,7 @@ def test_report_summary_mentions_key_counters():
                                   "fig11_mlet+aodv"])
 def test_control_overhead_counter_counts_routing_packets(name):
     if name == "fig11_mlet+aodv":  # the baseline scripts/mlet_experiment.py runs
-        cfg = replace(load_config(str(CONFIG_DIR / "fig11_mlet.cfg")), protocol=Protocol.AODV)
+        cfg = load_config(str(CONFIG_DIR / "fig11_mlet.cfg"))._replace(protocol=Protocol.AODV)
     else:
         cfg = load_config(str(CONFIG_DIR / f"{name}.cfg"))
     trace, report = run_traced(cfg)
@@ -361,7 +359,7 @@ def test_metrics_csv_agrees_with_the_run_summary(path):
 ])
 def test_simulation_checks_a_config_built_in_code(name, value, key):
     with pytest.raises(ConfigError) as info:
-        Simulation(replace(validate_config({}), **{name: value}))
+        Simulation(validate_config({})._replace(**{name: value}))
     assert [v for v in info.value.violations if v.startswith(f"{key}: ")]
 
 
@@ -518,8 +516,8 @@ def test_one_event_per_frame_changes_no_byte(name):
         cfg = validate_config(_LEDGER_VARIANTS[name])
     elif name == "zero_delay":
         # Every frame lands at its own instant, so do the frames its receivers send.
-        cfg = replace(load_config(str(CONFIG_DIR / "table1_aodv.cfg")), bitrate=1e300,
-                      prop_delay=0.0)
+        cfg = load_config(str(CONFIG_DIR / "table1_aodv.cfg"))._replace(bitrate=1e300,
+                                                                         prop_delay=0.0)
     else:
         cfg = load_config(str(CONFIG_DIR / f"{name}.cfg"))
     batched = _observed_run(cfg, split=False)
@@ -533,8 +531,8 @@ def test_let_threshold_changes_no_byte_without_mlet(protocol):
     # Without MLET no frame carries the kinematics annex, so no link is admitted
     # against the threshold.
     for name in ("fig11_mlet", "table1_saodv", "attack_demo"):
-        cfg = replace(load_config(str(CONFIG_DIR / f"{name}.cfg")), protocol=protocol)
-        zero, five, huge = (_observed_run(replace(cfg, let_threshold=threshold), split=False)
+        cfg = load_config(str(CONFIG_DIR / f"{name}.cfg"))._replace(protocol=protocol)
+        zero, five, huge = (_observed_run(cfg._replace(let_threshold=threshold), split=False)
                             for threshold in (0.0, 5.0, 1e9))
         assert zero == five == huge, name
 
