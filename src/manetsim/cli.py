@@ -17,7 +17,7 @@ from .analyze import (MetricsParseError, interval_series, parse_metrics_csv, rea
                       victim_energy_series)
 from .config import MAX_COUNT, ConfigError, ScenarioConfig, check_config, load_config
 from .mobility import Kinematics, LetMode, link_expiration_time
-from .model import TraceEvent, TraceParseError, Vec2, read_utf8
+from .model import TraceEvent, TraceParseError, read_utf8
 
 if TYPE_CHECKING:
     from .engine import RunReport
@@ -288,8 +288,8 @@ def cmd_let(args) -> int:
     if args.r <= 0.0:
         print("error: --r must be positive", file=sys.stderr)
         return EXIT_USAGE
-    sender = Kinematics(pos=Vec2(args.sx, args.sy), vel=Vec2(args.svx, args.svy))
-    receiver = Kinematics(pos=Vec2(args.rx, args.ry), vel=Vec2(args.rvx, args.rvy))
+    sender = Kinematics(args.sx, args.sy, args.svx, args.svy)
+    receiver = Kinematics(args.rx, args.ry, args.rvx, args.rvy)
     if args.mode is not None:
         mode = LetMode.PAPER if args.mode == "paper" else LetMode.STRICT
         print(_fmt_let(link_expiration_time(sender, receiver, args.r, mode)))

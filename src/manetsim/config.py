@@ -392,15 +392,19 @@ def serialize_config(cfg: ScenarioConfig) -> str:
     flows = ";".join(f"{f.src}:{f.dst}:{f.rate!r}:{f.size}:{f.start!r}" for f in cfg.flows)
     lines.append(f"flows = {flows or 'none'}")
     nodes = "none" if cfg.node_scripts is None else "; ".join(
-        _format(s.pos if s.target is None else (s.pos, s.target, s.speed))
-        for s in cfg.node_scripts)
+        _format(pos if target is None else (pos, target, speed))
+        for pos, target, speed in cfg.node_scripts)
     lines.append(f"nodes = {nodes}")
     return "\n".join(lines) + "\n"
 
 
-def check_config(cfg: ScenarioConfig) -> None:
-    """Give a config built in code the checks a config file gets: raise ConfigError."""
-    validate_config(parse_config_text(serialize_config(cfg)))
+def check_config(cfg: ScenarioConfig) -> ScenarioConfig:
+    """Give a config built in code the checks a config file gets: raise ConfigError.
+
+    Returns the config as a config file gives it: a position given as a
+    plain tuple comes back a ``Vec2``.
+    """
+    return validate_config(parse_config_text(serialize_config(cfg)))
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -18,7 +18,7 @@ from .aodv import AodvNode, Drop, Tx
 from .config import ScenarioConfig, Sophistication, check_config
 from .medium import CellGrid, broadcast, tx_delay
 from .mlet import admit_link, annotate
-from .mobility import (MOBILITY_STEP, STILL, Kinematics, advance_waypoint,
+from .mobility import (MOBILITY_STEP, Kinematics, advance_waypoint,
                        initial_waypoint, kinematics_at, parked_waypoint, scripted_waypoint)
 from .model import (ATTACK_FID, BROADCAST, HEADER_RX_BYTES, CommonHeader, PacketKind,
                     TraceEvent, Vec2)
@@ -129,8 +129,7 @@ class Simulation:
 
     def __init__(self, cfg: ScenarioConfig,
                  record: Callable[[TraceEvent], object] = _keep_nothing):
-        check_config(cfg)
-        self.cfg = cfg
+        self.cfg = cfg = check_config(cfg)
         # Read once: each is an Enum property that tests tuple membership.
         self.verifies = cfg.protocol.verifies
         self.uses_let = cfg.protocol.uses_let
@@ -169,8 +168,7 @@ class Simulation:
             if cfg.attacker_pos is not None:
                 return parked_waypoint(cfg.attacker_pos)
         elif cfg.node_scripts is not None:
-            script = cfg.node_scripts[nid]
-            return scripted_waypoint(script.pos, script.target, script.speed)
+            return scripted_waypoint(*cfg.node_scripts[nid])  # pos, target, speed
         px = mob_rng.uniform(0.0, cfg.area_x)
         py = mob_rng.uniform(0.0, cfg.area_y)
         return initial_waypoint(Vec2(px, py), 0.0, cfg.pause)
@@ -208,8 +206,8 @@ class Simulation:
         was_alive = node.energy > 0.0
         node.energy = debit(node.energy, cost)
         if was_alive and node.energy == 0.0:  # frozen where it stands, for good
-            self.grid.place(node.nid, Kinematics(pos=kinematics_at(node.waypoint, t).pos,
-                                                 vel=STILL))
+            here = kinematics_at(node.waypoint, t)
+            self.grid.place(node.nid, Kinematics(here.x, here.y))
             self.report.depletion_times[node.nid] = t
             return True
         return False

@@ -6,7 +6,7 @@ from random import Random
 from typing import Dict, List, Tuple
 
 from .mobility import Kinematics
-from .model import BROADCAST, Vec2
+from .model import BROADCAST
 
 
 Cell = Tuple[int, int]
@@ -33,7 +33,7 @@ class CellGrid:
     def place(self, nid: int, kin: Kinematics):
         """Record a node's kinematics; move it to another cell if it left its own."""
         self.kin[nid] = kin
-        cell = (int(kin.pos.x // self.side), int(kin.pos.y // self.side))
+        cell = (int(kin.x // self.side), int(kin.y // self.side))
         old = self._cell.get(nid)
         if cell == old:
             return
@@ -53,8 +53,8 @@ class CellGrid:
                 for m in members.get((x, y), ())]
 
 
-def in_range(a: Vec2, b: Vec2, r: float) -> bool:
-    """Euclidean distance at most r, boundary inclusive."""
+def in_range(a, b, r: float) -> bool:
+    """Euclidean distance at most r, boundary inclusive, between two points with ``.x, .y``."""
     dx = a.x - b.x
     dy = a.y - b.y
     return dx * dx + dy * dy <= r * r
@@ -81,17 +81,17 @@ def broadcast(sender: int, link_dst: int, grid: CellGrid, loss_prob: float,
     all.  The range is the one ``grid`` was built with.
     """
     kin = grid.kin
-    sender_pos = kin[sender].pos
+    here = kin[sender]
     range_r = grid.range_r
     if link_dst != BROADCAST and loss_prob <= 0.0:
         # No loss draws to keep in step: only the addressee can hear it.
         if (link_dst != sender and link_dst in kin
-                and in_range(sender_pos, kin[link_dst].pos, range_r)):
+                and in_range(here, kin[link_dst], range_r)):
             return [link_dst]
         return []
     # Range first, so that only the hearers are sorted for the draws.
     hearers = [nid for nid in grid.near(sender)
-               if nid != sender and in_range(sender_pos, kin[nid].pos, range_r)]
+               if nid != sender and in_range(here, kin[nid], range_r)]
     hearers.sort()
     if loss_prob > 0.0:
         hearers = [nid for nid in hearers if rng.random() >= loss_prob]

@@ -20,29 +20,28 @@ class LetMode(Enum):
 
 
 class Kinematics(NamedTuple):
-    """A node's position and velocity at one instant."""
+    """A node's position (m) and velocity (m/s) at one instant; at rest by default."""
 
-    pos: Vec2
-    vel: Vec2
-
-
-#: The velocity of a node at rest.
-STILL = Vec2(0.0, 0.0)
+    x: float
+    y: float
+    vx: float = 0.0
+    vy: float = 0.0
 
 
 class _Leg(NamedTuple):
-    """The fields of a `WaypointState`: five given, then five worked out from them."""
+    """The fields of a `WaypointState`: five given, then six worked out from them."""
 
     current: Vec2
     target: Vec2
     speed: float
     pause_until: float
     leg_start_time: float
-    #: Unit direction of travel; 0.0 on a leg that does not move.
+    #: Unit direction of travel, then velocity while travelling; 0.0 on a
+    #: leg that does not move.
     ux: float
     uy: float
-    #: Velocity while travelling.
-    vel: Vec2
+    vx: float
+    vy: float
     #: Seconds from the leg's start to arrival; -inf on a leg that does not
     #: move, so that every instant finds it at rest.
     travel: float
@@ -57,7 +56,8 @@ class WaypointState(_Leg):
     ``pause_until`` marks the earliest time a new leg may start (arrival time
     plus the pause); ``math.inf`` parks the node after this leg, for good.
     The constructor takes these five fields and works out the leg's geometry
-    once, for `kinematics_at` to read; legs with equal fields are equal.
+    once, for `kinematics_at` to read; no field it works out is NaN, so legs
+    with equal fields are equal.
     Make a changed leg with the constructor: ``_replace`` would keep the old
     geometry.
     """
@@ -69,15 +69,18 @@ class WaypointState(_Leg):
         dx = target.x - current.x
         dy = target.y - current.y
         dist = math.hypot(dx, dy)
-        if speed <= 0.0 or dist == 0.0:
-            geometry = (0.0, 0.0, STILL, -math.inf, Kinematics(current, STILL))
+        # Scale by 1 / dist, not divide by dist: positions, and so the trace
+        # bytes, depend on this rounding.  A leg so short that 1 / dist
+        # overflows does not move, as one of length zero does not.
+        inv = 1.0 / dist if dist > 0.0 else math.inf
+        if speed <= 0.0 or inv == math.inf:
+            geometry = (0.0, 0.0, 0.0, 0.0, -math.inf, Kinematics(current.x, current.y))
         else:
-            # Scale by 1 / dist, not divide by dist: positions, and so the
-            # trace bytes, depend on this rounding.
-            inv = 1.0 / dist
             ux, uy = dx * inv, dy * inv
-            geometry = (ux, uy, Vec2(ux * speed, uy * speed), dist / speed,
-                        Kinematics(target, STILL))
+            # A zero component of the direction keeps a zero velocity even at
+            # infinite speed, where 0 * inf would be NaN.
+            geometry = (ux, uy, ux * speed if ux else ux, uy * speed if uy else uy,
+                        dist / speed, Kinematics(target.x, target.y))
         return tuple.__new__(cls, (current, target, speed, pause_until, leg_start_time)
                              + geometry)
 
@@ -123,8 +126,7 @@ def kinematics_at(state: WaypointState, t: float) -> Kinematics:
         return state.rest
     step = state.speed * elapsed
     x, y = state.current
-    return _new(Kinematics, (_new(Vec2, (x + state.ux * step, y + state.uy * step)),
-                             state.vel))
+    return _new(Kinematics, (x + state.ux * step, y + state.uy * step, state.vx, state.vy))
 
 
 def advance_waypoint(state: WaypointState, rng: Random, t: float,
@@ -141,9 +143,8 @@ def advance_waypoint(state: WaypointState, rng: Random, t: float,
     here = state.target  # the node rests at the end of the previous leg
     if speed <= 0.0:
         return parked_waypoint(here)
-    target = Vec2(tx, ty)
-    travel = (target - here).norm() / speed
-    return WaypointState(current=here, target=target, speed=speed,
+    travel = math.hypot(tx - here.x, ty - here.y) / speed
+    return WaypointState(current=here, target=Vec2(tx, ty), speed=speed,
                          pause_until=t + travel + pause, leg_start_time=t)
 
 
@@ -167,10 +168,10 @@ def link_expiration_time(sender: Kinematics, receiver: Kinematics, r: float,
     """
     if r <= 0.0:
         raise ValueError(f"range must be positive, got {r}")
-    a = receiver.vel.x - sender.vel.x
-    b = receiver.pos.x - sender.pos.x
-    c = receiver.vel.y - sender.vel.y
-    d = receiver.pos.y - sender.pos.y
+    a = receiver.vx - sender.vx
+    b = receiver.x - sender.x
+    c = receiver.vy - sender.vy
+    d = receiver.y - sender.y
     denom = a * a + c * c
     if denom == 0.0:
         if mode is LetMode.STRICT and b * b + d * d > r * r:

@@ -38,20 +38,14 @@ class PacketKind(Enum):
 
 
 class Vec2(NamedTuple):
-    """2-D position (m) or velocity (m/s).
+    """A 2-D position (m): of the attacker or a scripted node in a config, or a leg's end.
 
     Components are finite: coordinates are checked where they enter the
-    program (the config, the ``let`` command), not on every arithmetic result.
+    program, in the config, not on every arithmetic result.
     """
 
     x: float
     y: float
-
-    def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x - other.x, self.y - other.y)
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
 
 
 class CommonHeader(NamedTuple):

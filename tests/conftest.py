@@ -10,9 +10,10 @@ from manetsim.config import validate_config
 from manetsim.engine import Simulation
 from manetsim.medium import in_range
 from manetsim.mobility import Kinematics
-from manetsim.model import BROADCAST, Vec2
+from manetsim.model import BROADCAST
 
-settings.register_profile("suite", deadline=None)
+# print_blob: a failure prints the @reproduce_failure line that replays it.
+settings.register_profile("suite", deadline=None, print_blob=True)
 settings.load_profile("suite")
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -34,7 +35,7 @@ def run_traced(cfg):
 
 
 def kin(px, py, vx=0.0, vy=0.0):
-    return Kinematics(pos=Vec2(px, py), vel=Vec2(vx, vy))
+    return Kinematics(px, py, vx, vy)
 
 
 def scan_broadcast(sender, link_dst, node_kinematics, range_r, loss_prob, rng):
@@ -43,10 +44,10 @@ def scan_broadcast(sender, link_dst, node_kinematics, range_r, loss_prob, rng):
     One loss draw per in-range node other than the sender, as the medium
     draws them; a unicast frame yields only the addressee's id.
     """
-    sender_pos = node_kinematics[sender].pos
+    here = node_kinematics[sender]
     receivers = []
     for nid in sorted(node_kinematics):
-        if nid == sender or not in_range(sender_pos, node_kinematics[nid].pos, range_r):
+        if nid == sender or not in_range(here, node_kinematics[nid], range_r):
             continue
         if loss_prob > 0.0 and rng.random() < loss_prob:
             continue
@@ -61,10 +62,10 @@ def stepping_let(sender, receiver, r, dt=1e-3):
     Advances the relative motion on a dt grid and returns the first grid
     instant at which the distance exceeds r.
     """
-    bx = receiver.pos.x - sender.pos.x
-    by = receiver.pos.y - sender.pos.y
-    ax = receiver.vel.x - sender.vel.x
-    ay = receiver.vel.y - sender.vel.y
+    bx = receiver.x - sender.x
+    by = receiver.y - sender.y
+    ax = receiver.vx - sender.vx
+    ay = receiver.vy - sender.vy
     if bx * bx + by * by > r * r:
         return 0.0
     speed = math.hypot(ax, ay)

@@ -41,10 +41,10 @@ def test_c1_let_oracle_equivalence():
         sender = kin(sx, sy, rng.uniform(-5, 5), rng.uniform(-5, 5))
         receiver = kin(sx + offset * math.cos(angle), sy + offset * math.sin(angle),
                        rng.uniform(-5, 5), rng.uniform(-5, 5))
-        a = receiver.vel.x - sender.vel.x
-        b = receiver.pos.x - sender.pos.x
-        c = receiver.vel.y - sender.vel.y
-        d = receiver.pos.y - sender.pos.y
+        a = receiver.vx - sender.vx
+        b = receiver.x - sender.x
+        c = receiver.vy - sender.vy
+        d = receiver.y - sender.y
         denom = a * a + c * c
         if denom < 1.0:  # keep the brute-force horizon short
             continue

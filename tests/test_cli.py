@@ -609,6 +609,15 @@ def test_extreme_speeds_run_to_completion(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+def test_a_leg_too_short_to_scale_runs_to_completion(tmp_path):
+    # 1 / dist overflowed on this 5e-324 m leg: its start was a NaN position,
+    # which the neighbour grid could not floor into a cell (ValueError).
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("nn = 2\nstop = 5\nnodes = 0,0,0,5e-324,1; 10,10\n")
+    proc = _cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_overflowing_charge_depletes_an_infinite_battery(tmp_path):
     # inf - inf left each battery NaN: dead to the engine, yet never depleted.
     cfg = tmp_path / "nan.cfg"

@@ -363,6 +363,17 @@ def test_simulation_checks_a_config_built_in_code(name, value, key):
     assert [v for v in info.value.violations if v.startswith(f"{key}: ")]
 
 
+def test_a_position_given_as_a_plain_tuple_runs_as_its_vec2():
+    # The run takes the config its check returns, where the tuple is a Vec2:
+    # run as given, the tuple ended in an AttributeError.
+    base = validate_config({"attacker.enabled": "true", "stop": 20})
+    as_tuple = base._replace(attacker_pos=(10.0, 20.0))
+    assert type(Simulation(as_tuple).cfg.attacker_pos) is Vec2
+    records, report = run_traced(as_tuple)
+    assert (records, report) == run_traced(base._replace(attacker_pos=Vec2(10.0, 20.0)))
+    assert report.attacker_data_sent > 0
+
+
 def test_metric_samples_are_queued_one_ahead():
     cfg = validate_config({"nn": 2, "stop": 5, "metrics_interval": 0.001,
                            "flows": "none", "nodes": "10,10; 20,10"})
@@ -450,10 +461,10 @@ def test_no_delivery_is_queued_for_an_overheard_unicast(monkeypatch):
     real_broadcast = engine.broadcast
 
     def broadcast(sender, link_dst, grid, loss_prob, rng):
-        pos = grid.kin[sender].pos
+        here = grid.kin[sender]
         overheard.extend(nid for nid, k in grid.kin.items()
                          if link_dst not in (BROADCAST, nid) and nid != sender
-                         and in_range(pos, k.pos, sim.cfg.range_r))
+                         and in_range(here, k, sim.cfg.range_r))
         return real_broadcast(sender, link_dst, grid, loss_prob, rng)
 
     monkeypatch.setattr(engine, "broadcast", broadcast)
@@ -561,7 +572,8 @@ def _search_against_a_full_scan(seed):
         for nid, node in sim.nodes.items():
             if node.energy <= 0.0:  # frozen where its battery ran out
                 died = sim.report.depletion_times[nid]
-                assert grid.kin[nid].pos == kinematics_at(node.waypoint, died).pos
+                frozen, at_death = grid.kin[nid], kinematics_at(node.waypoint, died)
+                assert (frozen.x, frozen.y) == (at_death.x, at_death.y)
         calls.append(link_dst)
         return got
 
@@ -619,9 +631,9 @@ def test_every_tick_places_each_node_where_the_reference_does():
             else:
                 died = sim.report.depletion_times[nid]
                 at_death = reference_kinematics_at(node.waypoint, died)
-                if at_death.vel != Vec2(0.0, 0.0):
+                if (at_death.vx, at_death.vy) != (0.0, 0.0):
                     died_moving.add(nid)
-                expected = Kinematics(pos=at_death.pos, vel=Vec2(0.0, 0.0))
+                expected = Kinematics(at_death.x, at_death.y)
             assert kinematics_bits(sim.grid.kin[nid]) == kinematics_bits(expected)
 
     sim._mobility_update = mobility_update

@@ -22,10 +22,10 @@ def _close(a, b):
 
 
 def _components(s, r):
-    a = r.vel.x - s.vel.x
-    b = r.pos.x - s.pos.x
-    c = r.vel.y - s.vel.y
-    d = r.pos.y - s.pos.y
+    a = r.vx - s.vx
+    b = r.x - s.x
+    c = r.vy - s.vy
+    d = r.y - s.y
     denom = a * a + c * c
     return a, b, c, d, denom
 

@@ -71,7 +71,7 @@ def test_broadcast_chain_connectivity():
     # Nodes at (0,0), (r,0), (2r,0): ends are mutually out of range.
     r = 15.0
     kins = {0: kin(0, 0), 1: kin(r, 0), 2: kin(2 * r, 0)}
-    assert not in_range(kins[0].pos, kins[2].pos, r)
+    assert not in_range(kins[0], kins[2], r)
     from_middle = broadcast(1, BROADCAST, _grid(kins), 0.0, random.Random(1))
     assert from_middle == [0, 2]
     from_end = broadcast(0, BROADCAST, _grid(kins), 0.0, random.Random(1))
@@ -145,6 +145,6 @@ def test_grid_finds_a_pair_that_rounding_puts_in_range():
     # 1e-17 is lost when 10 - (-1e-17) is rounded, so the pair is in range,
     # yet an unpadded cell side of 10 would put the two cells apart.
     kins = {0: kin(-1e-17, 0.0), 1: kin(R, 0.0)}
-    assert in_range(kins[0].pos, kins[1].pos, R)
+    assert in_range(kins[0], kins[1], R)
     heard = broadcast(0, BROADCAST, _grid(kins, r=R), 0.0, random.Random(1))
     assert heard == [1]

@@ -18,30 +18,30 @@ def _leg(current, target, speed, start=0.0):
 def test_leg_start_has_full_velocity():
     state = _leg(Vec2(0.0, 0.0), Vec2(10.0, 0.0), speed=2.0)
     k = kinematics_at(state, 0.0)
-    assert k.pos == Vec2(0.0, 0.0)
-    assert k.vel == Vec2(2.0, 0.0)
+    assert (k.x, k.y) == (0.0, 0.0)
+    assert (k.vx, k.vy) == (2.0, 0.0)
 
 
 def test_paused_node_has_zero_velocity():
     state = initial_waypoint(Vec2(3.0, 4.0), 0.0, pause=2.0)
     k = kinematics_at(state, 1.0)
-    assert k.pos == Vec2(3.0, 4.0)
-    assert k.vel == Vec2(0.0, 0.0)
+    assert (k.x, k.y) == (3.0, 4.0)
+    assert (k.vx, k.vy) == (0.0, 0.0)
 
 
 def test_halfway_along_leg():
     # 10 m leg at 2 m/s: halfway in time (2.5 s) is 5 m along.
     state = _leg(Vec2(0.0, 0.0), Vec2(10.0, 0.0), speed=2.0)
     k = kinematics_at(state, 2.5)
-    assert math.isclose(k.pos.x, 5.0)
-    assert k.pos.y == 0.0
+    assert math.isclose(k.x, 5.0)
+    assert k.y == 0.0
 
 
 def test_position_clamps_at_target():
     state = _leg(Vec2(0.0, 0.0), Vec2(10.0, 0.0), speed=2.0)
     k = kinematics_at(state, 100.0)
-    assert k.pos == Vec2(10.0, 0.0)
-    assert k.vel == Vec2(0.0, 0.0)
+    assert (k.x, k.y) == (10.0, 0.0)
+    assert (k.vx, k.vy) == (0.0, 0.0)
 
 
 def test_advance_is_deterministic_for_fixed_seed():
@@ -73,51 +73,55 @@ def test_positions_never_leave_area(t):
     state = initial_waypoint(Vec2(25.0, 25.0), 0.0, pause=0.1)
     state = advance_waypoint(state, rng, 0.1, 50.0, 50.0, 1.0, 5.0, 1.0)
     k = kinematics_at(state, max(t, state.leg_start_time))
-    assert 0.0 <= k.pos.x <= 50.0
-    assert 0.0 <= k.pos.y <= 50.0
+    assert 0.0 <= k.x <= 50.0
+    assert 0.0 <= k.y <= 50.0
 
 
 def test_parked_node_is_never_due():
     state = parked_waypoint(Vec2(2.0, 2.0))
     assert state.pause_until == math.inf
-    assert kinematics_at(state, 123.0).pos == Vec2(2.0, 2.0)
+    assert kinematics_at(state, 123.0) == Kinematics(2.0, 2.0)
 
 
 def test_scripted_leg_moves_then_parks():
     state = scripted_waypoint(Vec2(0.0, 0.0), Vec2(8.0, 6.0), speed=5.0)
     assert state.pause_until == math.inf
     mid = kinematics_at(state, 1.0)
-    assert math.isclose(mid.pos.x, 4.0) and math.isclose(mid.pos.y, 3.0)
-    assert math.isclose(mid.vel.norm(), 5.0)
+    assert math.isclose(mid.x, 4.0) and math.isclose(mid.y, 3.0)
+    assert math.isclose(math.hypot(mid.vx, mid.vy), 5.0)
     end = kinematics_at(state, 10.0)
-    assert end.pos == Vec2(8.0, 6.0)
-    assert end.vel == Vec2(0.0, 0.0)
+    assert (end.x, end.y) == (8.0, 6.0)
+    assert (end.vx, end.vy) == (0.0, 0.0)
 
 
 def test_scripted_without_target_is_parked():
     state = scripted_waypoint(Vec2(1.0, 2.0), None, speed=0.0)
-    assert kinematics_at(state, 55.0).pos == Vec2(1.0, 2.0)
+    assert kinematics_at(state, 55.0) == Kinematics(1.0, 2.0)
 
 
 def reference_kinematics_at(state, t):
-    """Reference kinematics: the whole leg's geometry worked out at every call."""
-    delta = state.target - state.current
-    dist = delta.norm()
-    if state.speed <= 0.0 or dist == 0.0:
-        return Kinematics(pos=state.current, vel=Vec2(0.0, 0.0))
+    """Reference kinematics: the whole leg's geometry worked out at every call.
+
+    A leg does not move when its speed is at most 0, or when it is so
+    short, zero length included, that 1 / dist is not finite.
+    """
+    dx, dy = state.target.x - state.current.x, state.target.y - state.current.y
+    dist = math.hypot(dx, dy)
+    if state.speed <= 0.0 or dist == 0.0 or math.isinf(1.0 / dist):
+        return Kinematics(state.current.x, state.current.y)
     travel = dist / state.speed
     elapsed = t - state.leg_start_time
     if elapsed >= travel:
-        return Kinematics(pos=state.target, vel=Vec2(0.0, 0.0))
-    ux, uy = delta.x * (1.0 / dist), delta.y * (1.0 / dist)
+        return Kinematics(state.target.x, state.target.y)
+    ux, uy = dx * (1.0 / dist), dy * (1.0 / dist)
     step = state.speed * elapsed
-    return Kinematics(pos=Vec2(state.current.x + ux * step, state.current.y + uy * step),
-                      vel=Vec2(ux * state.speed, uy * state.speed))
+    return Kinematics(state.current.x + ux * step, state.current.y + uy * step,
+                      ux * state.speed, uy * state.speed)
 
 
 def kinematics_bits(kin):
     """The four floats as reprs, which tell -0.0 from 0.0 and every last bit."""
-    return tuple(repr(v) for v in (kin.pos.x, kin.pos.y, kin.vel.x, kin.vel.y))
+    return tuple(repr(v) for v in kin)
 
 
 _coord = st.floats(-1e4, 1e4)
@@ -165,8 +169,16 @@ def _legs(draw):
 @example(leg=WaypointState(current=Vec2(0.0, 0.0), target=Vec2(0.3, -0.4), speed=0.7,
                            pause_until=math.inf, leg_start_time=12.3),
          where="arrival", fraction=0.0, late=0.0)
+# 1 / dist overflows to inf on this leg, so it does not move.
+@example(leg=WaypointState(current=Vec2(0.0, 0.0), target=Vec2(0.0, 5e-324), speed=1.0,
+                           pause_until=0.0, leg_start_time=0.0),
+         where="before", fraction=0.0, late=0.0)
+# At infinite speed the zero y component of the direction gives vy = 0.0, not 0 * inf.
+@example(leg=WaypointState(current=Vec2(0.0, 0.0), target=Vec2(10.0, 0.0), speed=math.inf,
+                           pause_until=math.inf, leg_start_time=0.0),
+         where="after", fraction=0.0, late=1.0)
 def test_kinematics_match_the_reference(leg, where, fraction, late):
-    dist = (leg.target - leg.current).norm()
+    dist = math.hypot(leg.target.x - leg.current.x, leg.target.y - leg.current.y)
     travel = dist / leg.speed if leg.speed > 0.0 and dist > 0.0 else 0.0
     t = leg.leg_start_time + {"before": fraction * travel, "arrival": travel,
                               "after": travel + late}[where]
@@ -175,4 +187,5 @@ def test_kinematics_match_the_reference(leg, where, fraction, late):
     twin = WaypointState(current=leg.current, target=leg.target, speed=leg.speed,
                          pause_until=leg.pause_until, leg_start_time=leg.leg_start_time)
     assert twin == leg and hash(twin) == hash(leg)
+    assert not any(map(math.isnan, (*leg[5:10], *leg.rest)))  # no worked-out field is NaN
     assert kinematics_bits(kinematics_at(twin, t)) == kinematics_bits(kinematics_at(leg, t))

@@ -3,11 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from manetsim.analyze import parse_trace_text
-from manetsim.model import TraceEvent, TraceParseError, Vec2
-
-
-def test_vec2_arithmetic():
-    assert (Vec2(3.0, 4.0) - Vec2(0.0, 0.0)).norm() == 5.0
+from manetsim.model import TraceEvent, TraceParseError
 
 
 def test_trace_line_format_matches_field_order():
