@@ -142,72 +142,35 @@ def _run_share(cfg: ScenarioConfig, runs: List[Tuple[int, int]]) -> List[Tuple[i
     return pairs
 
 
-def _sweep_worker(cfg: ScenarioConfig, runs: List[Tuple[int, int]], write_fd: int,
-                  inherited: List[TextIO]):
-    """Body of a forked worker: one "accepts drops" line per run to ``write_fd``.
-
-    It leaves through ``os._exit``, so it never returns into the parent's
-    stack, runs no exit handler and flushes no buffer the parent still owns.
-    """
-    code = 1
-    try:
-        for fh in inherited:  # read ends of the pipes, its own included
-            fh.close()
-        with open(write_fd, "w", encoding="ascii") as out:
-            for accepts, drops in _run_share(cfg, runs):
-                out.write(f"{accepts} {drops}\n")
-        code = 0
-    except Exception:
-        import traceback
-        traceback.print_exc()
-    finally:
-        sys.stderr.flush()
-        os._exit(code)
-
-
 def _forked_pairs(cfg: ScenarioConfig, runs: List[Tuple[int, int]],
                   n: int) -> List[Tuple[int, int]]:
     """Run ``runs[i::n]`` in process i, this process being 0; pairs in run order.
 
-    The split is fixed, so the runs made in this process do not vary between
-    calls.  Every worker is reaped before this returns or raises.
+    Processes 1..n-1 are a pool forked from this one.  The split is fixed, so
+    the runs made in this process do not vary between calls.  Every worker is
+    reaped before this returns or raises.
     """
-    import signal
+    if n == 1:
+        return _run_share(cfg, runs)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
     sys.stdout.flush()  # a worker must not inherit, and flush again, buffered output
     sys.stderr.flush()
-    workers: List[Tuple[int, TextIO]] = []  # (pid, read end of its pipe)
-    reaped = 0
     pairs: List[Tuple[int, int]] = [(0, 0)] * len(runs)
-    try:
-        for i in range(1, n):
-            read_fd, write_fd = os.pipe()
-            reader = open(read_fd, encoding="ascii")
-            try:
-                pid = os.fork()
-            except BaseException:
-                reader.close()
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                _sweep_worker(cfg, runs[i::n], write_fd, [fh for _, fh in workers] + [reader])
-            os.close(write_fd)
-            workers.append((pid, reader))
-        pairs[0::n] = _run_share(cfg, runs[0::n])
-        for i, (pid, reader) in enumerate(workers, 1):
-            with reader:
-                lines = reader.read().splitlines()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            reaped += 1
-            if code != 0 or len(lines) != len(runs[i::n]):
-                raise RuntimeError(f"sweep worker {i} exited with status {code} after "
-                                   f"{len(lines)} of its {len(runs[i::n])} runs")
-            pairs[i::n] = [tuple(map(int, line.split())) for line in lines]
-    finally:
-        for pid, reader in workers[reaped:]:  # left only when this process failed
-            reader.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    callers = set(multiprocessing.active_children())
+    # fork: the workers inherit this process's modules and patches, and are all
+    # forked at the first submit, before the pool starts its manager thread.
+    with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        try:
+            shares = [pool.submit(_run_share, cfg, runs[i::n]) for i in range(1, n)]
+            pairs[0::n] = _run_share(cfg, runs[0::n])
+            for i, share in enumerate(shares, 1):
+                pairs[i::n] = share.result()
+        except BaseException:  # a stalled worker would hold up the reaping below
+            for worker in set(multiprocessing.active_children()) - callers:
+                worker.kill()
+            raise
     return pairs
 
 
@@ -217,9 +180,12 @@ def sweep_accept_fractions(cfg: ScenarioConfig, k_values: List[int], reps: int,
 
     Repetition j of every k runs with derived seed base*1000 + j so that the
     same mobility/placement is paired across channel counts.  The runs are
-    split over ``jobs`` processes, forked from this one, where ``os.fork``
-    exists; the rows do not depend on ``jobs``.  With ``jobs`` above 1, call
-    it from a process that runs no other thread, whose locks a fork would copy.
+    split between this process and a pool of ``jobs`` - 1 processes forked
+    from it, where ``os.fork`` exists; the rows do not depend on ``jobs``.  A
+    worker's exception is raised here with its own type and message, and a
+    worker that dies without one gives ``BrokenProcessPool``.  With ``jobs``
+    above 1, call it from a process that runs no other thread, whose locks a
+    fork would copy.
     """
     import statistics  # loaded only by the sweep, like the simulator
 

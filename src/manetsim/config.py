@@ -350,6 +350,9 @@ def validate_config(raw: Mapping[str, object]) -> ScenarioConfig:
     if "let_threshold" not in data and v["protocol"].uses_let:
         v["let_threshold"] = 5.0  # the admission filter is on by default under *_MLET
 
+    if not math.isfinite(math.hypot(v["area_x"], v["area_y"])):  # bounds every leg's length
+        fail("x", f"must leave the diagonal hypot(x, y) finite, got a "
+                  f"{v['area_x']}x{v['area_y']} area")
     if not math.isfinite(max(v["area_x"], v["area_y"]) / v["range_r"]):  # bounds cell indices
         fail("range_r", f"must leave x / range_r and y / range_r finite, got {v['range_r']}")
     if v["speed_max"] < v["speed_min"]:

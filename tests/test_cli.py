@@ -1,8 +1,10 @@
+import multiprocessing
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -290,7 +292,7 @@ def test_sweep_rejects_bad_k_list(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1, args
-    # A k out of bounds is reported by the config check, as the sweep script reports it.
+    # A k out of bounds is reported by the config check.
     assert main(["sweep", "--config", cfg, "--k", "0,2"]) == 2
     assert capsys.readouterr().err == "config error: k: must be >= 1, got 0\n"
     with pytest.raises(SystemExit) as exc:  # argparse rejects it, after its usage line
@@ -367,7 +369,7 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_failing_worker_fails_the_sweep_and_is_reaped(monkeypatch, capfd):
+def test_a_failing_worker_fails_the_sweep_and_is_reaped(monkeypatch):
     cfg = validate_config(parse_config_text(QUICK_SWEEP_CFG))
     parent, real = os.getpid(), engine.Simulation.run
 
@@ -379,11 +381,27 @@ def test_a_failing_worker_fails_the_sweep_and_is_reaped(monkeypatch, capfd):
     # Patched before the fork, so every worker inherits it.
     monkeypatch.setattr(engine.Simulation, "run", fail_in_a_worker)
     started = time.monotonic()
-    with pytest.raises(RuntimeError, match="sweep worker 1 exited with status 1"):
+    with pytest.raises(ValueError, match="^a run failed in a worker$"):
         sweep_accept_fractions(cfg, [1, 2], reps=2, jobs=2)
     assert time.monotonic() - started < 10.0
     _assert_no_child_left()
-    assert "ValueError: a run failed in a worker" in capfd.readouterr().err
+
+
+def test_a_worker_that_dies_breaks_the_sweep_and_is_reaped(monkeypatch):
+    cfg = validate_config(parse_config_text(QUICK_SWEEP_CFG))
+    parent, real = os.getpid(), engine.Simulation.run
+
+    def die_in_a_worker(sim):
+        if os.getpid() != parent:
+            os._exit(9)  # no exception for the pool to send back
+        return real(sim)
+
+    monkeypatch.setattr(engine.Simulation, "run", die_in_a_worker)
+    started = time.monotonic()
+    with pytest.raises(BrokenProcessPool):
+        sweep_accept_fractions(cfg, [1, 2], reps=2, jobs=2)
+    assert time.monotonic() - started < 10.0
+    _assert_no_child_left()
 
 
 def test_a_failing_sweep_kills_and_reaps_its_workers(monkeypatch):
@@ -403,6 +421,29 @@ def test_a_failing_sweep_kills_and_reaps_its_workers(monkeypatch):
     _assert_no_child_left()
 
 
+def test_a_failing_sweep_leaves_the_callers_own_children_alive(monkeypatch):
+    cfg = validate_config(parse_config_text(QUICK_SWEEP_CFG))
+    child = multiprocessing.get_context("fork").Process(target=time.sleep, args=(30.0,))
+    child.start()
+    try:
+        parent = os.getpid()
+
+        def fail_here(sim):
+            if os.getpid() == parent:
+                raise ValueError("a run failed in the sweep's own process")
+            time.sleep(60.0)
+
+        monkeypatch.setattr(engine.Simulation, "run", fail_here)
+        with pytest.raises(ValueError, match="own process"):
+            sweep_accept_fractions(cfg, [1, 2, 4], reps=2, jobs=3)
+        assert child.is_alive()
+    finally:
+        child.terminate()
+        child.join(10.0)
+    assert not child.is_alive()
+    _assert_no_child_left()
+
+
 def test_a_bad_k_fails_before_any_run(monkeypatch):
     cfg = validate_config(parse_config_text(QUICK_SWEEP_CFG))
     monkeypatch.setattr(engine, "Simulation", None)  # any run would raise TypeError
@@ -411,15 +452,6 @@ def test_a_bad_k_fails_before_any_run(monkeypatch):
     assert exc.value.violations == ["k: must be >= 1, got -1", "k: must be >= 1, got 0",
                                     "k: must be <= 1000000, got 1000001"]
     _assert_no_child_left()
-
-
-def test_channel_sweep_script_reports_a_bad_k_without_traceback():
-    script = Path(__file__).parents[1] / "scripts" / "channel_sweep_experiment.py"
-    proc = subprocess.run([sys.executable, str(script), "--k", "0"],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == "config error: k: must be >= 1, got 0\n"
 
 
 #: Script -> (its CSV under out/, the summary lines it prints before "wrote").
@@ -447,6 +479,14 @@ def test_experiment_script_rewrites_its_csv_and_summary(script, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [*summary, f"wrote {out}"]
     assert out.read_bytes() == (repo / "out" / f"{csv}.csv").read_bytes()
+
+
+def test_channel_sweep_config_rewrites_its_csv():
+    # The paper's channel-count experiment, with site-packages off sys.path.
+    proc = _cli("sweep", "--config", str(CONFIG_DIR / "channel_sweep.cfg"),
+                "--k", "1,2,4,8,16", "--reps", "10", python_flags=("-S",))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (Path(__file__).parents[1] / "out" / "channel_sweep.csv").read_text()
 
 
 def test_sweep_insider_attacker_is_always_accepted(tmp_path, capsys):
@@ -575,6 +615,10 @@ REJECTED_CONFIGS = [
     # An OverflowError where the neighbour grid turned x / range_r = inf into a cell.
     ("range_r = 1e-300\nx = 1e10\ny = 1e10",
      "range_r: must leave x / range_r and y / range_r finite, got 1e-300"),
+    # A leg whose length overflowed to inf left its node standing at its start.
+    ("nn = 2\nx = 1.7e308\ny = 1.7e308\nrange_r = 1e300\n"
+     "nodes = 0,0,1.7e308,1.7e308,1e300; 10,10",
+     "x: must leave the diagonal hypot(x, y) finite, got a 1.7e+308x1.7e+308 area"),
     # Every retry of a discovery fired at one instant, since t + 1e-300 == t:
     # 2,000,103 events and 64 s for two nodes out of range.
     ("nodes = 10,10; 40,10\nretry_timeout = 1e-300\nretry_limit = 100000\n"

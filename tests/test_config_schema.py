@@ -139,6 +139,9 @@ REJECTED_NOW = [
      ["flows: entry 0: a timer every 1e-06 s would fire more than 1000000 times in 50.0 s"]),
     ({"stop": "1e6"},
      ["stop: a timer every 0.1 s would fire more than 1000000 times in 1000000.0 s"]),
+    # A leg whose length overflowed to inf left its node standing at its start.
+    ({"x": "1.7e308", "y": "1.7e308"},
+     ["x: must leave the diagonal hypot(x, y) finite, got a 1.7e+308x1.7e+308 area"]),
 ]
 
 
