@@ -126,13 +126,16 @@ def victim_energy_series(metrics_rows: List[Dict[str, float]],
                          window_ends: Sequence[float]) -> List[Optional[float]]:
     """For each window end, the latest victim energy sampled at or before it (else None).
 
-    ``window_ends`` must be non-decreasing, as the rows' ``t`` already is, so
-    one forward walk over the rows serves every window.
+    Both are compared at the 6 decimals that ``metrics.csv`` and ``analyze``
+    print, so a sample taken at a window's end joins it.  ``window_ends`` must
+    be non-decreasing, as the rows' ``t`` already is, so one forward walk over
+    the rows serves every window.
     """
     energies: List[Optional[float]] = []
     latest, i = None, 0
     for end in window_ends:
-        while i < len(metrics_rows) and metrics_rows[i]["t"] <= end + 1e-9:
+        end = round(end, 6)
+        while i < len(metrics_rows) and metrics_rows[i]["t"] <= end:
             latest = metrics_rows[i]["victim_energy"]
             i += 1
         energies.append(latest)

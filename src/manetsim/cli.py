@@ -185,12 +185,15 @@ def sweep_accept_fractions(cfg: ScenarioConfig, k_values: List[int], reps: int,
     worker's exception is raised here with its own type and message, and a
     worker that dies without one gives ``BrokenProcessPool``.  With ``jobs``
     above 1, call it from a process that runs no other thread, whose locks a
-    fork would copy.
+    fork would copy.  A config with no attacker, or a k the config check
+    rejects, raises ``ConfigError`` before any run.
     """
     import statistics  # loaded only by the sweep, like the simulator
 
     ks = sorted(set(k_values))
-    violations: List[str] = []
+    violations: List[str] = [] if cfg.attacker_enabled else [
+        "attacker.enabled: sweep measures the victim's accept fraction of the flood; "
+        "must be true"]
     for k in ks:  # a bad k fails here, in this process, before any fork
         try:
             check_config(cfg._replace(num_channels=k))

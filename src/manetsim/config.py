@@ -14,8 +14,8 @@ import operator
 from enum import Enum
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from .mobility import MOBILITY_STEP, LetMode
-from .model import PacketKind, Vec2, read_utf8
+from .mobility import MOBILITY_STEP, Kinematics, LetMode
+from .model import PacketKind, read_utf8
 
 #: Most times one periodic timer may fire before ``stop``: the mobility step,
 #: ``hello_interval``, ``metrics_interval`` and ``1 / rate`` of each flow and of
@@ -104,7 +104,7 @@ def _packet_kinds(raw: str) -> Tuple[PacketKind, ...]:
     return tuple(dict.fromkeys(kinds))
 
 
-def _vec2(raw: str) -> Optional[Vec2]:
+def _position(raw: str) -> Optional[Kinematics]:
     if raw.lower() == "none":
         return None
     parts = [p.strip() for p in raw.split(",")]
@@ -112,8 +112,8 @@ def _vec2(raw: str) -> Optional[Vec2]:
         raise ValueError(f"expected 'x,y', got {raw!r}")
     x, y = float(parts[0]), float(parts[1])
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"Vec2 components must be finite, got ({x}, {y})")
-    return Vec2(x, y)
+        raise ValueError(f"coordinates must be finite, got ({x}, {y})")
+    return Kinematics(x, y)
 
 
 #: (name if not the field's, parser) of each `_key`, in declaration order.
@@ -149,8 +149,8 @@ class FlowSpec(NamedTuple):
 class NodeScript(NamedTuple):
     """Pinned start position and an optional single travel leg."""
 
-    pos: Vec2
-    target: Optional[Vec2] = None
+    pos: Kinematics
+    target: Optional[Kinematics] = None
     speed: float = 0.0
 
 
@@ -205,7 +205,7 @@ class ScenarioConfig(NamedTuple):
     attacker_payload: int = _key(100, ">=", 1, "<=", MAX_PACKET_BYTES, key="attacker.payload")
     attacker_sophistication: Sophistication = _key(Sophistication.NAIVE_RANDOM,
                                                    key="attacker.sophistication")
-    attacker_pos: Optional[Vec2] = _key(None, key="attacker.pos", parse=_vec2)
+    attacker_pos: Optional[Kinematics] = _key(None, key="attacker.pos", parse=_position)
     flows: Tuple[FlowSpec, ...] = ()
     node_scripts: Optional[Tuple[NodeScript, ...]] = None
 
@@ -319,8 +319,8 @@ def _parse_nodes(raw: Optional[str], nn: int, area_x: float, area_y: float,
         elif not (_inside(px, py, area_x, area_y) and _inside(tx, ty, area_x, area_y)):
             fail("nodes", f"entry {i}: coordinates outside the {area_x}x{area_y} area")
         else:
-            target = Vec2(tx, ty) if len(numbers) == 5 else None
-            scripts.append(NodeScript(pos=Vec2(px, py), target=target, speed=speed))
+            target = Kinematics(tx, ty) if len(numbers) == 5 else None
+            scripts.append(NodeScript(pos=Kinematics(px, py), target=target, speed=speed))
     return tuple(scripts)
 
 
@@ -382,7 +382,7 @@ def _format(value) -> str:
         return "true" if value else "false"
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, Vec2):  # before the tuple test: a Vec2 is a tuple
+    if isinstance(value, Kinematics):  # a position, at rest; before the tuple test
         return f"{value.x!r},{value.y!r}"
     if isinstance(value, tuple):
         return ",".join(_format(item) for item in value)
@@ -405,7 +405,7 @@ def check_config(cfg: ScenarioConfig) -> ScenarioConfig:
     """Give a config built in code the checks a config file gets: raise ConfigError.
 
     Returns the config as a config file gives it: a position given as a
-    plain tuple comes back a ``Vec2``.
+    plain tuple comes back a ``Kinematics`` at rest.
     """
     return validate_config(parse_config_text(serialize_config(cfg)))
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from random import Random
@@ -18,10 +19,8 @@ from .aodv import AodvNode, Drop, Tx
 from .config import ScenarioConfig, Sophistication, check_config
 from .medium import CellGrid, broadcast, tx_delay
 from .mlet import admit_link, annotate
-from .mobility import (MOBILITY_STEP, Kinematics, advance_waypoint,
-                       initial_waypoint, kinematics_at, parked_waypoint, scripted_waypoint)
-from .model import (ATTACK_FID, BROADCAST, HEADER_RX_BYTES, CommonHeader, PacketKind,
-                    TraceEvent, Vec2)
+from .mobility import MOBILITY_STEP, Kinematics, WaypointState, advance_waypoint, kinematics_at
+from .model import ATTACK_FID, BROADCAST, HEADER_RX_BYTES, CommonHeader, PacketKind, TraceEvent
 from .saodv import VerifyOutcome, draw_random_values, select_channel, verify
 
 # Event kinds; the main loop looks each up in its handler table.
@@ -150,7 +149,7 @@ class Simulation:
         for nid in range(total):
             mob_rng = Random(f"{cfg.rng_seed}/mobility/{nid}")
             tag_rng = Random(f"{cfg.rng_seed}/tags/{nid}")
-            waypoint = self._initial_waypoint(nid, mob_rng)
+            waypoint = self._first_leg(nid, mob_rng)
             energy = cfg.attacker_energy if nid == self.attacker_id else cfg.energy_initial
             self.nodes[nid] = _Node(nid=nid, aodv=AodvNode(nid, cfg, self._alloc_uid),
                                     waypoint=waypoint, energy=energy,
@@ -162,16 +161,16 @@ class Simulation:
 
     # -- setup ---------------------------------------------------------------
 
-    def _initial_waypoint(self, nid: int, mob_rng: Random):
+    def _first_leg(self, nid: int, mob_rng: Random) -> WaypointState:
         cfg = self.cfg
         if nid == self.attacker_id:
             if cfg.attacker_pos is not None:
-                return parked_waypoint(cfg.attacker_pos)
+                return WaypointState(cfg.attacker_pos, cfg.attacker_pos, 0.0, math.inf, 0.0)
         elif cfg.node_scripts is not None:
-            return scripted_waypoint(*cfg.node_scripts[nid])  # pos, target, speed
-        px = mob_rng.uniform(0.0, cfg.area_x)
-        py = mob_rng.uniform(0.0, cfg.area_y)
-        return initial_waypoint(Vec2(px, py), 0.0, cfg.pause)
+            pos, target, speed = cfg.node_scripts[nid]  # with no target, a leg that does not move
+            return WaypointState(pos, pos if target is None else target, speed, math.inf, 0.0)
+        start = Kinematics(mob_rng.uniform(0.0, cfg.area_x), mob_rng.uniform(0.0, cfg.area_y))
+        return WaypointState(start, start, 0.0, cfg.pause, 0.0)  # first leg after the pause
 
     def _schedule_initial(self):
         cfg = self.cfg
@@ -205,9 +204,11 @@ class Simulation:
         """Charge ``cost`` joules; returns True when it kills the node."""
         was_alive = node.energy > 0.0
         node.energy = debit(node.energy, cost)
-        if was_alive and node.energy == 0.0:  # frozen where it stands, for good
-            here = kinematics_at(node.waypoint, t)
-            self.grid.place(node.nid, Kinematics(here.x, here.y))
+        if was_alive and node.energy == 0.0:  # parked where it stands, for good
+            x, y, _, _ = kinematics_at(node.waypoint, t)
+            here = Kinematics(x, y)
+            node.waypoint = WaypointState(here, here, 0.0, math.inf, t)
+            self.grid.place(node.nid, here)
             self.report.depletion_times[node.nid] = t
             return True
         return False
@@ -377,8 +378,6 @@ class Simulation:
         cfg = self.cfg
         place, placed = self.grid.place, self.grid.kin
         for nid, node in self.nodes.items():
-            if node.energy <= 0.0:
-                continue  # the grid holds where it died
             waypoint = node.waypoint
             if t >= waypoint.pause_until:
                 waypoint = node.waypoint = advance_waypoint(waypoint, node.mob_rng, t,

@@ -7,8 +7,6 @@ from enum import Enum
 from random import Random
 from typing import NamedTuple
 
-from .model import Vec2
-
 #: Kinematics used by the medium are resampled on this grid; positions in
 #: between are exact, so the grid only quantizes neighbor-set changes.
 MOBILITY_STEP = 0.1
@@ -20,7 +18,7 @@ class LetMode(Enum):
 
 
 class Kinematics(NamedTuple):
-    """A node's position (m) and velocity (m/s) at one instant; at rest by default."""
+    """A node's position (m) and velocity (m/s) at one instant; a position alone is at rest."""
 
     x: float
     y: float
@@ -31,8 +29,8 @@ class Kinematics(NamedTuple):
 class _Leg(NamedTuple):
     """The fields of a `WaypointState`: five given, then six worked out from them."""
 
-    current: Vec2
-    target: Vec2
+    current: Kinematics
+    target: Kinematics
     speed: float
     pause_until: float
     leg_start_time: float
@@ -45,8 +43,8 @@ class _Leg(NamedTuple):
     #: Seconds from the leg's start to arrival; -inf on a leg that does not
     #: move, so that every instant finds it at rest.
     travel: float
-    #: Kinematics once arrived: at the target, or where it stands if it
-    #: does not move; velocity zero.
+    #: Kinematics once arrived: the target, or ``current`` if the leg does
+    #: not move.
     rest: Kinematics
 
 
@@ -58,14 +56,14 @@ class WaypointState(_Leg):
     The constructor takes these five fields and works out the leg's geometry
     once, for `kinematics_at` to read; no field it works out is NaN, so legs
     with equal fields are equal.
-    Make a changed leg with the constructor: ``_replace`` would keep the old
+    Make every leg with the constructor: ``_replace`` would keep the old
     geometry.
     """
 
     __slots__ = ()
 
-    def __new__(cls, current: Vec2, target: Vec2, speed: float, pause_until: float,
-                leg_start_time: float):
+    def __new__(cls, current: Kinematics, target: Kinematics, speed: float,
+                pause_until: float, leg_start_time: float):
         dx = target.x - current.x
         dy = target.y - current.y
         dist = math.hypot(dx, dy)
@@ -74,13 +72,13 @@ class WaypointState(_Leg):
         # overflows does not move, as one of length zero does not.
         inv = 1.0 / dist if dist > 0.0 else math.inf
         if speed <= 0.0 or inv == math.inf:
-            geometry = (0.0, 0.0, 0.0, 0.0, -math.inf, Kinematics(current.x, current.y))
+            geometry = (0.0, 0.0, 0.0, 0.0, -math.inf, current)
         else:
             ux, uy = dx * inv, dy * inv
             # A zero component of the direction keeps a zero velocity even at
             # infinite speed, where 0 * inf would be NaN.
             geometry = (ux, uy, ux * speed if ux else ux, uy * speed if uy else uy,
-                        dist / speed, Kinematics(target.x, target.y))
+                        dist / speed, target)
         return tuple.__new__(cls, (current, target, speed, pause_until, leg_start_time)
                              + geometry)
 
@@ -88,26 +86,6 @@ class WaypointState(_Leg):
         return (f"WaypointState(current={self.current!r}, target={self.target!r}, "
                 f"speed={self.speed!r}, pause_until={self.pause_until!r}, "
                 f"leg_start_time={self.leg_start_time!r})")
-
-
-def initial_waypoint(pos: Vec2, t0: float, pause: float) -> WaypointState:
-    """A node resting at ``pos``; its first travel leg starts after ``pause``."""
-    return WaypointState(current=pos, target=pos, speed=0.0,
-                         pause_until=t0 + pause, leg_start_time=t0)
-
-
-def parked_waypoint(pos: Vec2) -> WaypointState:
-    """A node that stays at ``pos`` forever."""
-    return WaypointState(current=pos, target=pos, speed=0.0,
-                         pause_until=math.inf, leg_start_time=0.0)
-
-
-def scripted_waypoint(pos: Vec2, target: Vec2 | None, speed: float) -> WaypointState:
-    """A single scripted leg (or a parked node when no target/speed is given)."""
-    if target is None or speed <= 0.0:
-        return parked_waypoint(pos)
-    return WaypointState(current=pos, target=target, speed=speed,
-                         pause_until=math.inf, leg_start_time=0.0)
 
 
 #: Builds a NamedTuple from a tuple of its fields, without the keyword
@@ -125,7 +103,7 @@ def kinematics_at(state: WaypointState, t: float) -> Kinematics:
     if elapsed >= state.travel:
         return state.rest
     step = state.speed * elapsed
-    x, y = state.current
+    x, y, _, _ = state.current
     return _new(Kinematics, (x + state.ux * step, y + state.uy * step, state.vx, state.vy))
 
 
@@ -142,9 +120,9 @@ def advance_waypoint(state: WaypointState, rng: Random, t: float,
     speed = rng.uniform(speed_min, speed_max)
     here = state.target  # the node rests at the end of the previous leg
     if speed <= 0.0:
-        return parked_waypoint(here)
+        return WaypointState(here, here, 0.0, math.inf, t)
     travel = math.hypot(tx - here.x, ty - here.y) / speed
-    return WaypointState(current=here, target=Vec2(tx, ty), speed=speed,
+    return WaypointState(current=here, target=Kinematics(tx, ty), speed=speed,
                          pause_until=t + travel + pause, leg_start_time=t)
 
 

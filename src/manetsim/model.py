@@ -37,17 +37,6 @@ class PacketKind(Enum):
     DATA = "DATA"
 
 
-class Vec2(NamedTuple):
-    """A 2-D position (m): of the attacker or a scripted node in a config, or a leg's end.
-
-    Components are finite: coordinates are checked where they enter the
-    program, in the config, not on every arithmetic result.
-    """
-
-    x: float
-    y: float
-
-
 class CommonHeader(NamedTuple):
     """Per-packet metadata shared by every packet kind.
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings
@@ -289,10 +290,10 @@ def test_metrics_csv_round_trip_helpers():
 
 
 def victim_energy_at(metrics_rows, t):
-    """Reference join: rescan the rows from the start for one window end."""
+    """Reference join: rescan the rows from the start for one window end, at 6 decimals."""
     best = None
     for row in metrics_rows:
-        if row["t"] <= t + 1e-9:
+        if Decimal(f"{row['t']:.6f}") <= Decimal(f"{t:.6f}"):
             best = row["victim_energy"]
         else:
             break
@@ -300,15 +301,17 @@ def victim_energy_at(metrics_rows, t):
 
 
 # Steps between sample times and offsets of window ends from them, both near
-# the 1e-9 tolerance, so ties and near-ties with it come up often.
-_near = st.sampled_from([0.0, 1e-9, -1e-9, 5e-10, 2e-9, -2e-9, 1.0000001e-9, 0.25, 1.0])
+# half of the sixth decimal, so ties and near-ties at 6 decimals come up often.
+_near = st.sampled_from([0.0, 5e-7, -5e-7, 4.9e-7, -4.9e-7, 5.1e-7, -5.1e-7, 1e-6, -1e-6,
+                         1e-9, -1e-9, 0.25, 1.0])
 
 
 @given(steps=st.lists(_near.map(abs), max_size=12),
        ends=st.lists(st.tuples(st.integers(0, 12), _near), max_size=12),
        start=st.sampled_from([0.0, 0.1, 3.0]))
 def test_energy_walk_matches_a_rescan_per_window(steps, ends, start):
-    times = [start + sum(steps[:i + 1]) for i in range(len(steps))]
+    # Sample times as metrics.csv stores them, at 6 decimals.
+    times = [round(start + sum(steps[:i + 1]), 6) for i in range(len(steps))]
     rows = [{"t": t, "victim_energy": float(i)} for i, t in enumerate(times)]
     window_ends = sorted((times[i % len(times)] if times else start) + offset
                          for i, offset in ends)

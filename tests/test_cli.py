@@ -1,17 +1,23 @@
+import io
 import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from manetsim import engine
 from manetsim.cli import build_parser, main, sweep_accept_fractions
-from manetsim.config import ConfigError, load_config, parse_config_text, validate_config
+from manetsim.config import (ConfigError, check_config, load_config, parse_config_text,
+                             validate_config)
 
 from .conftest import CONFIG_DIR, DATA_DIR, run_traced, write_events
 
@@ -177,6 +183,28 @@ def test_analyze_closes_the_loop_on_run_output(tmp_path, capsys):
     assert all(len(line.split(",")) == 6 for line in lines)
 
 
+def test_analyze_joins_the_energy_sample_at_its_window_end(tmp_path, capsys):
+    # Samples every 2/3 s: metrics.csv stores t = 0.666667, later than the
+    # window end 0.6666666666666666 by more than a 1e-9 tolerance covers.
+    cfg = tmp_path / "thirds.cfg"
+    cfg.write_text("nn = 3\nstop = 3\nmetrics_interval = 0.6666666666666666\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--trace", str(out / "trace.tr"),
+                 "--interval", "0.6666666666666666"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    def fields(csv):  # the rows under the header, split into fields
+        return [line.split(",") for line in csv.splitlines()[1:]]
+
+    windows = [(row[0], row[-1]) for row in fields(captured.out)]
+    samples = [(row[0], row[3]) for row in fields((out / "metrics.csv").read_text())]
+    assert [t for t, _ in samples] == ["0.666667", "1.333333", "2.000000", "2.666667"]
+    # Each window ends on a sample's own t, and the last one after every sample.
+    assert windows == samples + [("3.333333", samples[-1][1])]
+
+
 def test_analyze_without_metrics_file(tmp_path, capsys):
     _, out = _run(tmp_path)
     (out / "metrics.csv").unlink()
@@ -303,6 +331,20 @@ def test_sweep_rejects_bad_k_list(capsys):
     assert captured.err.splitlines()[-1] == ("manetsim sweep: error: argument --jobs: "
                                              "invalid int value: 'x'")
     assert captured.err.count("error") == 1
+
+
+def test_sweep_rejects_a_config_with_no_attacker(tmp_path, capsys, monkeypatch):
+    # Without a flood the victim accepts and drops nothing: every row was k,nan,nan.
+    cfg = tmp_path / "quiet.cfg"
+    cfg.write_text("nn = 2\nstop = 2\nnodes = 10,10; 20,10\nattacker.enabled = false\n")
+    monkeypatch.setattr(engine, "Simulation", None)  # any run would raise TypeError
+    assert main(["sweep", "--config", str(cfg), "--k", "1,2", "--reps", "1",
+                 "--jobs", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: attacker.enabled: sweep measures the victim's "
+                            "accept fraction of the flood; must be true\n")
+    _assert_no_child_left()
 
 
 #: Two static nodes and a uniformly guessing flooder: every accept fraction
@@ -567,7 +609,7 @@ def test_let_prints_no_nan_for_an_overflowing_discriminant(capsys):
 
 @pytest.mark.parametrize("flag,value", [("--sx", "nan"), ("--rvx", "inf")])
 def test_let_non_finite_input_exits_2_without_traceback(flag, value):
-    # Vec2 does not check its components; this command is the only guard here.
+    # Kinematics does not check its components; this command is the only guard here.
     args = {"--sx": "0", "--sy": "0", "--svx": "0", "--svy": "0",
             "--rx": "1", "--ry": "1", "--rvx": "0", "--rvy": "0", "--r": "250"}
     args[flag] = value
@@ -672,6 +714,64 @@ def test_overflowing_charge_depletes_an_infinite_battery(tmp_path):
     assert [part.split("@")[0] for part in depleted.split()[1:]] == ["node0", "node1",
                                                                      "node2"]
     assert "nan" not in (tmp_path / "out" / "metrics.csv").read_text()
+
+
+_spot = st.sampled_from(["0", "12.5", "25", "40", "50"])
+
+
+@st.composite
+def _positions_legs_and_deaths(draw):
+    """Config text over positions, scripted legs, speeds and batteries that run out."""
+    nn = draw(st.integers(2, 5))
+    lines = [f"nn = {nn}", "x = 50", "y = 50", "stop = 4", "range_r = 20",
+             f"seed = {draw(st.integers(0, 99))}",
+             f"rp = {draw(st.sampled_from(['AODV', 'AODV_MLET', 'SAODV_MLET']))}",
+             f"pause = {draw(st.sampled_from(['0', '0.5']))}",
+             f"energy.initial = {draw(st.sampled_from(['0.004', '0.02', '10']))}",
+             f"flows = 0:{nn - 1}:8:100:0.2"]
+    low = draw(st.sampled_from(["0", "3", "30"]))
+    high = draw(st.sampled_from([low, "40"]))  # speed_min = speed_max, or a range
+    lines += [f"speed_min = {low}", f"speed_max = {high}"]
+    if draw(st.booleans()):
+        entries = []
+        for _ in range(nn):
+            entry = f"{draw(_spot)},{draw(_spot)}"
+            if draw(st.booleans()):
+                entry += f",{draw(_spot)},{draw(_spot)},{draw(st.sampled_from(['0', '2', '20']))}"
+            entries.append(entry)
+        lines.append(f"nodes = {'; '.join(entries)}")
+    if draw(st.booleans()):
+        lines += ["attacker.enabled = true", "attacker.start = 1", "attacker.rate = 20",
+                  f"attacker.energy = {draw(st.sampled_from(['0.01', 'inf']))}"]
+        if draw(st.booleans()):
+            lines.append(f"attacker.pos = {draw(_spot)},{draw(_spot)}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=40)
+@given(text=_positions_legs_and_deaths())
+@example(text="nn = 4\nstop = 4\nrp = AODV_MLET\nenergy.initial = 0.02\nflows = 0:3:8:100:0.2\n"
+              "nodes = 0,0,50,50,20; 10,10; 25,25,40,0,0; 50,0,0,50,2\n"
+              "attacker.enabled = true\nattacker.start = 1\nattacker.pos = 12.5,40\n")
+@example(text="nn = 5\nstop = 4\nrp = SAODV_MLET\nspeed_min = 30\nspeed_max = 30\n"
+              "pause = 0\nenergy.initial = 0.004\nflows = 0:4:8:100:0.2\n")
+def test_positions_legs_and_deaths_run_and_analyze_cleanly(text):
+    """Every such config runs and analyzes with exit 0 and nothing on stderr.
+
+    The run's own conservation check fails it if a packet is lost without
+    account, and a config round-trips through its own check unchanged.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "scenario.cfg", str(Path(tmp) / "out")
+        cfg.write_text(text)
+        loaded = load_config(str(cfg))
+        assert check_config(loaded) == loaded
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            codes = (main(["run", "--config", str(cfg), "--out", out]),
+                     main(["analyze", "--trace", str(Path(out) / "trace.tr"),
+                           "--interval", "0.5"]))
+        assert codes == (0, 0) and stderr.getvalue() == "", stderr.getvalue()
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_statistics():

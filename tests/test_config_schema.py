@@ -52,9 +52,9 @@ VIOLATIONS = [
     ({'attacker.pos': '1'}, ["attacker.pos: expected 'x,y', got '1'"]),
     ({'attacker.pos': 'a,b'}, ["attacker.pos: could not convert string to float: 'a'"]),
     ({'attacker.pos': 'inf,0'},
-     ['attacker.pos: Vec2 components must be finite, got (inf, 0.0)']),
+     ['attacker.pos: coordinates must be finite, got (inf, 0.0)']),
     ({'attacker.pos': 'nan,0'},
-     ['attacker.pos: Vec2 components must be finite, got (nan, 0.0)']),
+     ['attacker.pos: coordinates must be finite, got (nan, 0.0)']),
     ({'attacker.pos': '60,5'}, ['attacker.pos: outside the 50.0x50.0 area']),
     ({'flows': '0:1:4'}, ['flows: entry 0: expected src:dst:rate:size[:start]']),
     ({'flows': '0:1:x:100'}, ["flows: entry 0: non-numeric field in '0:1:x:100'"]),

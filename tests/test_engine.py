@@ -14,7 +14,7 @@ from manetsim.config import (MAX_NODES, ConfigError, Protocol, ScenarioConfig, S
 from manetsim.engine import DELIVER, METRIC_SAMPLE, Simulation, debit
 from manetsim.medium import in_range
 from manetsim.mobility import Kinematics, kinematics_at
-from manetsim.model import BROADCAST, PacketKind, Vec2
+from manetsim.model import BROADCAST, PacketKind
 from manetsim.saodv import VerifyOutcome, verify
 
 from .conftest import CONFIG_DIR, run_traced, scan_broadcast
@@ -355,7 +355,7 @@ def test_metrics_csv_agrees_with_the_run_summary(path):
     ("let_threshold", -1.0, "let_threshold"),
     ("mlet_applies_to", (PacketKind.HELLO,), "mlet_applies_to"),
     ("nn", MAX_NODES + 1, "nn"),
-    ("attacker_pos", Vec2(math.inf, 0.0), "attacker.pos"),
+    ("attacker_pos", Kinematics(math.inf, 0.0), "attacker.pos"),
 ])
 def test_simulation_checks_a_config_built_in_code(name, value, key):
     with pytest.raises(ConfigError) as info:
@@ -363,14 +363,15 @@ def test_simulation_checks_a_config_built_in_code(name, value, key):
     assert [v for v in info.value.violations if v.startswith(f"{key}: ")]
 
 
-def test_a_position_given_as_a_plain_tuple_runs_as_its_vec2():
-    # The run takes the config its check returns, where the tuple is a Vec2:
-    # run as given, the tuple ended in an AttributeError.
+def test_a_position_given_as_a_plain_tuple_runs_as_its_kinematics():
+    # The run takes the config its check returns, where the tuple is a
+    # Kinematics at rest: run as given, the tuple ended in an AttributeError.
     base = validate_config({"attacker.enabled": "true", "stop": 20})
     as_tuple = base._replace(attacker_pos=(10.0, 20.0))
-    assert type(Simulation(as_tuple).cfg.attacker_pos) is Vec2
+    pos = Simulation(as_tuple).cfg.attacker_pos
+    assert type(pos) is Kinematics and pos == (10.0, 20.0, 0.0, 0.0)
     records, report = run_traced(as_tuple)
-    assert (records, report) == run_traced(base._replace(attacker_pos=Vec2(10.0, 20.0)))
+    assert (records, report) == run_traced(base._replace(attacker_pos=Kinematics(10.0, 20.0)))
     assert report.attacker_data_sent > 0
 
 
@@ -608,29 +609,35 @@ def test_engine_neighbour_search_is_checked_on_unicast_frames():
     assert BROADCAST in calls and any(dst != BROADCAST for dst in calls)
 
 
+#: Nodes that move with no pause on small batteries: some die mid-leg, some live.
+DYING_MID_LEG = {"nn": 30, "x": 60, "y": 60, "stop": 12, "seed": 3, "range_r": 12,
+                 "speed_min": 1, "speed_max": 15, "pause": 0,
+                 "energy.initial": 0.05, "flows": "0:29:8:100:0.5; 5:20:8:100:1"}
+
+
 def test_every_tick_places_each_node_where_the_reference_does():
     """Nodes move with no pause and die mid-leg; each tick's grid is checked.
 
     A live node's kinematics must equal the reference's at the tick, bit for
-    bit; a dead node's must stay frozen where its battery ran out.
+    bit; a dead node's must stay frozen where its battery ran out, on the
+    leg it had at its last tick alive.
     """
-    cfg = validate_config({
-        "nn": 30, "x": 60, "y": 60, "stop": 12, "seed": 3, "range_r": 12,
-        "speed_min": 1, "speed_max": 15, "pause": 0,
-        "energy.initial": 0.05, "flows": "0:29:8:100:0.5; 5:20:8:100:1"})
+    cfg = validate_config(DYING_MID_LEG)
     sim = Simulation(cfg)
     real_update = sim._mobility_update
     ticks, died_moving = [], set()
+    legs = {nid: node.waypoint for nid, node in sim.nodes.items()}  # the last leg alive
 
     def mobility_update(t):
         real_update(t)
         ticks.append(t)
         for nid, node in sim.nodes.items():
             if node.energy > 0.0:
+                legs[nid] = node.waypoint
                 expected = reference_kinematics_at(node.waypoint, t)
             else:
                 died = sim.report.depletion_times[nid]
-                at_death = reference_kinematics_at(node.waypoint, died)
+                at_death = reference_kinematics_at(legs[nid], died)
                 if (at_death.vx, at_death.vy) != (0.0, 0.0):
                     died_moving.add(nid)
                 expected = Kinematics(at_death.x, at_death.y)
@@ -640,6 +647,30 @@ def test_every_tick_places_each_node_where_the_reference_does():
     sim.run()
     assert len(ticks) == 120  # the last, 11.999..., falls before stop
     assert died_moving and len(sim.report.depletion_times) < cfg.nn  # some live to the end
+
+
+def test_a_depleted_node_is_parked_where_it_died():
+    """A dead node's leg is parked: no tick draws for it or places it again."""
+    cfg = validate_config(DYING_MID_LEG)
+    sim = Simulation(cfg)
+    real_update, kin = sim._mobility_update, sim.grid.kin
+    at_death = {}  # nid -> (its leg, its mobility stream's state) when first seen dead
+
+    def mobility_update(t):
+        dead = [node for node in sim.nodes.values() if node.energy <= 0.0]
+        for node in dead:
+            at_death.setdefault(node.nid, (node.waypoint, node.mob_rng.getstate()))
+        real_update(t)
+        for node in dead:
+            leg, rng_state = at_death[node.nid]
+            assert node.waypoint is leg and leg.pause_until == math.inf
+            assert node.mob_rng.getstate() == rng_state
+            assert kinematics_at(leg, t) is kin[node.nid] is leg.rest
+            assert leg.leg_start_time == sim.report.depletion_times[node.nid]
+
+    sim._mobility_update = mobility_update
+    sim.run()
+    assert len(at_death) == len(sim.report.depletion_times) > 1
 
 
 def test_a_tick_places_no_node_whose_kinematics_did_not_change(monkeypatch):

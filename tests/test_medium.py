@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from manetsim.medium import CellGrid, broadcast, in_range, tx_delay
-from manetsim.model import BROADCAST, Vec2
+from manetsim.mobility import Kinematics
+from manetsim.model import BROADCAST
 
 from .conftest import kin, scan_broadcast
 
@@ -13,21 +14,22 @@ coords = st.floats(min_value=-1000.0, max_value=1000.0, allow_nan=False)
 
 
 def test_in_range_zero_distance():
-    assert in_range(Vec2(3.0, 4.0), Vec2(3.0, 4.0), 1.0)
+    assert in_range(Kinematics(3.0, 4.0), Kinematics(3.0, 4.0), 1.0)
 
 
 def test_in_range_boundary_inclusive():
-    assert in_range(Vec2(0.0, 0.0), Vec2(5.0, 0.0), 5.0)
+    assert in_range(Kinematics(0.0, 0.0), Kinematics(5.0, 0.0), 5.0)
 
 
 def test_in_range_twice_the_range_is_out():
-    assert not in_range(Vec2(0.0, 0.0), Vec2(10.0, 0.0), 5.0)
+    assert not in_range(Kinematics(0.0, 0.0), Kinematics(10.0, 0.0), 5.0)
 
 
 @given(ax=coords, ay=coords, bx=coords, by=coords,
        r=st.floats(min_value=0.1, max_value=500.0, allow_nan=False))
 def test_in_range_is_symmetric(ax, ay, bx, by, r):
-    assert in_range(Vec2(ax, ay), Vec2(bx, by), r) == in_range(Vec2(bx, by), Vec2(ax, ay), r)
+    a, b = Kinematics(ax, ay), Kinematics(bx, by)
+    assert in_range(a, b, r) == in_range(b, a, r)
 
 
 def test_tx_delay_zero_bytes():
