@@ -6,7 +6,7 @@ import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .config import MAX_TIMER_FIRINGS
-from .model import PacketKind, TraceEvent, TraceParseError, trace_line_parser, utf8_lines
+from .model import PacketKind, ParseError, TraceEvent, trace_line_parser, utf8_lines
 
 
 def _parse_lines(lines: Iterable[str]) -> List[TraceEvent]:
@@ -33,10 +33,10 @@ def read_trace(path: str) -> List[TraceEvent]:
 
     No copy of the file is held: only the records are kept.  The first
     defect in file order is reported, a malformed line or a byte that is
-    not UTF-8, as ``TraceParseError``.
+    not UTF-8, as ``ParseError``.
     """
     with open(path, "rb") as fh:
-        return _parse_lines(utf8_lines(fh, TraceParseError))
+        return _parse_lines(utf8_lines(fh, ParseError))
 
 
 def interval_series(events: Sequence[TraceEvent], interval: float,
@@ -81,19 +81,12 @@ def interval_series(events: Sequence[TraceEvent], interval: float,
     return rows
 
 
-class MetricsParseError(ValueError):
-    """A metrics CSV line that does not parse; ``lineno`` counts from 1."""
-
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
-
-
 def parse_metrics_csv(text: str) -> List[Dict[str, float]]:
     """Read a metrics CSV back into one dict per row, keyed by header names.
 
     The header must name ``t`` and ``victim_energy``; each row needs one number
     per column, with finite and non-decreasing ``t``.  Blank lines are skipped.
+    The first line that breaks a rule raises ``ParseError``.
     """
     header: Optional[List[str]] = None
     rows: List[Dict[str, float]] = []
@@ -104,20 +97,19 @@ def parse_metrics_csv(text: str) -> List[Dict[str, float]]:
         if header is None:
             missing = [name for name in ("t", "victim_energy") if name not in values]
             if missing:
-                raise MetricsParseError(lineno, f"header lacks {', '.join(missing)}")
+                raise ParseError(lineno, f"header lacks {', '.join(missing)}")
             header = values
             continue
         if len(values) != len(header):
-            raise MetricsParseError(lineno, f"expected {len(header)} fields, got {len(values)}")
+            raise ParseError(lineno, f"expected {len(header)} fields, got {len(values)}")
         row = {}
         for name, value in zip(header, values):
             try:
                 row[name] = float(value)
             except ValueError:
-                raise MetricsParseError(lineno, f"{name} is not a number: {value!r}") from None
+                raise ParseError(lineno, f"{name} is not a number: {value!r}") from None
         if not math.isfinite(row["t"]) or (rows and row["t"] < rows[-1]["t"]):
-            raise MetricsParseError(lineno, f"t must be finite and non-decreasing, "
-                                            f"got {row['t']!r}")
+            raise ParseError(lineno, f"t must be finite and non-decreasing, got {row['t']!r}")
         rows.append(row)
     return rows
 

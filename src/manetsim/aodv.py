@@ -14,7 +14,7 @@ from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from .config import ScenarioConfig
 from .model import (BROADCAST, CONTROL_FID, HELLO_BYTES, RERR_BYTES, RREP_BYTES,
-                    RREQ_BYTES, CommonHeader, PacketKind, RerrBody, RrepBody, RreqBody)
+                    RREQ_BYTES, CommonHeader, PacketKind, RrepBody, RreqBody)
 
 # Drop reason codes (kept out of the trace format; reported separately).
 NO_ROUTE = "NO_ROUTE"
@@ -51,11 +51,13 @@ class StartRetry(NamedTuple):
 
     Named by the broadcast id of the flood it was armed for: every flood gets
     a fresh id, so a stale timer left over from an earlier flood toward the
-    same destination cannot fire into a newer one.
+    same destination cannot fire into a newer one.  ``attempt`` counts that
+    flood among the discovery's floods, from 1.
     """
 
     dst: int
     bid: int
+    attempt: int
 
 
 Action = object
@@ -73,12 +75,6 @@ class RouteEntry:
     valid: bool = True
 
 
-@dataclass
-class _Discovery:
-    bid: int
-    attempt: int
-
-
 class AodvNode:
     """Routing table, discovery state, pending traffic, and neighbor monitor."""
 
@@ -93,7 +89,8 @@ class AodvNode:
         self.rreq_seen: Dict[Tuple[int, int], float] = {}
         self._rreq_sweep_at = RREQ_SWEEP_MIN
         self.pending: Dict[int, Deque[CommonHeader]] = {}
-        self.discovery: Dict[int, _Discovery] = {}
+        #: Destination -> broadcast id of the latest flood of its discovery.
+        self.discovery: Dict[int, int] = {}
         self.last_hello: Dict[int, float] = {}
 
     # -- helpers -----------------------------------------------------------
@@ -173,8 +170,8 @@ class AodvNode:
             return []
         self.own_seq += 1
         tx = self._flood_rreq(dst, t)
-        self.discovery[dst] = _Discovery(bid=tx.body.broadcast_id, attempt=1)
-        return [tx, StartRetry(dst=dst, bid=tx.body.broadcast_id)]
+        bid = self.discovery[dst] = tx.body.broadcast_id
+        return [tx, StartRetry(dst=dst, bid=bid, attempt=1)]
 
     # -- application traffic -----------------------------------------------
 
@@ -202,19 +199,17 @@ class AodvNode:
         return [Tx(header=self._new_header(PacketKind.DATA, size, dst, fid),
                    link_dst=next_hop)]
 
-    def on_retry(self, dst: int, bid: int, t: float) -> List[Action]:
-        """Discovery retry timer: re-flood, or give up and drop buffered data."""
-        disc = self.discovery.get(dst)
-        if disc is None or disc.bid != bid:
+    def on_retry(self, dst: int, bid: int, attempt: int, t: float) -> List[Action]:
+        """Retry timer of flood ``attempt``: re-flood, or give up and drop buffered data."""
+        if self.discovery.get(dst) != bid:
             return []
         if self._valid_route(dst, t) is not None:
             del self.discovery[dst]
             return []
-        if disc.attempt <= self.cfg.retry_limit:
+        if attempt <= self.cfg.retry_limit:
             tx = self._flood_rreq(dst, t)
-            disc.bid = tx.body.broadcast_id
-            disc.attempt += 1
-            return [tx, StartRetry(dst=dst, bid=disc.bid)]
+            bid = self.discovery[dst] = tx.body.broadcast_id
+            return [tx, StartRetry(dst=dst, bid=bid, attempt=attempt + 1)]
         del self.discovery[dst]
         drops: List[Action] = []
         for header in self.pending.pop(dst, deque()):
@@ -301,12 +296,12 @@ class AodvNode:
         known = self.routes.get(header.dst)
         bumped = (known.dest_seq + 1) if known else 0
         rerr = self._new_header(PacketKind.RERR, RERR_BYTES, header.prev_hop)
-        body = RerrBody(unreachable=((header.dst, bumped),))
         return [Drop(header=header, reason=NO_ROUTE, neighbor=header.prev_hop),
-                Tx(header=rerr, link_dst=header.prev_hop, body=body)]
+                Tx(header=rerr, link_dst=header.prev_hop, body=((header.dst, bumped),))]
 
-    def handle_rerr(self, header: CommonHeader, body: RerrBody, t: float) -> List[Action]:
-        for dest, seq in body.unreachable:
+    def handle_rerr(self, header: CommonHeader, unreachable: Tuple[Tuple[int, int], ...],
+                    t: float) -> List[Action]:
+        for dest, seq in unreachable:  # the RERR's body: each with its bumped seq
             entry = self.routes.get(dest)
             if entry is not None and entry.valid and entry.next_hop == header.prev_hop:
                 entry.valid = False
@@ -337,8 +332,7 @@ class AodvNode:
         if not invalidated:
             return []
         header = self._new_header(PacketKind.RERR, RERR_BYTES, BROADCAST)
-        return [Tx(header=header, link_dst=BROADCAST,
-                   body=RerrBody(unreachable=tuple(invalidated)))]
+        return [Tx(header=header, link_dst=BROADCAST, body=tuple(invalidated))]
 
     def on_hello_tick(self, t: float) -> List[Action]:
         actions = self.detect_breaks(t)

@@ -13,11 +13,10 @@ import sys
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, List, Optional, TextIO, Tuple
 
-from .analyze import (MetricsParseError, interval_series, parse_metrics_csv, read_trace,
-                      victim_energy_series)
+from .analyze import interval_series, parse_metrics_csv, read_trace, victim_energy_series
 from .config import MAX_COUNT, ConfigError, ScenarioConfig, check_config, load_config
 from .mobility import Kinematics, LetMode, link_expiration_time
-from .model import TraceEvent, TraceParseError, read_utf8
+from .model import ParseError, TraceEvent, read_utf8
 
 if TYPE_CHECKING:
     from .engine import RunReport
@@ -104,8 +103,8 @@ def cmd_analyze(args) -> int:
                                 "metrics.csv")
     if os.path.isfile(metrics_path):
         try:
-            metrics_rows = parse_metrics_csv(read_utf8(metrics_path, MetricsParseError))
-        except MetricsParseError as exc:
+            metrics_rows = parse_metrics_csv(read_utf8(metrics_path, ParseError))
+        except ParseError as exc:
             print(f"metrics error: {metrics_path}: {exc}", file=sys.stderr)
             return EXIT_TRACE
         header += ",victim_energy"
@@ -185,15 +184,20 @@ def sweep_accept_fractions(cfg: ScenarioConfig, k_values: List[int], reps: int,
     worker's exception is raised here with its own type and message, and a
     worker that dies without one gives ``BrokenProcessPool``.  With ``jobs``
     above 1, call it from a process that runs no other thread, whose locks a
-    fork would copy.  A config with no attacker, or a k the config check
-    rejects, raises ``ConfigError`` before any run.
+    fork would copy.  A config with no attacker, or one whose flood starts
+    at or after ``stop``, or a k the config check rejects, raises
+    ``ConfigError`` before any run.
     """
     import statistics  # loaded only by the sweep, like the simulator
 
     ks = sorted(set(k_values))
-    violations: List[str] = [] if cfg.attacker_enabled else [
-        "attacker.enabled: sweep measures the victim's accept fraction of the flood; "
-        "must be true"]
+    why = "sweep measures the victim's accept fraction of the flood; must be"
+    violations: List[str] = []
+    if not cfg.attacker_enabled:
+        violations.append(f"attacker.enabled: {why} true")
+    elif not cfg.attacker_start < cfg.stop:  # the flood would begin after the run
+        violations.append(f"attacker.start: {why} < stop ({cfg.stop!r}), "
+                          f"got {cfg.attacker_start!r}")
     for k in ks:  # a bad k fails here, in this process, before any fork
         try:
             check_config(cfg._replace(num_channels=k))
@@ -322,7 +326,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)
         return EXIT_USAGE
-    except TraceParseError as exc:
+    except ParseError as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return EXIT_TRACE
     except OSError as exc:

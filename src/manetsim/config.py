@@ -14,7 +14,7 @@ import operator
 from enum import Enum
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from .mobility import MOBILITY_STEP, Kinematics, LetMode
+from .mobility import MOBILITY_STEP, Kinematics, LetMode, WaypointState
 from .model import PacketKind, read_utf8
 
 #: Most times one periodic timer may fire before ``stop``: the mobility step,
@@ -146,19 +146,12 @@ class FlowSpec(NamedTuple):
     start: float
 
 
-class NodeScript(NamedTuple):
-    """Pinned start position and an optional single travel leg."""
-
-    pos: Kinematics
-    target: Optional[Kinematics] = None
-    speed: float = 0.0
-
-
 class ScenarioConfig(NamedTuple):
     """A validated scenario.  Keys are read, and reported, in field order.
 
     Every field but the last two is a `_key`; ``flows`` and ``nodes`` are
-    parsed by hand into those two.
+    parsed by hand into those two.  A ``nodes`` entry is its node's first leg,
+    which travels to its target, if it has one, and then parks for good.
     """
 
     nn: int = _key(25, ">=", 1, "<=", MAX_NODES)
@@ -207,7 +200,7 @@ class ScenarioConfig(NamedTuple):
                                                    key="attacker.sophistication")
     attacker_pos: Optional[Kinematics] = _key(None, key="attacker.pos", parse=_position)
     flows: Tuple[FlowSpec, ...] = ()
-    node_scripts: Optional[Tuple[NodeScript, ...]] = None
+    node_scripts: Optional[Tuple[WaypointState, ...]] = None
 
 
 #: (key, attribute, parser, default) per key, in field order.
@@ -293,14 +286,14 @@ def _parse_flows(raw: Optional[str], nn: int, stop: float, fail) -> Tuple[FlowSp
 
 
 def _parse_nodes(raw: Optional[str], nn: int, area_x: float, area_y: float,
-                 fail) -> Optional[Tuple[NodeScript, ...]]:
+                 fail) -> Optional[Tuple[WaypointState, ...]]:
     if raw is None or raw.lower() == "none":
         return None
     chunks = [c for c in (chunk.strip() for chunk in raw.split(";")) if c]
     if len(chunks) != nn:
         fail("nodes", f"expected {nn} entries (one per node), got {len(chunks)}")
         return None
-    scripts = []
+    legs = []
     for i, chunk in enumerate(chunks):
         parts = [p.strip() for p in chunk.split(",")]
         if len(parts) not in (2, 5):
@@ -319,9 +312,9 @@ def _parse_nodes(raw: Optional[str], nn: int, area_x: float, area_y: float,
         elif not (_inside(px, py, area_x, area_y) and _inside(tx, ty, area_x, area_y)):
             fail("nodes", f"entry {i}: coordinates outside the {area_x}x{area_y} area")
         else:
-            target = Kinematics(tx, ty) if len(numbers) == 5 else None
-            scripts.append(NodeScript(pos=Kinematics(px, py), target=target, speed=speed))
-    return tuple(scripts)
+            legs.append(WaypointState(Kinematics(px, py), Kinematics(tx, ty), speed,
+                                      math.inf, 0.0))
+    return tuple(legs)
 
 
 def validate_config(raw: Mapping[str, object]) -> ScenarioConfig:
@@ -395,8 +388,7 @@ def serialize_config(cfg: ScenarioConfig) -> str:
     flows = ";".join(f"{f.src}:{f.dst}:{f.rate!r}:{f.size}:{f.start!r}" for f in cfg.flows)
     lines.append(f"flows = {flows or 'none'}")
     nodes = "none" if cfg.node_scripts is None else "; ".join(
-        _format(pos if target is None else (pos, target, speed))
-        for pos, target, speed in cfg.node_scripts)
+        _format(leg[:3]) for leg in cfg.node_scripts)  # (current, target, speed)
     lines.append(f"nodes = {nodes}")
     return "\n".join(lines) + "\n"
 
@@ -405,7 +397,8 @@ def check_config(cfg: ScenarioConfig) -> ScenarioConfig:
     """Give a config built in code the checks a config file gets: raise ConfigError.
 
     Returns the config as a config file gives it: a position given as a
-    plain tuple comes back a ``Kinematics`` at rest.
+    plain tuple comes back a ``Kinematics`` at rest, and a ``node_scripts``
+    entry given as a ``(pos, target, speed)`` triple comes back a leg.
     """
     return validate_config(parse_config_text(serialize_config(cfg)))
 

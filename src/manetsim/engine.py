@@ -167,8 +167,7 @@ class Simulation:
             if cfg.attacker_pos is not None:
                 return WaypointState(cfg.attacker_pos, cfg.attacker_pos, 0.0, math.inf, 0.0)
         elif cfg.node_scripts is not None:
-            pos, target, speed = cfg.node_scripts[nid]  # with no target, a leg that does not move
-            return WaypointState(pos, pos if target is None else target, speed, math.inf, 0.0)
+            return cfg.node_scripts[nid]
         start = Kinematics(mob_rng.uniform(0.0, cfg.area_x), mob_rng.uniform(0.0, cfg.area_y))
         return WaypointState(start, start, 0.0, cfg.pause, 0.0)  # first leg after the pause
 
@@ -311,9 +310,8 @@ class Simulation:
                 self._transmit(nid, action, t)
             elif isinstance(action, Drop):
                 self._drop(nid, action.header, action.neighbor, action.reason, t)
-            else:  # StartRetry
-                self._schedule(t + self.cfg.retry_timeout, RETRY_TIMER,
-                               (nid, action.dst, action.bid))
+            else:  # StartRetry(dst, bid, attempt)
+                self._schedule(t + self.cfg.retry_timeout, RETRY_TIMER, (nid, *action))
 
     # -- reception ----------------------------------------------------------------
 
@@ -408,10 +406,10 @@ class Simulation:
                                                           cfg.attacker_payload, ATTACK_FID, t), t)
         self._schedule(t + 1.0 / cfg.attacker_rate, ATTACK_STEP, ())
 
-    def _retry_timer(self, nid: int, dst: int, bid: int, t: float):
+    def _retry_timer(self, nid: int, dst: int, bid: int, attempt: int, t: float):
         node = self.nodes[nid]
         if self._alive(node, t):
-            self._process(nid, node.aodv.on_retry(dst, bid, t), t)
+            self._process(nid, node.aodv.on_retry(dst, bid, attempt, t), t)
 
     def _metric_sample(self, j: int, t: float):
         self._push_sample(j + 1)

@@ -57,7 +57,7 @@ class WaypointState(_Leg):
     once, for `kinematics_at` to read; no field it works out is NaN, so legs
     with equal fields are equal.
     Make every leg with the constructor: ``_replace`` would keep the old
-    geometry.
+    geometry.  A leg pickles as its five given fields.
     """
 
     __slots__ = ()
@@ -81,6 +81,9 @@ class WaypointState(_Leg):
                         dist / speed, target)
         return tuple.__new__(cls, (current, target, speed, pause_until, leg_start_time)
                              + geometry)
+
+    def __getnewargs__(self):
+        return self[:5]
 
     def __repr__(self) -> str:
         return (f"WaypointState(current={self.current!r}, target={self.target!r}, "
@@ -118,7 +121,7 @@ def advance_waypoint(state: WaypointState, rng: Random, t: float,
     tx = rng.uniform(0.0, area_x)
     ty = rng.uniform(0.0, area_y)
     speed = rng.uniform(speed_min, speed_max)
-    here = state.target  # the node rests at the end of the previous leg
+    here = state.rest  # where kinematics_at leaves the node after the previous leg
     if speed <= 0.0:
         return WaypointState(here, here, 0.0, math.inf, t)
     travel = math.hypot(tx - here.x, ty - here.y) / speed

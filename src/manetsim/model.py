@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, List, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from .mobility import Kinematics
@@ -76,13 +76,8 @@ class RrepBody(NamedTuple):
     orig: int
 
 
-class RerrBody(NamedTuple):
-    #: (destination, its bumped sequence number) per unreachable destination
-    unreachable: Tuple[Tuple[int, int], ...]
-
-
-class TraceParseError(ValueError):
-    """A trace line that does not conform to the 12-field format."""
+class ParseError(ValueError):
+    """A line of a trace or metrics file that does not parse; ``lineno`` counts from 1."""
 
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
@@ -211,7 +206,7 @@ def trace_line_parser() -> Callable[[List[str], int], TraceEvent]:
     packet type or flags tokens share one string.  Make one parser per read.
     Integers are Python ``int`` literals and times ``float`` literals that
     are finite and not negative, rounded to 6 decimals.  A malformed line
-    raises ``TraceParseError``.
+    raises ``ParseError``.
     """
     ints, times = _Memo(int), _Memo(_trace_time)
     pkt_types, flags_tokens = _Memo(_pkt_type), _Memo(str)
@@ -232,25 +227,25 @@ def trace_line_parser() -> Callable[[List[str], int], TraceEvent]:
     return parse
 
 
-def _diagnose(tokens: List[str], lineno: int) -> TraceParseError:
+def _diagnose(tokens: List[str], lineno: int) -> ParseError:
     """The error of a line the parser refused: its first failed check, in a fixed order."""
     if len(tokens) != 12:
-        return TraceParseError(lineno, f"expected 12 fields, got {len(tokens)}")
+        return ParseError(lineno, f"expected 12 fields, got {len(tokens)}")
     if tokens[0] not in _EVENT_SYMBOLS:
-        return TraceParseError(lineno, f"unknown event symbol {tokens[0]!r}")
+        return ParseError(lineno, f"unknown event symbol {tokens[0]!r}")
     if tokens[4] not in _PKT_TYPE_TOKENS:
-        return TraceParseError(lineno, f"unknown packet type {tokens[4]!r}")
+        return ParseError(lineno, f"unknown packet type {tokens[4]!r}")
     try:
         time = float(tokens[1])
     except ValueError:
-        return TraceParseError(lineno, f"time is not a number: {tokens[1]!r}")
+        return ParseError(lineno, f"time is not a number: {tokens[1]!r}")
     if not math.isfinite(time):
-        return TraceParseError(lineno, f"time is not finite: {tokens[1]!r}")
+        return ParseError(lineno, f"time is not finite: {tokens[1]!r}")
     if time < 0.0:
-        return TraceParseError(lineno, f"time is negative: {tokens[1]!r}")
+        return ParseError(lineno, f"time is negative: {tokens[1]!r}")
     for idx, name in _INT_FIELDS:
         try:
             int(tokens[idx])
         except ValueError:
-            return TraceParseError(lineno, f"{name} is not an integer: {tokens[idx]!r}")
+            return ParseError(lineno, f"{name} is not an integer: {tokens[idx]!r}")
     raise RuntimeError(f"line {lineno}: refused, yet passes every check")

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from manetsim.analyze import (MetricsParseError, interval_series, parse_metrics_csv,
-                              parse_trace_text, read_trace, victim_energy_series)
+from manetsim.analyze import (interval_series, parse_metrics_csv, parse_trace_text, read_trace,
+                              victim_energy_series)
 from manetsim.config import MAX_TIMER_FIRINGS, load_config, validate_config
 from manetsim.engine import Simulation
 from manetsim import model
-from manetsim.model import READ_BYTES, PacketKind, TraceEvent, TraceParseError
+from manetsim.model import READ_BYTES, PacketKind, ParseError, TraceEvent
 
 from .conftest import CONFIG_DIR, DATA_DIR, run_traced, write_events
 
@@ -43,7 +43,7 @@ def test_series_of_the_run_equals_series_of_its_written_trace(path, tmp_path):
 def test_malformed_line_reports_its_number():
     text = ("s 0.100000 0 1 DATA 100 --- 1 0 1 0 0\n"
             "r 0.200000 1 0 DATA 100 --- 1 0 1 0\n")  # 11 tokens
-    with pytest.raises(TraceParseError) as exc:
+    with pytest.raises(ParseError) as exc:
         parse_trace_text(text)
     assert exc.value.lineno == 2
     assert "expected 12 fields" in str(exc.value)
@@ -53,7 +53,7 @@ def test_negative_time_is_rejected_not_binned_last():
     # Negative indexing once counted this drop in the last window.
     text = ("d -0.500000 0 1 DATA 100 --- 1 0 1 0 0\n"
             "d 2.500000 0 1 DATA 100 --- 1 0 1 0 1\n")
-    with pytest.raises(TraceParseError) as exc:
+    with pytest.raises(ParseError) as exc:
         parse_trace_text(text)
     assert exc.value.lineno == 1
     assert "time is negative" in str(exc.value)
@@ -72,25 +72,25 @@ def reference_parse_line(line, lineno=1):
     """Reference trace line parser: every check in turn, then keyword construction."""
     tokens = line.split()
     if len(tokens) != 12:
-        raise TraceParseError(lineno, f"expected 12 fields, got {len(tokens)}")
+        raise ParseError(lineno, f"expected 12 fields, got {len(tokens)}")
     if tokens[0] not in ("s", "r", "d", "f"):
-        raise TraceParseError(lineno, f"unknown event symbol {tokens[0]!r}")
+        raise ParseError(lineno, f"unknown event symbol {tokens[0]!r}")
     if tokens[4] not in tuple(k.value for k in PacketKind):
-        raise TraceParseError(lineno, f"unknown packet type {tokens[4]!r}")
+        raise ParseError(lineno, f"unknown packet type {tokens[4]!r}")
     try:
         time = float(tokens[1])
     except ValueError:
-        raise TraceParseError(lineno, f"time is not a number: {tokens[1]!r}") from None
+        raise ParseError(lineno, f"time is not a number: {tokens[1]!r}") from None
     if not math.isfinite(time):
-        raise TraceParseError(lineno, f"time is not finite: {tokens[1]!r}")
+        raise ParseError(lineno, f"time is not finite: {tokens[1]!r}")
     if time < 0.0:
-        raise TraceParseError(lineno, f"time is negative: {tokens[1]!r}")
+        raise ParseError(lineno, f"time is negative: {tokens[1]!r}")
     values = {}
     for idx, name in _REF_INT_FIELDS:
         try:
             values[name] = int(tokens[idx])
         except ValueError:
-            raise TraceParseError(lineno, f"{name} is not an integer: {tokens[idx]!r}") from None
+            raise ParseError(lineno, f"{name} is not an integer: {tokens[idx]!r}") from None
     return TraceEvent(event=tokens[0], time=round(time, 6), pkt_type=tokens[4],
                       flags=tokens[6], **values)
 
@@ -108,7 +108,7 @@ def _outcome(parse, text):
     """The events as reprs, which tell -0.0 from 0.0 and 1 from 1.0, or the error."""
     try:
         return [repr(e) for e in parse(text)]
-    except TraceParseError as exc:
+    except ParseError as exc:
         return exc.lineno, str(exc)
 
 
@@ -204,7 +204,7 @@ def test_reading_a_file_equals_parsing_its_text(tmp_path_factory, lines, last_en
 def test_the_first_defect_in_file_order_is_reported(tmp_path, content, error):
     path = tmp_path / "trace.tr"
     path.write_bytes(content)
-    with pytest.raises(TraceParseError) as exc:
+    with pytest.raises(ParseError) as exc:
         read_trace(str(path))
     assert str(exc.value) == error
 
@@ -327,7 +327,7 @@ def test_energy_walk_matches_a_rescan_per_window(steps, ends, start):
     ("t,victim_energy\ninf,1\n", 2, "t must be finite and non-decreasing, got inf"),
 ])
 def test_malformed_metrics_csv_reports_its_line(text, lineno, message):
-    with pytest.raises(MetricsParseError) as exc:
+    with pytest.raises(ParseError) as exc:
         parse_metrics_csv(text)
     assert exc.value.lineno == lineno
     assert str(exc.value) == f"line {lineno}: {message}"

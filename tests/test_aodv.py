@@ -6,7 +6,7 @@ from manetsim.aodv import (BUFFER_OVERFLOW, NET_DIAMETER, NO_ROUTE, RETRY_EXHAUS
                            RREQ_SWEEP_MIN, AodvNode, Drop, RouteEntry, StartRetry, Tx)
 from manetsim.config import ScenarioConfig, validate_config
 from manetsim.engine import Simulation
-from manetsim.model import BROADCAST, CommonHeader, PacketKind, RerrBody, RrepBody, RreqBody
+from manetsim.model import BROADCAST, CommonHeader, PacketKind, RrepBody, RreqBody
 
 from .conftest import bfs_hops, random_connected_topology, run_traced, static_topology_config
 
@@ -64,7 +64,7 @@ def test_send_unbuffered_without_route_discovers_and_keeps_nothing():
     actions = node.send_unbuffered(5, 400, fid=9, t=0.0)
     assert [type(a) for a in actions] == [Tx, StartRetry]
     assert actions[0].header.kind is PacketKind.RREQ and actions[0].link_dst == BROADCAST
-    assert actions[1] == StartRetry(dst=5, bid=actions[0].body.broadcast_id)
+    assert actions[1] == StartRetry(dst=5, bid=actions[0].body.broadcast_id, attempt=1)
     assert node.pending == {}
     assert node.send_unbuffered(5, 400, fid=9, t=0.1) == []  # discovery in flight
     assert node.pending == {}
@@ -95,7 +95,7 @@ def test_second_originate_joins_discovery_in_flight():
 def test_broadcast_ids_increase_per_discovery():
     node = make_node()
     node.originate_data(5, 100, 1, 0.0)
-    node.on_retry(5, 0, 1.0)  # second flood uses a fresh broadcast id
+    node.on_retry(5, 0, 1, 1.0)  # second flood uses a fresh broadcast id
     assert (node.nid, 0) in node.rreq_seen and (node.nid, 1) in node.rreq_seen
 
 
@@ -112,22 +112,31 @@ def test_buffer_overflow_drops_oldest():
 def test_retry_exhaustion_drops_buffered_payloads():
     node = make_node(retry_limit=2)
     node.originate_data(5, 100, 1, 0.0)
-    assert [a.header.kind for a in node.on_retry(5, 0, 1.0) if isinstance(a, Tx)] \
+    assert [a.header.kind for a in node.on_retry(5, 0, 1, 1.0) if isinstance(a, Tx)] \
         == [PacketKind.RREQ]
-    assert [a.header.kind for a in node.on_retry(5, 1, 2.0) if isinstance(a, Tx)] \
+    assert [a.header.kind for a in node.on_retry(5, 1, 2, 2.0) if isinstance(a, Tx)] \
         == [PacketKind.RREQ]
-    final = node.on_retry(5, 2, 3.0)
+    final = node.on_retry(5, 2, 3, 3.0)
     assert [a.reason for a in final if isinstance(a, Drop)] == [RETRY_EXHAUSTED]
     assert 5 not in node.discovery
+
+
+def test_each_retry_timer_carries_its_flood_attempt():
+    node = make_node(retry_limit=1)
+    node.originate_data(5, 100, 1, 0.0)
+    assert node.on_retry(5, 0, 1, 1.0)[-1] == StartRetry(dst=5, bid=1, attempt=2)
+    assert node.discovery == {5: 1}
+    assert [a.reason for a in node.on_retry(5, 1, 2, 2.0)] == [RETRY_EXHAUSTED]
+    assert node.discovery == {}
 
 
 def test_stale_retry_timer_is_ignored():
     node = make_node()
     node.originate_data(5, 100, 1, 0.0)
-    node.on_retry(5, 0, 1.0)  # re-floods under broadcast id 1
-    assert node.on_retry(5, 0, 1.5) == []  # stale broadcast id
-    assert node.on_retry(5, 7, 1.5) == []  # an id this node never flooded
-    assert node.discovery[5].bid == 1
+    node.on_retry(5, 0, 1, 1.0)  # re-floods under broadcast id 1
+    assert node.on_retry(5, 0, 2, 1.5) == []  # stale broadcast id
+    assert node.on_retry(5, 7, 2, 1.5) == []  # an id this node never flooded
+    assert node.discovery[5] == 1
 
 
 # -- RREQ handling -------------------------------------------------------------
@@ -297,7 +306,7 @@ def test_forwarder_without_route_drops_and_reports_upstream():
     assert len(drops) == 1 and drops[0].reason == NO_ROUTE
     assert len(rerrs) == 1
     assert rerrs[0].header.kind is PacketKind.RERR and rerrs[0].link_dst == 1
-    assert rerrs[0].body.unreachable[0][0] == 5
+    assert rerrs[0].body[0][0] == 5
 
 
 def test_delivery_at_destination_emits_nothing():
@@ -311,7 +320,7 @@ def test_rerr_invalidates_only_matching_next_hop():
     _route(node, dest=6, next_hop=2, dest_seq=1)
     header = CommonHeader(uid=301, kind=PacketKind.RERR, size=20, src=3, dst=0,
                           prev_hop=3, seq=0, fid=0)
-    node.handle_rerr(header, RerrBody(unreachable=((5, 4), (6, 4))), 0.0)
+    node.handle_rerr(header, ((5, 4), (6, 4)), 0.0)
     assert not node.routes[5].valid
     assert node.routes[5].dest_seq == 4
     assert node.routes[6].valid  # different next hop: untouched
@@ -336,7 +345,7 @@ def test_silent_neighbor_invalidates_routes_and_emits_rerr():
     assert len(actions) == 1
     rerr = actions[0]
     assert rerr.header.kind is PacketKind.RERR and rerr.link_dst == BROADCAST
-    assert rerr.body.unreachable == ((5, 1),)
+    assert rerr.body == ((5, 1),)
     assert not node.routes[5].valid
     assert 3 not in node.last_hello
 

@@ -347,6 +347,23 @@ def test_sweep_rejects_a_config_with_no_attacker(tmp_path, capsys, monkeypatch):
     _assert_no_child_left()
 
 
+def test_sweep_rejects_a_flood_that_starts_at_or_after_stop(tmp_path, capsys, monkeypatch):
+    # A flood that begins once the run is over reaches nobody: every row was k,nan,nan.
+    cfg = tmp_path / "late.cfg"
+    monkeypatch.setattr(engine, "Simulation", None)  # any run would raise TypeError
+    for start in ("10", "2"):
+        cfg.write_text("nn = 2\nstop = 2\nnodes = 10,10; 20,10\nattacker.enabled = true\n"
+                       f"attacker.start = {start}\nattacker.pos = 10,20\n")
+        assert main(["sweep", "--config", str(cfg), "--k", "1,2", "--reps", "1",
+                     "--jobs", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: attacker.start: sweep measures the victim's "
+                                "accept fraction of the flood; must be < stop (2.0), "
+                                f"got {float(start)!r}\n")
+    _assert_no_child_left()
+
+
 #: Two static nodes and a uniformly guessing flooder: every accept fraction
 #: is a ratio of its own, so a run reported in the wrong place shows.
 QUICK_SWEEP_CFG = (

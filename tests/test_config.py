@@ -1,11 +1,12 @@
 import math
+import pickle
 
 import pytest
 
 from manetsim.config import (ConfigError, FlowSpec, Protocol, ScenarioConfig,
-                             Sophistication, load_config, parse_config_text,
+                             Sophistication, check_config, load_config, parse_config_text,
                              serialize_config, validate_config)
-from manetsim.mobility import LetMode
+from manetsim.mobility import Kinematics, LetMode, WaypointState
 
 from .conftest import CONFIG_DIR
 
@@ -142,6 +143,30 @@ def test_round_trip_preserves_every_field():
     assert cfg.attacker_sophistication is Sophistication.INSIDER
     again = validate_config(parse_config_text(serialize_config(cfg)))
     assert again == cfg
+
+
+def test_a_nodes_entry_is_its_first_leg():
+    # One motion has one config: a position alone is the leg to itself at speed 0.
+    cfg = validate_config({"nn": 2, "nodes": "1,1; 2,2,5,6,1.5"})
+    assert cfg.node_scripts == (
+        WaypointState(Kinematics(1.0, 1.0), Kinematics(1.0, 1.0), 0.0, math.inf, 0.0),
+        WaypointState(Kinematics(2.0, 2.0), Kinematics(5.0, 6.0), 1.5, math.inf, 0.0))
+    assert cfg == validate_config({"nn": 2, "nodes": "1,1,1,1,0; 2,2,5,6,1.5"})
+    assert validate_config({"nn": 2, "nodes": "1,1; 2,2"}) == validate_config(
+        {"nn": 2, "nodes": "1,1,1,1,0; 2,2,2,2,0"})
+    # The sweep's process pool pickles the config, legs and all.
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
+
+
+def test_check_config_turns_node_triples_into_legs():
+    base = validate_config({"nn": 2, "stop": 5})
+    triples = (((1.0, 2.0), (1.0, 2.0), 0.0), ((3.0, 4.0), (10.0, 4.0), 2.0))
+    checked = check_config(base._replace(node_scripts=triples))
+    assert checked == base._replace(node_scripts=(
+        WaypointState(Kinematics(1.0, 2.0), Kinematics(1.0, 2.0), 0.0, math.inf, 0.0),
+        WaypointState(Kinematics(3.0, 4.0), Kinematics(10.0, 4.0), 2.0, math.inf, 0.0)))
+    assert all(type(leg) is WaypointState for leg in checked.node_scripts)
+    assert check_config(checked) == checked
 
 
 def test_round_trip_keeps_infinite_attacker_energy():

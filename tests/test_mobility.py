@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 from hypothesis import example, given, settings
@@ -115,6 +116,14 @@ def test_a_zero_speed_draw_parks_the_node_where_it_rests():
     assert kinematics_at(state, 99.0) is here
 
 
+def test_the_next_leg_starts_where_the_last_one_rests():
+    # 1 / dist overflows on this leg, so it does not move: it rests at its start.
+    short = WaypointState(Kinematics(0.0, 0.0), Kinematics(0.0, 5e-324), 1.0, 0.0, 0.0)
+    assert kinematics_at(short, 1.0) == (0.0, 0.0, 0.0, 0.0)
+    state = advance_waypoint(short, random.Random(3), 1.0, 50.0, 50.0, 1.0, 2.0, 1.0)
+    assert state.current is short.rest
+
+
 def reference_kinematics_at(state, t):
     """Reference kinematics: the whole leg's geometry worked out at every call.
 
@@ -207,3 +216,10 @@ def test_kinematics_match_the_reference(leg, where, fraction, late):
     # A leg's rest is one of its own ends, never a record built for it.
     assert leg.rest is (leg.current if leg.travel == -math.inf else leg.target)
     assert kinematics_bits(kinematics_at(twin, t)) == kinematics_bits(kinematics_at(leg, t))
+
+
+@given(leg=_legs())
+def test_a_leg_pickles_as_its_five_given_fields(leg):
+    again = pickle.loads(pickle.dumps(leg))
+    assert type(again) is WaypointState and again == leg
+    assert repr(again) == repr(leg)

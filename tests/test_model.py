@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from manetsim.analyze import parse_trace_text
-from manetsim.model import TraceEvent, TraceParseError
+from manetsim.model import ParseError, TraceEvent
 
 
 def test_trace_line_format_matches_field_order():
@@ -47,7 +47,7 @@ def test_trace_event_serialization_round_trips(event, time, source, destination,
 
 
 def test_parse_rejects_wrong_token_count():
-    with pytest.raises(TraceParseError) as exc:
+    with pytest.raises(ParseError) as exc:
         parse_trace_text("\n" * 16 + "s 1.0 3 4 DATA 100 --- 1 25 0 12")
     assert "line 17" in str(exc.value)
     assert "expected 12 fields" in str(exc.value)
@@ -55,21 +55,21 @@ def test_parse_rejects_wrong_token_count():
 
 
 def test_parse_rejects_unknown_event_symbol():
-    with pytest.raises(TraceParseError):
+    with pytest.raises(ParseError):
         parse_trace_text("x 1.0 3 4 DATA 100 --- 1 25 0 12 7")
 
 
 def test_parse_rejects_unknown_packet_type():
-    with pytest.raises(TraceParseError):
+    with pytest.raises(ParseError):
         parse_trace_text("s 1.0 3 4 BOGUS 100 --- 1 25 0 12 7")
 
 
 def test_parse_rejects_non_integer_field():
-    with pytest.raises(TraceParseError) as exc:
+    with pytest.raises(ParseError) as exc:
         parse_trace_text("s 1.0 3 4 DATA 1e2 --- 1 25 0 12 7")
     assert "pkt_size" in str(exc.value)
 
 
 def test_parse_rejects_bad_time():
-    with pytest.raises(TraceParseError):
+    with pytest.raises(ParseError):
         parse_trace_text("s abc 3 4 DATA 100 --- 1 25 0 12 7")
