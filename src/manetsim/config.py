@@ -1,18 +1,19 @@
-"""Scenario configuration: flat ``key = value`` files, validation, serialization.
+"""Scenario configuration: flat ``key = value`` files, and one check of typed values.
 
 Each key is declared once, by the `_key` default of a `ScenarioConfig` field
-below; a dotted key ``group.name`` is the field ``group_name``.
-`SCHEMA` is derived from those fields and drives known-key checks, parsing,
-defaults and `serialize_config`; `flows`, `nodes` and the checks that span
-several keys are the only hand-written parts.
+below; a dotted key ``group.name`` is the field ``group_name``.  `SCHEMA` is
+derived from those fields.  `validate_config` turns text into typed values and
+checks them as `check_config` checks a config built in code; `flows`, `nodes`
+and the checks that span several keys are the only hand-written parts.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from enum import Enum
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .mobility import MOBILITY_STEP, Kinematics, LetMode, WaypointState
 from .model import PacketKind, read_utf8
@@ -53,86 +54,123 @@ class Sophistication(Enum):
     INSIDER = "INSIDER"              # runs the honest tagging algorithm
 
 
-# Parsers turn one raw string into a value or raise ValueError(*violations).
-_BOUNDS = {">=": operator.ge, ">": operator.gt, "<": operator.lt, "<=": operator.le}
+# Text to typed values.  Text that is no value of its key's type stays text, for
+# the check to reject as the wrong type; text whose fault says more becomes the
+# ValueError that says so, for the check to report where the value belongs.
 _BOOLS = {"true": True, "1": True, "yes": True, "on": True,
           "false": False, "0": False, "no": False, "off": False}
+_KINDS = {kind.value: kind for kind in PacketKind}
 
 
-def _parse(raw: str, default, bounds: tuple, finite: bool):
+def _parse(raw: str, default):
     """``raw`` as the type of ``default``: int, float, bool or an enum."""
     kind = type(default)
-    if kind is bool:
-        if raw.lower() not in _BOOLS:
-            raise ValueError(f"expected true/false, got {raw!r}")
-        return _BOOLS[raw.lower()]
-    if isinstance(default, Enum):
-        try:
-            return kind(raw.upper())
-        except ValueError:
-            names = "|".join(e.value for e in kind)
-            raise ValueError(f"expected one of {names}, got {raw!r}") from None
     try:
-        value = kind(raw)
+        if kind is bool:
+            return _BOOLS[raw.lower()]
+        return kind(raw.upper()) if isinstance(default, Enum) else kind(raw)
+    except (KeyError, ValueError):
+        return raw
+
+
+def _packet_kinds(raw: str) -> tuple:
+    return tuple(_KINDS.get(token, token)
+                 for token in filter(None, (t.strip().upper() for t in raw.split(","))))
+
+
+def _position(raw: str):
+    if raw.lower() == "none":
+        return None
+    parts = [p.strip() for p in raw.split(",")]
+    try:
+        return Kinematics(float(parts[0]), float(parts[1])) if len(parts) == 2 else raw
+    except ValueError as exc:
+        return exc
+
+
+def _flow(chunk: str):
+    parts = [p.strip() for p in chunk.strip().split(":")]
+    if len(parts) not in (4, 5):
+        return ValueError("expected src:dst:rate:size[:start]")
+    try:
+        return FlowSpec(int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3]),
+                        float(parts[4]) if len(parts) == 5 else 1.0)
     except ValueError:
-        raise ValueError(f"expected {'an integer' if kind is int else 'a number'}, "
-                         f"got {raw!r}") from None
-    if kind is float and math.isnan(value):
-        raise ValueError("must not be NaN")
-    for op, limit in zip(bounds[::2], bounds[1::2]):
-        if not _BOUNDS[op](value, limit):
-            raise ValueError(f"must be {op} {limit}, got {value}")
-    if finite and kind is float and math.isinf(value):
-        raise ValueError(f"must be finite, got {value}")
-    return value
+        return ValueError(f"non-numeric field in {chunk.strip()!r}")
 
 
-def _packet_kinds(raw: str) -> Tuple[PacketKind, ...]:
-    kinds, problems = [], []
-    for token in filter(None, (t.strip().upper() for t in raw.split(","))):
-        try:
-            kind = PacketKind(token)
-        except ValueError:
-            problems.append(f"unknown packet kind {token!r}")
-            continue
-        if kind in (PacketKind.RREQ, PacketKind.RREP, PacketKind.DATA):
-            kinds.append(kind)
-        else:
-            problems.append(f"{token} cannot carry the admission check")
+def _node(chunk: str):
+    parts = [p.strip() for p in chunk.split(",")]
+    if len(parts) not in (2, 5):
+        return ValueError("expected 'x,y' or 'x,y,tx,ty,speed'")
+    try:
+        numbers = [float(p) for p in parts]
+    except ValueError:
+        return ValueError(f"non-numeric field in {chunk!r}")
+    px, py, tx, ty, speed = numbers if len(numbers) == 5 else numbers * 2 + [0.0]
+    return Kinematics(px, py), Kinematics(tx, ty), speed
+
+
+# Checks take a typed value, built in code or parsed from text, and return it as
+# a config file gives it, or raise ValueError(*violations).
+_BOUNDS = {">=": operator.ge, ">": operator.gt, "<": operator.lt, "<=": operator.le}
+_WANTED = {bool: "true/false", int: "an integer", float: "a number"}
+_ADMITTED = (PacketKind.RREQ, PacketKind.RREP, PacketKind.DATA)  # can carry the MLET check
+
+
+def _real(value) -> float:
+    """An int or a float, as a float; anything else, a bool too, raises ValueError."""
+    if type(value) not in (int, float):
+        raise ValueError(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int past the largest float: inf, as its text reads
+        return math.inf if value > 0 else -math.inf
+
+
+def _point(value) -> Kinematics:
+    """A Kinematics, or a plain (x, y) pair, as a Kinematics at rest."""
+    x, y = value[:2] if isinstance(value, Kinematics) else value
+    return Kinematics(_real(x), _real(y))
+
+
+def _checked_kinds(kinds) -> Tuple[PacketKind, ...]:
+    if type(kinds) is not tuple:
+        raise ValueError(f"expected a tuple of packet kinds, got {kinds!r}")
+    problems = [f"{kind.value} cannot carry the admission check"
+                if isinstance(kind, PacketKind) else f"unknown packet kind {kind!r}"
+                for kind in kinds if kind not in _ADMITTED]
     if problems:
         raise ValueError(*problems)
     return tuple(dict.fromkeys(kinds))
 
 
-def _position(raw: str) -> Optional[Kinematics]:
-    if raw.lower() == "none":
-        return None
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"expected 'x,y', got {raw!r}")
-    x, y = float(parts[0]), float(parts[1])
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"coordinates must be finite, got ({x}, {y})")
-    return Kinematics(x, y)
+def _checked_position(value) -> Optional[Kinematics]:
+    try:
+        pos = None if value is None else _point(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected 'x,y', got {value!r}") from None
+    if pos and not (math.isfinite(pos.x) and math.isfinite(pos.y)):
+        raise ValueError(f"coordinates must be finite, got ({pos.x}, {pos.y})")
+    return pos
 
 
-#: (name if not the field's, parser) of each `_key`, in declaration order.
-_DECLARED: List[Tuple[Optional[str], Callable[[str], object]]] = []
+#: A key of `SCHEMA`: its name, field and default, its bounds as (op, limit)
+#: pairs, whether a float must be finite, and a parser and check if the
+#: default's type does not give them.
+_Rule = namedtuple("_Rule", "key attr default bounds finite parse check")
+_DECLARED: List[tuple] = []  # (key, bounds, finite, parse, check) of each `_key`
 
 
-def _key(default, *bounds, key: Optional[str] = None, finite: bool = True, parse=None):
+def _key(default, *bounds, key: Optional[str] = None, finite: bool = True,
+         parse=None, check=None):
     """Declare a config key: its default, bounds as (op, limit) pairs, and its name
     if not the field's.
 
-    Returns the default, for the field to take; the name and the parser are kept
-    for `SCHEMA`.  The parser follows the default's type unless ``parse`` is
-    given.  A float key must be finite unless ``finite=False`` lets ``inf`` mean
-    unlimited.
+    Returns the default, for the field to take; the rest is kept for `SCHEMA`.
+    A float key must be finite unless ``finite=False`` lets ``inf`` mean unlimited.
     """
-    if parse is None:
-        def parse(raw):
-            return _parse(raw, default, bounds, finite)
-    _DECLARED.append((key, parse))
+    _DECLARED.append((key, tuple(zip(bounds[::2], bounds[1::2])), finite, parse, check))
     return default
 
 
@@ -164,7 +202,8 @@ class ScenarioConfig(NamedTuple):
     num_channels: int = _key(2, ">=", 1, "<=", MAX_COUNT, key="k")
     let_mode: LetMode = _key(LetMode.STRICT)
     let_threshold: float = _key(0.0, ">=", 0.0)  # 5 under *_MLET, see validate_config
-    mlet_applies_to: Tuple[PacketKind, ...] = _key((PacketKind.RREQ,), parse=_packet_kinds)
+    mlet_applies_to: Tuple[PacketKind, ...] = _key((PacketKind.RREQ,), parse=_packet_kinds,
+                                                   check=_checked_kinds)
     #: Bytes a kinematics annex adds to a packet: 4 floats plus framing.
     mlet_annex_bytes: int = _key(24, ">=", 0, "<=", MAX_PACKET_BYTES)
     bitrate: float = _key(250000.0, ">", 0.0)
@@ -198,15 +237,16 @@ class ScenarioConfig(NamedTuple):
     attacker_payload: int = _key(100, ">=", 1, "<=", MAX_PACKET_BYTES, key="attacker.payload")
     attacker_sophistication: Sophistication = _key(Sophistication.NAIVE_RANDOM,
                                                    key="attacker.sophistication")
-    attacker_pos: Optional[Kinematics] = _key(None, key="attacker.pos", parse=_position)
+    attacker_pos: Optional[Kinematics] = _key(None, key="attacker.pos", parse=_position,
+                                              check=_checked_position)
     flows: Tuple[FlowSpec, ...] = ()
     node_scripts: Optional[Tuple[WaypointState, ...]] = None
 
 
-#: (key, attribute, parser, default) per key, in field order.
-SCHEMA = tuple((key or attr, attr, parse, ScenarioConfig._field_defaults[attr])
-               for attr, (key, parse) in zip(ScenarioConfig._fields, _DECLARED))
-KNOWN_KEYS = frozenset(entry[0] for entry in SCHEMA) | {"flows", "nodes"}
+#: One `_Rule` per key, in field order.
+SCHEMA = tuple(_Rule(key or attr, attr, ScenarioConfig._field_defaults[attr], *rule)
+               for attr, (key, *rule) in zip(ScenarioConfig._fields, _DECLARED))
+KNOWN_KEYS = frozenset(rule.key for rule in SCHEMA) | {"flows", "nodes"}
 
 
 class ConfigError(ValueError):
@@ -238,6 +278,52 @@ def parse_config_text(text: str) -> Dict[str, str]:
     return raw
 
 
+def validate_config(raw: Mapping[str, object]) -> ScenarioConfig:
+    """Build a fully-populated ScenarioConfig from text, reporting all violations at once."""
+    keys = [str(key).strip() for key in raw]
+    data = {key: str(value).strip() for key, value in zip(keys, raw.values())
+            if key in KNOWN_KEYS}
+    v = ScenarioConfig()._asdict()  # attribute -> typed value; a key not given keeps its default
+    for rule in SCHEMA:
+        if rule.key in data:
+            text = data[rule.key]
+            v[rule.attr] = rule.parse(text) if rule.parse else _parse(text, rule.default)
+    if "let_threshold" not in data and getattr(v["protocol"], "uses_let", False):
+        v["let_threshold"] = 5.0  # the admission filter is on by default under *_MLET
+    flows, nodes = data.get("flows", "none"), data.get("nodes", "none")
+    if flows.lower() not in ("none", ""):
+        v["flows"] = tuple(_flow(chunk) for chunk in flows.split(";"))
+    if nodes.lower() != "none":
+        v["node_scripts"] = tuple(_node(c) for c in map(str.strip, nodes.split(";")) if c)
+    cfg = _check(v, [f"{key}: unknown key" for key in keys if key not in KNOWN_KEYS])
+    if "flows" not in data and cfg.nn >= 2:  # default background traffic toward node 0
+        cfg = cfg._replace(flows=(FlowSpec(src=cfg.nn - 1, dst=0, rate=4.0, size=100, start=1.0),))
+    return cfg
+
+
+def _checked_value(rule: _Rule, value):
+    """``value`` as its key's type, within its key's bounds."""
+    if isinstance(value, ValueError):  # text that did not parse
+        raise value
+    if rule.check:
+        return rule.check(value)
+    kind = type(rule.default)
+    if kind is float and type(value) is int:
+        value = _real(value)
+    if type(value) is not kind:
+        wanted = (f"one of {'|'.join(e.value for e in kind)}" if issubclass(kind, Enum)
+                  else _WANTED[kind])
+        raise ValueError(f"expected {wanted}, got {value!r}")
+    if kind is float and math.isnan(value):
+        raise ValueError("must not be NaN")
+    for op, limit in rule.bounds:
+        if not _BOUNDS[op](value, limit):
+            raise ValueError(f"must be {op} {limit}, got {value}")
+    if rule.finite and kind is float and math.isinf(value):
+        raise ValueError(f"must be finite, got {value}")
+    return value
+
+
 def _inside(x: float, y: float, area_x: float, area_y: float) -> bool:
     return 0.0 <= x <= area_x and 0.0 <= y <= area_y
 
@@ -249,158 +335,114 @@ def _timer_problem(period: float, stop: float) -> Optional[str]:
     return None
 
 
-def _parse_flows(raw: Optional[str], nn: int, stop: float, fail) -> Tuple[FlowSpec, ...]:
-    if raw is None:  # default background traffic: one CBR flow toward node 0
-        default = FlowSpec(src=nn - 1, dst=0, rate=4.0, size=100, start=1.0)
-        return (default,) if nn >= 2 else ()
-    if raw.lower() in ("none", ""):
-        return ()
-    flows = []
-    for i, chunk in enumerate(raw.split(";")):
-        parts = [p.strip() for p in chunk.strip().split(":")]
-        if len(parts) not in (4, 5):
-            fail("flows", f"entry {i}: expected src:dst:rate:size[:start]")
-            continue
+def _checked_flow(flow, nn: int, stop: float) -> FlowSpec:
+    """A FlowSpec, or a plain tuple of its fields, as a FlowSpec that can run."""
+    try:
+        src, dst, rate, size, start = flow
+        if not type(src) is type(dst) is type(size) is int:
+            raise TypeError
+        rate, start = _real(rate), _real(start)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected (src, dst, rate, size, start), got {flow!r}") from None
+    if not (0 <= src < nn and 0 <= dst < nn):
+        raise ValueError(f"endpoints must be node ids < {nn}")
+    if src == dst:
+        raise ValueError("src and dst must differ")
+    if rate <= 0.0 or size <= 0 or start < 0.0:
+        raise ValueError("rate/size must be positive, start >= 0")
+    if size > MAX_PACKET_BYTES:
+        raise ValueError(f"size must be <= {MAX_PACKET_BYTES}")
+    if not (math.isfinite(rate) and math.isfinite(start)):
+        raise ValueError("rate and start must be finite")
+    if problem := _timer_problem(1.0 / rate, stop):
+        raise ValueError(problem)
+    return FlowSpec(src, dst, rate, size, start)
+
+
+def _checked_leg(leg, area_x: float, area_y: float) -> WaypointState:
+    """A first leg, or a plain (pos, target, speed) triple, as a first leg in the area."""
+    # A nodes entry can say neither: its leg starts at 0 and then parks for good.
+    if isinstance(leg, WaypointState) and (leg.pause_until, leg.leg_start_time) != (math.inf, 0.0):
+        raise ValueError(f"a first leg must have pause_until inf and leg_start_time 0.0, "
+                         f"got {leg.pause_until!r} and {leg.leg_start_time!r}")
+    try:
+        pos, target, speed = leg[:3]
+        pos, target, speed = _point(pos), _point(target), _real(speed)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected a leg or a (pos, target, speed), got {leg!r}") from None
+    # The area is finite, so infinite and NaN coordinates fall outside it.
+    if not speed >= 0.0:
+        raise ValueError("speed must be >= 0")
+    if not (_inside(pos.x, pos.y, area_x, area_y) and _inside(target.x, target.y, area_x, area_y)):
+        raise ValueError(f"coordinates outside the {area_x}x{area_y} area")
+    return WaypointState(pos, target, speed, math.inf, 0.0)
+
+
+def _entries(key: str, entries, check, fail) -> tuple:
+    """``check(entry)`` of each entry it takes; each it rejects fails as entry i."""
+    kept = []
+    for i, entry in enumerate(entries):
         try:
-            src, dst = int(parts[0]), int(parts[1])
-            rate, size = float(parts[2]), int(parts[3])
-            start = float(parts[4]) if len(parts) == 5 else 1.0
-        except ValueError:
-            fail("flows", f"entry {i}: non-numeric field in {chunk.strip()!r}")
-            continue
-        if not (0 <= src < nn and 0 <= dst < nn):
-            fail("flows", f"entry {i}: endpoints must be node ids < {nn}")
-        elif src == dst:
-            fail("flows", f"entry {i}: src and dst must differ")
-        elif rate <= 0.0 or size <= 0 or start < 0.0:
-            fail("flows", f"entry {i}: rate/size must be positive, start >= 0")
-        elif size > MAX_PACKET_BYTES:
-            fail("flows", f"entry {i}: size must be <= {MAX_PACKET_BYTES}")
-        elif not (math.isfinite(rate) and math.isfinite(start)):
-            fail("flows", f"entry {i}: rate and start must be finite")
-        elif problem := _timer_problem(1.0 / rate, stop):
-            fail("flows", f"entry {i}: {problem}")
-        else:
-            flows.append(FlowSpec(src, dst, rate, size, start))
-    return tuple(flows)
+            if isinstance(entry, ValueError):  # text that did not parse
+                raise entry
+            kept.append(check(entry))
+        except ValueError as exc:
+            fail(key, f"entry {i}: {exc}")
+    return tuple(kept)
 
 
-def _parse_nodes(raw: Optional[str], nn: int, area_x: float, area_y: float,
-                 fail) -> Optional[Tuple[WaypointState, ...]]:
-    if raw is None or raw.lower() == "none":
-        return None
-    chunks = [c for c in (chunk.strip() for chunk in raw.split(";")) if c]
-    if len(chunks) != nn:
-        fail("nodes", f"expected {nn} entries (one per node), got {len(chunks)}")
-        return None
-    legs = []
-    for i, chunk in enumerate(chunks):
-        parts = [p.strip() for p in chunk.split(",")]
-        if len(parts) not in (2, 5):
-            fail("nodes", f"entry {i}: expected 'x,y' or 'x,y,tx,ty,speed'")
-            continue
-        try:
-            numbers = [float(p) for p in parts]
-        except ValueError:
-            fail("nodes", f"entry {i}: non-numeric field in {chunk!r}")
-            continue
-        px, py = numbers[0], numbers[1]
-        tx, ty, speed = numbers[2:] if len(numbers) == 5 else (px, py, 0.0)
-        # The area is finite, so infinite and NaN coordinates fall outside it.
-        if not speed >= 0.0:
-            fail("nodes", f"entry {i}: speed must be >= 0")
-        elif not (_inside(px, py, area_x, area_y) and _inside(tx, ty, area_x, area_y)):
-            fail("nodes", f"entry {i}: coordinates outside the {area_x}x{area_y} area")
-        else:
-            legs.append(WaypointState(Kinematics(px, py), Kinematics(tx, ty), speed,
-                                      math.inf, 0.0))
-    return tuple(legs)
-
-
-def validate_config(raw: Mapping[str, object]) -> ScenarioConfig:
-    """Build a fully-populated ScenarioConfig, reporting all violations at once."""
-    data: Dict[str, str] = {}
-    violations: List[str] = []
-    for key, value in raw.items():
-        key = str(key).strip()
-        if key in KNOWN_KEYS:
-            data[key] = str(value).strip()
-        else:
-            violations.append(f"{key}: unknown key")
-
+def _check(v: Dict[str, object], violations: List[str]) -> ScenarioConfig:
+    """The config of typed values ``v`` (attribute -> value), or ConfigError with
+    ``violations`` and each found here.  A key that fails its own check takes its
+    default for the checks that span keys, then ``flows`` and ``nodes``."""
     def fail(key: str, message: str):
         violations.append(f"{key}: {message}")
 
-    # attribute -> value; a rejected value keeps its default for later checks
-    v: Dict[str, object] = {}
-    for key, attr, parse, default in SCHEMA:
-        v[attr] = default
-        if key in data:
-            try:
-                v[attr] = parse(data[key])
-            except ValueError as exc:
-                violations.extend(f"{key}: {message}" for message in exc.args)
-    if "let_threshold" not in data and v["protocol"].uses_let:
-        v["let_threshold"] = 5.0  # the admission filter is on by default under *_MLET
-
-    if not math.isfinite(math.hypot(v["area_x"], v["area_y"])):  # bounds every leg's length
-        fail("x", f"must leave the diagonal hypot(x, y) finite, got a "
-                  f"{v['area_x']}x{v['area_y']} area")
-    if not math.isfinite(max(v["area_x"], v["area_y"]) / v["range_r"]):  # bounds cell indices
+    for rule in SCHEMA:
+        try:
+            v[rule.attr] = _checked_value(rule, v[rule.attr])
+        except ValueError as exc:
+            violations.extend(f"{rule.key}: {message}" for message in exc.args)
+            v[rule.attr] = rule.default
+    nn, stop, area_x, area_y = v["nn"], v["stop"], v["area_x"], v["area_y"]
+    if not math.isfinite(math.hypot(area_x, area_y)):  # bounds every leg's length
+        fail("x", f"must leave the diagonal hypot(x, y) finite, got a {area_x}x{area_y} area")
+    if not math.isfinite(max(area_x, area_y) / v["range_r"]):  # bounds cell indices
         fail("range_r", f"must leave x / range_r and y / range_r finite, got {v['range_r']}")
     if v["speed_max"] < v["speed_min"]:
         fail("speed_max", f"must be >= speed_min ({v['speed_min']}), got {v['speed_max']}")
-    if v["attacker_target"] >= v["nn"]:  # the victim's energy is sampled, attack or not
-        fail("attacker.target", f"must name an honest node (< {v['nn']})")
+    if v["attacker_target"] >= nn:  # the victim's energy is sampled, attack or not
+        fail("attacker.target", f"must name an honest node (< {nn})")
     pos = v["attacker_pos"]
-    if pos is not None and not _inside(pos.x, pos.y, v["area_x"], v["area_y"]):
-        fail("attacker.pos", f"outside the {v['area_x']}x{v['area_y']} area")
+    if pos is not None and not _inside(pos.x, pos.y, area_x, area_y):
+        fail("attacker.pos", f"outside the {area_x}x{area_y} area")
     timers = [("stop", MOBILITY_STEP), ("hello_interval", v["hello_interval"]),
-              ("metrics_interval", v["metrics_interval"]),
-              ("retry_timeout", v["retry_timeout"])]
+              ("metrics_interval", v["metrics_interval"]), ("retry_timeout", v["retry_timeout"])]
     if v["attacker_enabled"]:
         timers.append(("attacker.rate", 1.0 / v["attacker_rate"]))
     for key, period in timers:
-        if problem := _timer_problem(period, v["stop"]):
+        if problem := _timer_problem(period, stop):
             fail(key, problem)
-    flows = _parse_flows(data.get("flows"), v["nn"], v["stop"], fail)
-    nodes = _parse_nodes(data.get("nodes"), v["nn"], v["area_x"], v["area_y"], fail)
+    v["flows"] = _entries("flows", v["flows"], lambda flow: _checked_flow(flow, nn, stop), fail)
+    nodes = v["node_scripts"]
+    if nodes is not None and len(nodes) != nn:
+        fail("nodes", f"expected {nn} entries (one per node), got {len(nodes)}")
+    elif nodes is not None:
+        v["node_scripts"] = _entries("nodes", nodes,
+                                     lambda leg: _checked_leg(leg, area_x, area_y), fail)
     if violations:
         raise ConfigError(violations)
-    return ScenarioConfig(**v, flows=flows, node_scripts=nodes)
-
-
-def _format(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, Kinematics):  # a position, at rest; before the tuple test
-        return f"{value.x!r},{value.y!r}"
-    if isinstance(value, tuple):
-        return ",".join(_format(item) for item in value)
-    return "none" if value is None else repr(value)
-
-
-def serialize_config(cfg: ScenarioConfig) -> str:
-    """Emit every field as a ``key = value`` line; re-validating reproduces cfg."""
-    lines = [f"{key} = {_format(getattr(cfg, attr))}" for key, attr, _, _ in SCHEMA]
-    flows = ";".join(f"{f.src}:{f.dst}:{f.rate!r}:{f.size}:{f.start!r}" for f in cfg.flows)
-    lines.append(f"flows = {flows or 'none'}")
-    nodes = "none" if cfg.node_scripts is None else "; ".join(
-        _format(leg[:3]) for leg in cfg.node_scripts)  # (current, target, speed)
-    lines.append(f"nodes = {nodes}")
-    return "\n".join(lines) + "\n"
+    return ScenarioConfig(**v)
 
 
 def check_config(cfg: ScenarioConfig) -> ScenarioConfig:
     """Give a config built in code the checks a config file gets: raise ConfigError.
 
-    Returns the config as a config file gives it: a position given as a
-    plain tuple comes back a ``Kinematics`` at rest, and a ``node_scripts``
-    entry given as a ``(pos, target, speed)`` triple comes back a leg.
+    Returns the config as a config file gives it: an int given for a float key
+    comes back a float, a plain ``(x, y)`` position a ``Kinematics`` at rest, a
+    plain flow tuple a ``FlowSpec``, and a ``(pos, target, speed)`` triple a leg.
     """
-    return validate_config(parse_config_text(serialize_config(cfg)))
+    return _check(cfg._asdict(), [])
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -5,7 +5,7 @@ import pytest
 
 from manetsim.config import (ConfigError, FlowSpec, Protocol, ScenarioConfig,
                              Sophistication, check_config, load_config, parse_config_text,
-                             serialize_config, validate_config)
+                             validate_config)
 from manetsim.mobility import Kinematics, LetMode, WaypointState
 
 from .conftest import CONFIG_DIR
@@ -110,12 +110,13 @@ def test_parse_config_text_rejects_duplicates_and_garbage():
     assert any("line 3" in v for v in exc.value.violations)
 
 
+# A config round-trips through its own check: what a config file gives, the
+# check of typed values gives back unchanged.
 @pytest.mark.parametrize("name", ["table1_aodv", "table1_saodv", "attack_demo",
-                                  "fig11_mlet"])
+                                  "fig11_mlet", "channel_sweep"])
 def test_shipped_configs_round_trip(name):
     cfg = load_config(str(CONFIG_DIR / f"{name}.cfg"))
-    again = validate_config(parse_config_text(serialize_config(cfg)))
-    assert again == cfg
+    assert check_config(cfg) == cfg
 
 
 def test_round_trip_preserves_every_field():
@@ -141,8 +142,7 @@ def test_round_trip_preserves_every_field():
     })
     assert cfg.let_mode is LetMode.PAPER
     assert cfg.attacker_sophistication is Sophistication.INSIDER
-    again = validate_config(parse_config_text(serialize_config(cfg)))
-    assert again == cfg
+    assert check_config(cfg) == cfg
 
 
 def test_a_nodes_entry_is_its_first_leg():
@@ -169,11 +169,37 @@ def test_check_config_turns_node_triples_into_legs():
     assert check_config(checked) == checked
 
 
+def test_a_first_leg_that_a_nodes_entry_cannot_say_is_rejected():
+    # A nodes entry starts its leg at 0 and parks its node for good after it, so
+    # a first leg that resumes motion, or starts late, is named, not reset.
+    base = validate_config({"nn": 2, "stop": 5})
+    parked = WaypointState(Kinematics(3.0, 4.0), Kinematics(3.0, 4.0), 0.0, math.inf, 0.0)
+    for pause_until, leg_start_time in [(7.0, 2.0), (7.0, 0.0), (math.inf, 2.0)]:
+        leg = WaypointState(Kinematics(1, 1), Kinematics(5, 1), 1.0, pause_until, leg_start_time)
+        with pytest.raises(ConfigError) as exc:
+            check_config(base._replace(node_scripts=(parked, leg)))
+        assert exc.value.violations == [
+            f"nodes: entry 1: a first leg must have pause_until inf and leg_start_time 0.0, "
+            f"got {pause_until!r} and {leg_start_time!r}"]
+    leg = WaypointState(Kinematics(1, 1), Kinematics(5, 1), 1, math.inf, 0)
+    assert check_config(base._replace(node_scripts=(parked, leg))).node_scripts[1] == (
+        WaypointState(Kinematics(1.0, 1.0), Kinematics(5.0, 1.0), 1.0, math.inf, 0.0))
+
+
+def test_a_node_entry_that_is_no_leg_is_named():
+    base = validate_config({"nn": 1, "stop": 5})
+    for bad in [((1.0, 1.0), (2.0, 2.0)), ((1.0, 1.0), (2.0, "2"), 1.0), 5,
+                ((1.0, True), (2.0, 2.0), 1.0)]:
+        with pytest.raises(ConfigError) as exc:
+            check_config(base._replace(node_scripts=(bad,)))
+        assert exc.value.violations == [
+            f"nodes: entry 0: expected a leg or a (pos, target, speed), got {bad!r}"]
+
+
 def test_round_trip_keeps_infinite_attacker_energy():
     cfg = validate_config({"attacker.enabled": "true"})
     assert math.isinf(cfg.attacker_energy)
-    again = validate_config(parse_config_text(serialize_config(cfg)))
-    assert again == cfg
+    assert check_config(cfg) == cfg
 
 
 def test_replace_keeps_config_usable():

@@ -2,17 +2,19 @@
 
 import math
 import re
+from enum import Enum
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manetsim.config import (KNOWN_KEYS, MAX_COUNT, MAX_NODES, MAX_PACKET_BYTES,
                              MAX_TIMER_FIRINGS, SCHEMA, ConfigError, ScenarioConfig,
-                             validate_config)
+                             check_config, validate_config)
 from manetsim.engine import Simulation
-from manetsim.mobility import MOBILITY_STEP
+from manetsim.mobility import MOBILITY_STEP, Kinematics
+from manetsim.model import PacketKind
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -199,16 +201,16 @@ def test_timer_cap_admits_the_boundary():
 def test_each_key_names_one_field_by_the_flat_naming_rule():
     # A dotted key "group.name" is the field group_name; flows and nodes are
     # parsed by hand into the only two fields that have no key of their own.
-    keys = [key for key, _, _, _ in SCHEMA]
-    attrs = [attr for _, attr, _, _ in SCHEMA]
+    keys = [rule.key for rule in SCHEMA]
+    attrs = [rule.attr for rule in SCHEMA]
     assert len(set(keys)) == len(keys) and len(set(attrs)) == len(attrs)
     assert KNOWN_KEYS == set(keys) | {"flows", "nodes"}
     assert attrs == [name for name in ScenarioConfig._fields
                      if name not in ("flows", "node_scripts")]
-    for key, attr, _, default in SCHEMA:
-        if "." in key:
-            assert attr == key.replace(".", "_")
-        assert getattr(ScenarioConfig(), attr) == default
+    for rule in SCHEMA:
+        if "." in rule.key:
+            assert rule.attr == rule.key.replace(".", "_")
+        assert getattr(ScenarioConfig(), rule.attr) == rule.default
 
 
 def test_defaults_come_from_the_field_declarations():
@@ -254,6 +256,63 @@ def test_validation_raises_nothing_but_config_errors(raw):
         validate_config(raw)
     except ConfigError:
         pass
+
+
+def _value_and_text(rule):
+    """A typed value for ``rule``'s key, with the text a config file gives it.
+
+    Values lie at, just inside and just past each bound, and include NaN, the
+    infinities and ints for float keys; a wrong type is text that no parser of
+    the key takes.
+    """
+    kind = type(rule.default)
+    limits = [limit for _, limit in rule.bounds]
+    wrong = st.sampled_from(["wide", "", "2.5e"]).map(lambda text: (text, text))
+    if rule.attr == "mlet_applies_to":
+        token = st.one_of(st.sampled_from(list(PacketKind)), st.sampled_from(["FOO", "X"]))
+        return st.lists(token, max_size=4).map(lambda kinds: (tuple(kinds), ",".join(
+            kind if isinstance(kind, str) else kind.value for kind in kinds)))
+    if rule.attr == "attacker_pos":
+        coord = st.sampled_from([0.0, 10.0, 50.0, math.nextafter(50.0, math.inf), -1.0,
+                                 math.inf, -math.inf, math.nan, 1e300])
+        pos = st.tuples(coord, coord, st.booleans()).map(
+            lambda t: (Kinematics(t[0], t[1]) if t[2] else t[:2], f"{t[0]!r},{t[1]!r}"))
+        return st.one_of(st.just((None, "none")), pos, wrong)
+    if kind is bool:
+        return st.one_of(st.booleans().map(lambda b: (b, "true" if b else "false")), wrong)
+    if issubclass(kind, Enum):
+        return st.one_of(st.sampled_from(list(kind)).map(lambda e: (e, e.value)), wrong)
+    ints = st.one_of(st.sampled_from([n + step for n in limits or [0] for step in (-1, 0, 1)]),
+                     st.integers(-5, 2000), st.just(10**400)).map(lambda n: (n, str(n)))
+    if kind is int:
+        return st.one_of(ints, wrong)
+    near = [x for limit in limits for x in (limit, math.nextafter(limit, math.inf),
+                                            math.nextafter(limit, -math.inf))]
+    floats = st.one_of(st.sampled_from(near + [math.inf, -math.inf, math.nan, 1e-300, 1e300]),
+                       st.floats(1e-3, 1e3), st.floats()).map(lambda x: (x, repr(x)))
+    return st.one_of(floats, ints, wrong)
+
+
+def _outcome(check, given):
+    """The config ``check`` gives, with the type of each field, or its violations."""
+    try:
+        cfg = check(given)
+    except ConfigError as exc:
+        return exc.violations
+    return cfg, [type(field) for field in cfg]
+
+
+@settings(derandomize=True, max_examples=500)
+@given(st.data())
+def test_typed_values_check_as_their_text_validates(data):
+    """``check_config`` of typed values and ``validate_config`` of their text agree."""
+    rules = data.draw(st.lists(st.sampled_from(SCHEMA), unique_by=lambda rule: rule.key,
+                               max_size=3))
+    values = {}
+    texts = {"flows": "none", "let_threshold": "0.0"}  # the defaults a ScenarioConfig has
+    for rule in rules:
+        values[rule.attr], texts[rule.key] = data.draw(_value_and_text(rule))
+    assert _outcome(check_config, ScenarioConfig(**values)) == _outcome(validate_config, texts)
 
 
 def _readme_keys():

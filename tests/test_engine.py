@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from manetsim import engine
 from manetsim.analyze import parse_metrics_csv
-from manetsim.config import (MAX_NODES, ConfigError, Protocol, ScenarioConfig, Sophistication,
-                             load_config, validate_config)
+from manetsim.config import (MAX_NODES, ConfigError, FlowSpec, Protocol, ScenarioConfig,
+                             Sophistication, check_config, load_config, validate_config)
 from manetsim.engine import DELIVER, METRIC_SAMPLE, Simulation, debit
 from manetsim.medium import in_range
 from manetsim.mobility import Kinematics, kinematics_at
@@ -356,11 +356,30 @@ def test_metrics_csv_agrees_with_the_run_summary(path):
     ("mlet_applies_to", (PacketKind.HELLO,), "mlet_applies_to"),
     ("nn", MAX_NODES + 1, "nn"),
     ("attacker_pos", Kinematics(math.inf, 0.0), "attacker.pos"),
+    ("nn", "5", "nn"),
+    ("nn", True, "nn"),
+    ("nn", 5.0, "nn"),
+    ("loss_prob", math.nan, "loss_prob"),
 ])
 def test_simulation_checks_a_config_built_in_code(name, value, key):
     with pytest.raises(ConfigError) as info:
         Simulation(validate_config({})._replace(**{name: value}))
     assert [v for v in info.value.violations if v.startswith(f"{key}: ")]
+
+
+def test_a_value_of_the_wrong_type_is_named_as_given():
+    # The check reads typed values: its message quotes the value itself, and an
+    # int given for a float key is that float.
+    base = validate_config({})
+    for name, value, message in [("nn", "5", "nn: expected an integer, got '5'"),
+                                 ("nn", True, "nn: expected an integer, got True"),
+                                 ("nn", 5.0, "nn: expected an integer, got 5.0"),
+                                 ("loss_prob", math.nan, "loss_prob: must not be NaN")]:
+        with pytest.raises(ConfigError) as info:
+            Simulation(base._replace(**{name: value}))
+        assert info.value.violations == [message]
+    stop = Simulation(base._replace(stop=5)).cfg.stop
+    assert stop == 5.0 and type(stop) is float
 
 
 def test_a_position_given_as_a_plain_tuple_runs_as_its_kinematics():
@@ -373,6 +392,24 @@ def test_a_position_given_as_a_plain_tuple_runs_as_its_kinematics():
     records, report = run_traced(as_tuple)
     assert (records, report) == run_traced(base._replace(attacker_pos=Kinematics(10.0, 20.0)))
     assert report.attacker_data_sent > 0
+
+
+def test_a_flow_given_as_a_plain_tuple_runs_as_its_flowspec():
+    # The check turns the tuple into the FlowSpec a flows entry gives; it ended
+    # in an AttributeError when the config was written out as text to be checked.
+    base = validate_config({"nn": 2, "stop": 6, "nodes": "10,10; 20,10", "flows": "none"})
+    as_tuple = base._replace(flows=((1, 0, 4, 100, 1),))
+    flow = Simulation(as_tuple).cfg.flows[0]
+    assert type(flow) is FlowSpec and flow == (1, 0, 4.0, 100, 1.0)
+    assert [type(field) for field in flow] == [int, int, float, int, float]
+    records, report = run_traced(as_tuple)
+    assert (records, report) == run_traced(base._replace(flows=(FlowSpec(1, 0, 4.0, 100, 1.0),)))
+    assert report.honest_data_delivered > 0
+    for bad in [(1, 0, 4.0, 100), (1, 0, "4", 100, 1.0), (1.0, 0, 4.0, 100, 1.0), 7]:
+        with pytest.raises(ConfigError) as info:
+            check_config(base._replace(flows=(FlowSpec(1, 0, 4.0, 100, 1.0), bad)))
+        assert info.value.violations == [
+            f"flows: entry 1: expected (src, dst, rate, size, start), got {bad!r}"]
 
 
 def test_metric_samples_are_queued_one_ahead():
