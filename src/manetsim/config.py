@@ -423,9 +423,14 @@ def _check(v: Dict[str, object], violations: List[str]) -> ScenarioConfig:
     for key, period in timers:
         if problem := _timer_problem(period, stop):
             fail(key, problem)
-    v["flows"] = _entries("flows", v["flows"], lambda flow: _checked_flow(flow, nn, stop), fail)
-    nodes = v["node_scripts"]
-    if nodes is not None and len(nodes) != nn:
+    flows, nodes = v["flows"], v["node_scripts"]
+    if not isinstance(flows, (tuple, list)):
+        fail("flows", f"expected a tuple of flows, got {flows!r}")
+        flows = ()
+    v["flows"] = _entries("flows", flows, lambda flow: _checked_flow(flow, nn, stop), fail)
+    if nodes is not None and not isinstance(nodes, (tuple, list)):
+        fail("nodes", f"expected None or a tuple of legs, got {nodes!r}")
+    elif nodes is not None and len(nodes) != nn:
         fail("nodes", f"expected {nn} entries (one per node), got {len(nodes)}")
     elif nodes is not None:
         v["node_scripts"] = _entries("nodes", nodes,

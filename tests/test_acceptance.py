@@ -9,7 +9,7 @@ import time
 
 from manetsim.analyze import interval_series, parse_trace_text
 from manetsim.cli import sweep_accept_fractions
-from manetsim.config import Protocol, load_config, validate_config
+from manetsim.config import load_config, validate_config
 from manetsim.engine import Simulation
 from manetsim.mobility import LetMode, link_expiration_time
 from manetsim.model import CommonHeader, PacketKind
@@ -157,7 +157,7 @@ def test_c4_drop_direction_at_the_victim():
 def test_c5_victim_energy_direction():
     demo = load_config(str(CONFIG_DIR / "attack_demo.cfg"))
     saodv = Simulation(demo).run()
-    aodv = Simulation(demo._replace(protocol=Protocol.AODV)).run()
+    aodv = Simulation(load_config(str(CONFIG_DIR / "attack_demo_aodv.cfg"))).run()
     rows_s, rows_a = saodv.samples, aodv.samples
     assert len(rows_s) == len(rows_a)
     attack_start = demo.attacker_start
@@ -182,7 +182,7 @@ def test_c5_victim_energy_direction():
 
 def test_c6_mlet_direction_and_zero_threshold_equivalence():
     mlet_cfg = load_config(str(CONFIG_DIR / "fig11_mlet.cfg"))
-    baseline_cfg = mlet_cfg._replace(protocol=Protocol.AODV)
+    baseline_cfg = load_config(str(CONFIG_DIR / "fig11_aodv.cfg"))
     mlet, _ = run_traced(mlet_cfg)
     baseline, _ = run_traced(baseline_cfg)
 

@@ -513,31 +513,27 @@ def test_a_bad_k_fails_before_any_run(monkeypatch):
     _assert_no_child_left()
 
 
-#: Script -> (its CSV under out/, the summary lines it prints before "wrote").
-SCRIPT_OUTPUTS = {
-    "attack_energy": ("attack_energy", [
-        "AODV: victim final energy 0.000 J, depleted at t=18.13s, "
-        "flood accepted 811 / dropped 0",
-        "SAODV: victim final energy 7.344 J, flood accepted 0 / dropped 3998",
-    ]),
-    "mlet": ("mlet_loss", [
-        "baseline AODV: delivered 216/236, lost 20, RERR transmissions 3",
-        "with admission filter: delivered 236/236, lost 0, RERR transmissions 0",
-    ]),
+#: Experiment config -> the ends of its run summary lines that carry the paper's
+#: claims: the victim's battery with and without verification, and loss and
+#: RERRs with and without MLET.
+EXPERIMENT_SUMMARIES = {
+    "attack_demo_aodv": ["final_energy=0.000000 J malicious_accepts=811 malicious_drops=0",
+                         "depleted: node0@18.133"],
+    "attack_demo": ["final_energy=7.343600 J malicious_accepts=0 malicious_drops=3998"],
+    "fig11_aodv": ["sent=236 delivered=216 lost=20", "RERR=3"],
+    "fig11_mlet": ["sent=236 delivered=236 lost=0", "RERR=0"],
 }
 
 
-@pytest.mark.parametrize("script", SCRIPT_OUTPUTS)
-def test_experiment_script_rewrites_its_csv_and_summary(script, tmp_path):
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
+def test_run_rewrites_the_committed_metrics_of_each_config(path, tmp_path, capsys):
     repo = Path(__file__).parents[1]
-    csv, summary = SCRIPT_OUTPUTS[script]
-    out = tmp_path / f"{csv}.csv"
-    # -S: the scripts run on the standard library alone.
-    proc = subprocess.run([sys.executable, "-S", str(repo / "scripts" / f"{script}_experiment.py"),
-                           "--out", str(out)], capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [*summary, f"wrote {out}"]
-    assert out.read_bytes() == (repo / "out" / f"{csv}.csv").read_bytes()
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert ((tmp_path / "metrics.csv").read_bytes()
+            == (repo / "out" / f"{path.stem}.metrics.csv").read_bytes())
+    lines = capsys.readouterr().out.splitlines()
+    for fact in EXPERIMENT_SUMMARIES.get(path.stem, []):
+        assert any(line.endswith(fact) for line in lines), fact
 
 
 def test_channel_sweep_config_rewrites_its_csv():

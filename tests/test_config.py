@@ -6,6 +6,7 @@ import pytest
 from manetsim.config import (ConfigError, FlowSpec, Protocol, ScenarioConfig,
                              Sophistication, check_config, load_config, parse_config_text,
                              validate_config)
+from manetsim.engine import Simulation
 from manetsim.mobility import Kinematics, LetMode, WaypointState
 
 from .conftest import CONFIG_DIR
@@ -112,11 +113,21 @@ def test_parse_config_text_rejects_duplicates_and_garbage():
 
 # A config round-trips through its own check: what a config file gives, the
 # check of typed values gives back unchanged.
-@pytest.mark.parametrize("name", ["table1_aodv", "table1_saodv", "attack_demo",
-                                  "fig11_mlet", "channel_sweep"])
-def test_shipped_configs_round_trip(name):
-    cfg = load_config(str(CONFIG_DIR / f"{name}.cfg"))
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
+def test_shipped_configs_round_trip(path):
+    cfg = load_config(str(path))
     assert check_config(cfg) == cfg
+
+
+# Each baseline runs its pair's scenario (seed, placement, flows, mobility and
+# attack) with rp = AODV, so the two runs compare the protocol alone.
+@pytest.mark.parametrize("baseline, pair", [("attack_demo_aodv", "attack_demo"),
+                                            ("fig11_aodv", "fig11_mlet"),
+                                            ("table1_aodv", "table1_saodv")])
+def test_a_baseline_config_differs_from_its_pair_in_rp_alone(baseline, pair):
+    cfg = load_config(str(CONFIG_DIR / f"{pair}.cfg"))
+    assert cfg.protocol is not Protocol.AODV
+    assert load_config(str(CONFIG_DIR / f"{baseline}.cfg")) == cfg._replace(protocol=Protocol.AODV)
 
 
 def test_round_trip_preserves_every_field():
@@ -194,6 +205,25 @@ def test_a_node_entry_that_is_no_leg_is_named():
             check_config(base._replace(node_scripts=(bad,)))
         assert exc.value.violations == [
             f"nodes: entry 0: expected a leg or a (pos, target, speed), got {bad!r}"]
+
+
+def test_flows_or_nodes_that_are_no_sequence_are_named():
+    base = validate_config({"nn": 2})
+    for flows in [5, None, "1:0:4:100:1", {FlowSpec(1, 0, 4.0, 100, 1.0)}]:
+        with pytest.raises(ConfigError) as exc:
+            check_config(base._replace(flows=flows))
+        assert exc.value.violations == [f"flows: expected a tuple of flows, got {flows!r}"]
+    for nodes in [5, "ab", {(1.0, 1.0)}]:
+        with pytest.raises(ConfigError) as exc:
+            check_config(base._replace(node_scripts=nodes))
+        assert exc.value.violations == [f"nodes: expected None or a tuple of legs, got {nodes!r}"]
+    # A Simulation checks its config first, so it names the key too.
+    with pytest.raises(ConfigError, match="^flows: expected a tuple of flows, got 5$"):
+        Simulation(base._replace(flows=5))
+    # A list is a sequence: its entries are checked, and come back a tuple.
+    flow, leg = FlowSpec(1, 0, 4.0, 100, 1.0), ((1.0, 1.0), (1.0, 1.0), 0.0)
+    checked = check_config(base._replace(flows=[flow], node_scripts=[leg, leg]))
+    assert checked.flows == (flow,) and len(checked.node_scripts) == 2
 
 
 def test_round_trip_keeps_infinite_attacker_energy():

@@ -322,14 +322,9 @@ def test_report_summary_mentions_key_counters():
     assert "DROP_MISMATCH" in text
 
 
-@pytest.mark.parametrize("name", [*(p.stem for p in sorted(CONFIG_DIR.glob("*.cfg"))),
-                                  "fig11_mlet+aodv"])
-def test_control_overhead_counter_counts_routing_packets(name):
-    if name == "fig11_mlet+aodv":  # the baseline scripts/mlet_experiment.py runs
-        cfg = load_config(str(CONFIG_DIR / "fig11_mlet.cfg"))._replace(protocol=Protocol.AODV)
-    else:
-        cfg = load_config(str(CONFIG_DIR / f"{name}.cfg"))
-    trace, report = run_traced(cfg)
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
+def test_control_overhead_counter_counts_routing_packets(path):
+    trace, report = run_traced(load_config(str(path)))
     sent = Counter(e.pkt_type for e in trace if e.event in ("s", "f"))
     for kind in (PacketKind.RREQ, PacketKind.RREP, PacketKind.RERR):
         assert report.control_tx[kind] == sent[kind.value]
