@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .config import MAX_TIMER_FIRINGS
-from .model import PacketKind, ParseError, TraceEvent, trace_line_parser, utf8_lines
+from .model import (MAX_TIMER_FIRINGS, PacketKind, ParseError, TraceEvent, trace_line_parser,
+                    utf8_lines)
 
 
 def _parse_lines(lines: Iterable[str]) -> List[TraceEvent]:

@@ -9,7 +9,6 @@ engine to execute; they never touch the medium, energy, or random streams.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from .config import ScenarioConfig
@@ -63,16 +62,19 @@ class StartRetry(NamedTuple):
 Action = object
 
 
-@dataclass
 class RouteEntry:
     """A routing-table row: a use extends its expiry and a break invalidates it, in place."""
 
-    dest: int
-    next_hop: int
-    hop_count: int
-    dest_seq: int
-    expiry: float
-    valid: bool = True
+    __slots__ = ("dest", "next_hop", "hop_count", "dest_seq", "expiry", "valid")
+
+    def __init__(self, dest: int, next_hop: int, hop_count: int, dest_seq: int,
+                 expiry: float, valid: bool = True):
+        self.dest = dest
+        self.next_hop = next_hop
+        self.hop_count = hop_count
+        self.dest_seq = dest_seq
+        self.expiry = expiry
+        self.valid = valid
 
 
 class AodvNode:

@@ -14,11 +14,12 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, List, Optional, TextIO, Tuple
 
 from .analyze import interval_series, parse_metrics_csv, read_trace, victim_energy_series
-from .config import MAX_COUNT, ConfigError, ScenarioConfig, check_config, load_config
-from .mobility import Kinematics, LetMode, link_expiration_time
-from .model import ParseError, TraceEvent, read_utf8
+from .model import ConfigError, ParseError, TraceEvent, read_utf8
 
+# The config layer (with mobility) and the simulator load only on the paths that
+# use them: analyze loads neither, and let loads mobility alone.
 if TYPE_CHECKING:
+    from .config import ScenarioConfig
     from .engine import RunReport
 
 EXIT_OK = 0
@@ -59,13 +60,19 @@ def write_trace(path: str) -> Iterator[TraceWriter]:
         raise
 
 
+def load_config(path: str) -> ScenarioConfig:
+    """``config.load_config``: the config layer loads at the first call, not with the CLI."""
+    from .config import load_config as load
+
+    return load(path)
+
+
 def write_metrics(path: str, report: RunReport):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(report.metrics_csv())
 
 
 def cmd_run(args) -> int:
-    # The simulator loads only on the paths that run it, never for analyze or let.
     from .engine import Simulation
 
     if not os.path.isfile(args.config):
@@ -190,6 +197,8 @@ def sweep_accept_fractions(cfg: ScenarioConfig, k_values: List[int], reps: int,
     """
     import statistics  # loaded only by the sweep, like the simulator
 
+    from .config import check_config
+
     ks = sorted(set(k_values))
     why = "sweep measures the victim's accept fraction of the flood; must be"
     violations: List[str] = []
@@ -223,6 +232,8 @@ def sweep_accept_fractions(cfg: ScenarioConfig, k_values: List[int], reps: int,
 
 
 def cmd_sweep(args) -> int:
+    from .config import MAX_COUNT
+
     try:
         k_values = [int(tok) for tok in args.k.split(",") if tok.strip()]
     except ValueError:
@@ -253,6 +264,8 @@ def _fmt_let(value: float) -> str:
 
 
 def cmd_let(args) -> int:
+    from .mobility import Kinematics, LetMode, link_expiration_time
+
     numbers = (args.sx, args.sy, args.svx, args.svy,
                args.rx, args.ry, args.rvx, args.rvy, args.r)
     if not all(math.isfinite(v) for v in numbers):

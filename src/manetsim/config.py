@@ -5,6 +5,10 @@ below; a dotted key ``group.name`` is the field ``group_name``.  `SCHEMA` is
 derived from those fields.  `validate_config` turns text into typed values and
 checks them as `check_config` checks a config built in code; `flows`, `nodes`
 and the checks that span several keys are the only hand-written parts.
+
+`ConfigError` and `MAX_TIMER_FIRINGS` are defined in `model`, so that the CLI
+and `analyze` can use them without loading this module; they are the same
+objects here.
 """
 
 from __future__ import annotations
@@ -16,12 +20,8 @@ from enum import Enum
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .mobility import MOBILITY_STEP, Kinematics, LetMode, WaypointState
-from .model import PacketKind, read_utf8
+from .model import MAX_TIMER_FIRINGS, ConfigError, PacketKind, read_utf8
 
-#: Most times one periodic timer may fire before ``stop``: the mobility step,
-#: ``hello_interval``, ``metrics_interval`` and ``1 / rate`` of each flow and of
-#: an enabled attacker.  It bounds a run's events and keeps ``t + period > t``.
-MAX_TIMER_FIRINGS = 1_000_000
 #: Most honest nodes.  Every node beacons at the same instants, so a dense area
 #: queues about nn * nn deliveries at once; this keeps that near a million.
 MAX_NODES = 1000
@@ -247,14 +247,6 @@ class ScenarioConfig(NamedTuple):
 SCHEMA = tuple(_Rule(key or attr, attr, ScenarioConfig._field_defaults[attr], *rule)
                for attr, (key, *rule) in zip(ScenarioConfig._fields, _DECLARED))
 KNOWN_KEYS = frozenset(rule.key for rule in SCHEMA) | {"flows", "nodes"}
-
-
-class ConfigError(ValueError):
-    """Carries every violation found while validating a raw configuration."""
-
-    def __init__(self, violations: List[str]):
-        super().__init__("; ".join(violations))
-        self.violations = list(violations)
 
 
 def parse_config_text(text: str) -> Dict[str, str]:

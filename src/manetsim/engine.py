@@ -11,7 +11,6 @@ import heapq
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -53,25 +52,32 @@ def debit(remaining: float, cost: float) -> float:
 METRICS_HEADER = "t,malicious_drops,malicious_accepts,victim_energy,cum_loss,ctrl_overhead,delivered"
 
 
-@dataclass
 class RunReport:
-    protocol: str
-    seed: int
-    victim: int
-    events_processed: int = 0
-    honest_data_originated: int = 0
-    honest_data_sent: int = 0
-    honest_data_delivered: int = 0
-    honest_data_lost: int = 0
-    attacker_data_sent: int = 0
-    victim_malicious_accepts: int = 0
-    victim_malicious_drops: int = 0
-    victim_final_energy: float = 0.0
-    control_tx: Counter = field(default_factory=Counter)
-    drops_by_reason: Counter = field(default_factory=Counter)
-    depletion_times: Dict[int, float] = field(default_factory=dict)
-    #: One ``metrics.csv`` row per ``metrics_interval``, in METRICS_HEADER's order.
-    samples: List[Tuple[float, int, int, float, int, int, int]] = field(default_factory=list)
+    """The counts and samples of one run; two reports are equal when every field is."""
+
+    def __init__(self, protocol: str, seed: int, victim: int):
+        self.protocol = protocol
+        self.seed = seed
+        self.victim = victim
+        self.events_processed = 0
+        self.honest_data_originated = 0
+        self.honest_data_sent = 0
+        self.honest_data_delivered = 0
+        self.honest_data_lost = 0
+        self.attacker_data_sent = 0
+        self.victim_malicious_accepts = 0
+        self.victim_malicious_drops = 0
+        self.victim_final_energy = 0.0
+        self.control_tx: Counter = Counter()
+        self.drops_by_reason: Counter = Counter()
+        self.depletion_times: Dict[int, float] = {}
+        #: One ``metrics.csv`` row per ``metrics_interval``, in METRICS_HEADER's order.
+        self.samples: List[Tuple[float, int, int, float, int, int, int]] = []
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def metrics_csv(self) -> str:
         lines = [METRICS_HEADER]

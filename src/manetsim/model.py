@@ -1,4 +1,4 @@
-"""Shared domain types: identifiers, packet headers, and trace records."""
+"""Shared domain types: identifiers, packet headers, trace records, and the two input errors."""
 
 from __future__ import annotations
 
@@ -27,6 +27,12 @@ HEADER_RX_BYTES = 16
 CONTROL_FID = 0
 #: Flow id stamped on the attacker's flood packets.
 ATTACK_FID = 999
+
+#: Most times one periodic timer may fire before ``stop``: the mobility step,
+#: ``hello_interval``, ``metrics_interval`` and ``1 / rate`` of each flow and of
+#: an enabled attacker.  It bounds a run's events and keeps ``t + period > t``.
+#: ``analyze`` caps its window count by it too.
+MAX_TIMER_FIRINGS = 1_000_000
 
 
 class PacketKind(Enum):
@@ -82,6 +88,14 @@ class ParseError(ValueError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
+
+
+class ConfigError(ValueError):
+    """Carries every violation found while validating a raw configuration."""
+
+    def __init__(self, violations: List[str]):
+        super().__init__("; ".join(violations))
+        self.violations = list(violations)
 
 
 def read_utf8(path: str, error: Callable[[int, str], Exception]) -> str:

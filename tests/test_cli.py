@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from manetsim import engine
+from manetsim import engine, model
 from manetsim.cli import build_parser, main, sweep_accept_fractions
 from manetsim.config import (ConfigError, check_config, load_config, parse_config_text,
                              validate_config)
@@ -787,25 +787,72 @@ def test_positions_legs_and_deaths_run_and_analyze_cleanly(text):
         assert codes == (0, 0) and stderr.getvalue() == "", stderr.getvalue()
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_statistics():
-    # analyze and let use neither; only the run and sweep paths load them.
+def _modules_after(module):
+    """The names in ``sys.modules`` once a fresh ``python -S`` has imported ``module``."""
     proc = subprocess.run([sys.executable, "-S", "-c",
-                           "import sys, manetsim.cli; print(*sorted(sys.modules))"],
+                           f"import sys, {module}; print(*sorted(sys.modules))"],
                           capture_output=True, text=True, env=_cli_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
-    assert "manetsim.cli" in loaded
-    assert loaded.isdisjoint({"dataclasses", "statistics"})
+    assert module in loaded
+    return loaded
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_statistics():
+    # No module uses dataclasses; only the sweep path loads statistics.
+    assert _modules_after("manetsim.cli").isdisjoint({"dataclasses", "statistics"})
+
+
+def test_importing_the_simulator_loads_no_dataclasses():
+    # dataclasses would bring inspect, ast, dis and tokenize into every run.
+    assert "dataclasses" not in _modules_after("manetsim.engine")
+
+
+def _cli_imports(*args):
+    """The modules a CLI command loads, as ``-X importtime`` lists them."""
+    proc = _cli(*args, python_flags=("-X", "importtime"))
+    assert proc.returncode == 0, proc.stderr
+    # Each "import time:" line of -X importtime ends with the module's name.
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
 
 
 def test_analyze_loads_no_simulator_layer(tmp_path):
     trace = tmp_path / "trace.tr"
     trace.write_text("d 0.500000 0 1 DATA 100 --- 1 5 0 0 1\n")
-    proc = _cli("analyze", "--trace", str(trace), python_flags=("-X", "importtime"))
-    assert proc.returncode == 0
-    # Each "import time:" line of -X importtime ends with the module's name.
-    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-              if line.startswith("import time:")}
+    loaded = _cli_imports("analyze", "--trace", str(trace))
     assert "manetsim.analyze" in loaded
     assert loaded.isdisjoint({"manetsim.engine", "manetsim.aodv", "manetsim.medium",
-                              "manetsim.mlet", "manetsim.saodv"})
+                              "manetsim.mlet", "manetsim.saodv", "manetsim.config",
+                              "manetsim.mobility"})
+
+
+def test_let_loads_mobility_and_no_config_layer():
+    loaded = _cli_imports("let", "--sx", "0", "--sy", "0", "--svx", "1", "--svy", "0",
+                          "--rx", "5", "--ry", "0", "--rvx", "-1", "--rvy", "0", "--r", "15")
+    assert "manetsim.mobility" in loaded
+    assert loaded.isdisjoint({"manetsim.config", "manetsim.engine"})
+
+
+def test_a_config_error_exits_2_with_every_violation_from_a_fresh_cli(tmp_path):
+    """The CLI, which loads the config layer only on use, still catches its errors."""
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("nn = 0\nwhatever = 1\nloss_prob = 2\n")
+    quiet = tmp_path / "quiet.cfg"
+    quiet.write_text("nn = 2\nstop = 2\nnodes = 10,10; 20,10\nattacker.enabled = false\n")
+    in_file = ["whatever: unknown key", "nn: must be >= 1, got 0",
+               "loss_prob: must be < 1.0, got 2.0"]
+    in_sweep = ["attacker.enabled: sweep measures the victim's accept fraction of the "
+                "flood; must be true", "k: must be >= 1, got 0"]
+    sweep = ("--k", "0,1", "--reps", "1", "--jobs", "1")
+    for args, violations in [
+            (("run", "--config", str(bad), "--out", str(tmp_path / "out")), in_file),
+            (("sweep", "--config", str(bad), *sweep), in_file),
+            (("sweep", "--config", str(quiet), *sweep), in_sweep)]:
+        proc = _cli(*args)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "".join(f"config error: {v}\n" for v in violations)
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(model.ConfigError) as exc:
+        sweep_accept_fractions(load_config(str(quiet)), [0, 1], reps=1)
+    assert exc.value.violations == in_sweep

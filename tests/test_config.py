@@ -3,6 +3,7 @@ import pickle
 
 import pytest
 
+from manetsim import config, model
 from manetsim.config import (ConfigError, FlowSpec, Protocol, ScenarioConfig,
                              Sophistication, check_config, load_config, parse_config_text,
                              validate_config)
@@ -42,6 +43,12 @@ def test_nn_zero_is_a_named_violation():
     with pytest.raises(ConfigError) as exc:
         validate_config({"nn": 0})
     assert any(v.startswith("nn:") for v in exc.value.violations)
+
+
+def test_the_error_and_timer_bound_are_the_ones_model_defines():
+    # The CLI and analyze take both from model, without loading this module.
+    assert config.ConfigError is model.ConfigError
+    assert config.MAX_TIMER_FIRINGS is model.MAX_TIMER_FIRINGS
 
 
 def test_all_violations_reported_at_once():
