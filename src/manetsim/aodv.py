@@ -12,14 +12,9 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from .config import ScenarioConfig
-from .model import (BROADCAST, CONTROL_FID, HELLO_BYTES, RERR_BYTES, RREP_BYTES,
-                    RREQ_BYTES, CommonHeader, PacketKind, RrepBody, RreqBody)
-
-# Drop reason codes (kept out of the trace format; reported separately).
-NO_ROUTE = "NO_ROUTE"
-NO_REVERSE_ROUTE = "NO_REVERSE_ROUTE"
-BUFFER_OVERFLOW = "BUFFER_OVERFLOW"
-RETRY_EXHAUSTED = "RETRY_EXHAUSTED"
+from .model import (BROADCAST, BUFFER_OVERFLOW, CONTROL_FID, HELLO_BYTES, NO_REVERSE_ROUTE,
+                    NO_ROUTE, RERR_BYTES, RETRY_EXHAUSTED, RREP_BYTES, RREQ_BYTES,
+                    CommonHeader, PacketKind, RrepBody, RreqBody)
 
 #: Size of ``AodvNode.rreq_seen`` that triggers its first sweep of expired entries.
 RREQ_SWEEP_MIN = 64

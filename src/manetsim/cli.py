@@ -75,10 +75,7 @@ def write_metrics(path: str, report: RunReport):
 def cmd_run(args) -> int:
     from .engine import Simulation
 
-    if not os.path.isfile(args.config):
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        return EXIT_IO
-    cfg = load_config(args.config)
+    cfg = load_config(args.config)  # before the output directory is made
     if args.seed is not None:
         cfg = cfg._replace(rng_seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -191,13 +188,14 @@ def sweep_accept_fractions(cfg: ScenarioConfig, k_values: List[int], reps: int,
     worker's exception is raised here with its own type and message, and a
     worker that dies without one gives ``BrokenProcessPool``.  With ``jobs``
     above 1, call it from a process that runs no other thread, whose locks a
-    fork would copy.  A config with no attacker, or one whose flood starts
-    at or after ``stop``, or a k the config check rejects, raises
-    ``ConfigError`` before any run.
+    fork would copy.  Before any run, one ``ConfigError`` lists, in order: no
+    attacker, or a flood that starts at or after ``stop``; no k, or each k the
+    config check rejects; ``reps`` not an int in 1..``MAX_COUNT``; and
+    ``jobs`` not an int in 1..``MAX_JOBS``.
     """
     import statistics  # loaded only by the sweep, like the simulator
 
-    from .config import check_config
+    from .config import MAX_COUNT, check_config
 
     ks = sorted(set(k_values))
     why = "sweep measures the victim's accept fraction of the flood; must be"
@@ -207,11 +205,16 @@ def sweep_accept_fractions(cfg: ScenarioConfig, k_values: List[int], reps: int,
     elif not cfg.attacker_start < cfg.stop:  # the flood would begin after the run
         violations.append(f"attacker.start: {why} < stop ({cfg.stop!r}), "
                           f"got {cfg.attacker_start!r}")
-    for k in ks:  # a bad k fails here, in this process, before any fork
+    if not ks:
+        violations.append("k: names no channel count")
+    for k in ks:
         try:
             check_config(cfg._replace(num_channels=k))
         except ConfigError as exc:
             violations += [v for v in exc.violations if v not in violations]
+    for name, value, most in (("reps", reps, MAX_COUNT), ("jobs", jobs, MAX_JOBS)):
+        if not (type(value) is int and 1 <= value <= most):
+            violations.append(f"{name}: must be an int in 1..{most}, got {value!r}")
     if violations:
         raise ConfigError(violations)
     runs = [(k, rep) for k in ks for rep in range(reps)]
@@ -232,26 +235,12 @@ def sweep_accept_fractions(cfg: ScenarioConfig, k_values: List[int], reps: int,
 
 
 def cmd_sweep(args) -> int:
-    from .config import MAX_COUNT
-
     try:
         k_values = [int(tok) for tok in args.k.split(",") if tok.strip()]
     except ValueError:
         print(f"error: --k expects a comma-separated integer list, got {args.k!r}",
               file=sys.stderr)
         return EXIT_USAGE
-    if not k_values:  # sweep_accept_fractions checks each k's bounds
-        print("error: --k names no channel count", file=sys.stderr)
-        return EXIT_USAGE
-    if not 1 <= args.reps <= MAX_COUNT:
-        print(f"error: --reps must be in 1..{MAX_COUNT}", file=sys.stderr)
-        return EXIT_USAGE
-    if not 1 <= args.jobs <= MAX_JOBS:
-        print(f"error: --jobs must be in 1..{MAX_JOBS}", file=sys.stderr)
-        return EXIT_USAGE
-    if not os.path.isfile(args.config):
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        return EXIT_IO
     rows = sweep_accept_fractions(load_config(args.config), k_values, args.reps, args.jobs)
     print("k,mean_accept_fraction,stddev")
     for k, mean, dev in rows:

@@ -73,9 +73,13 @@ def _parse(raw: str, default):
         return raw
 
 
+def _split(raw: str, sep: str) -> List[str]:
+    """The entries of a list value: each stripped, and the empty ones skipped."""
+    return [entry for entry in map(str.strip, raw.split(sep)) if entry]
+
+
 def _packet_kinds(raw: str) -> tuple:
-    return tuple(_KINDS.get(token, token)
-                 for token in filter(None, (t.strip().upper() for t in raw.split(","))))
+    return tuple(_KINDS.get(token, token) for token in _split(raw.upper(), ","))
 
 
 def _position(raw: str):
@@ -89,14 +93,14 @@ def _position(raw: str):
 
 
 def _flow(chunk: str):
-    parts = [p.strip() for p in chunk.strip().split(":")]
+    parts = [p.strip() for p in chunk.split(":")]
     if len(parts) not in (4, 5):
         return ValueError("expected src:dst:rate:size[:start]")
     try:
         return FlowSpec(int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3]),
                         float(parts[4]) if len(parts) == 5 else 1.0)
     except ValueError:
-        return ValueError(f"non-numeric field in {chunk.strip()!r}")
+        return ValueError(f"non-numeric field in {chunk!r}")
 
 
 def _node(chunk: str):
@@ -190,6 +194,11 @@ class ScenarioConfig(NamedTuple):
     Every field but the last two is a `_key`; ``flows`` and ``nodes`` are
     parsed by hand into those two.  A ``nodes`` entry is its node's first leg,
     which travels to its target, if it has one, and then parks for good.
+
+    Only a config file gets two defaults: ``let_threshold`` 5.0 under
+    ``rp = *_MLET``, and one flow nn-1 -> 0 when ``flows`` is not given.  Built
+    in code, a config has ``let_threshold`` 0.0, at which STRICT mode admits
+    every link, and no flows.
     """
 
     nn: int = _key(25, ">=", 1, "<=", MAX_NODES)
@@ -201,7 +210,7 @@ class ScenarioConfig(NamedTuple):
     range_r: float = _key(15.0, ">", 0.0)
     num_channels: int = _key(2, ">=", 1, "<=", MAX_COUNT, key="k")
     let_mode: LetMode = _key(LetMode.STRICT)
-    let_threshold: float = _key(0.0, ">=", 0.0)  # 5 under *_MLET, see validate_config
+    let_threshold: float = _key(0.0, ">=", 0.0)  # 5 under *_MLET in a file, see above
     mlet_applies_to: Tuple[PacketKind, ...] = _key((PacketKind.RREQ,), parse=_packet_kinds,
                                                    check=_checked_kinds)
     #: Bytes a kinematics annex adds to a packet: 4 floats plus framing.
@@ -282,11 +291,9 @@ def validate_config(raw: Mapping[str, object]) -> ScenarioConfig:
             v[rule.attr] = rule.parse(text) if rule.parse else _parse(text, rule.default)
     if "let_threshold" not in data and getattr(v["protocol"], "uses_let", False):
         v["let_threshold"] = 5.0  # the admission filter is on by default under *_MLET
-    flows, nodes = data.get("flows", "none"), data.get("nodes", "none")
-    if flows.lower() not in ("none", ""):
-        v["flows"] = tuple(_flow(chunk) for chunk in flows.split(";"))
-    if nodes.lower() != "none":
-        v["node_scripts"] = tuple(_node(c) for c in map(str.strip, nodes.split(";")) if c)
+    for key, attr, parse in (("flows", "flows", _flow), ("nodes", "node_scripts", _node)):
+        if data.get(key, "none").lower() != "none":
+            v[attr] = tuple(map(parse, _split(data[key], ";")))
     cfg = _check(v, [f"{key}: unknown key" for key in keys if key not in KNOWN_KEYS])
     if "flows" not in data and cfg.nn >= 2:  # default background traffic toward node 0
         cfg = cfg._replace(flows=(FlowSpec(src=cfg.nn - 1, dst=0, rate=4.0, size=100, start=1.0),))

@@ -19,7 +19,8 @@ from .config import ScenarioConfig, Sophistication, check_config
 from .medium import CellGrid, broadcast, tx_delay
 from .mlet import admit_link, annotate
 from .mobility import MOBILITY_STEP, Kinematics, WaypointState, advance_waypoint, kinematics_at
-from .model import ATTACK_FID, BROADCAST, HEADER_RX_BYTES, CommonHeader, PacketKind, TraceEvent
+from .model import (ATTACK_FID, BROADCAST, DEAD_SENDER, HEADER_RX_BYTES, LET_REJECT, CommonHeader,
+                    PacketKind, TraceEvent)
 from .saodv import VerifyOutcome, draw_random_values, select_channel, verify
 
 # Event kinds; the main loop looks each up in its handler table.
@@ -31,10 +32,6 @@ ATTACK_STEP = "ATTACK_STEP"
 RETRY_TIMER = "RETRY_TIMER"
 METRIC_SAMPLE = "METRIC_SAMPLE"
 STOP = "STOP"
-
-# Engine-level drop reasons (protocol-level ones live in aodv).
-DEAD_SENDER = "DEAD_SENDER"
-LET_REJECT = "LET_REJECT"
 
 _CONTROL_KINDS = (PacketKind.RREQ, PacketKind.RREP, PacketKind.RERR)
 

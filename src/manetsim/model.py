@@ -1,4 +1,4 @@
-"""Shared domain types: identifiers, packet headers, trace records, and the two input errors."""
+"""Shared domain types: ids, packet headers, drop reasons, trace records and the input errors."""
 
 from __future__ import annotations
 
@@ -33,6 +33,16 @@ ATTACK_FID = 999
 #: an enabled attacker.  It bounds a run's events and keeps ``t + period > t``.
 #: ``analyze`` caps its window count by it too.
 MAX_TIMER_FIRINGS = 1_000_000
+
+# Drop reasons: the keys of a run's ``drops by reason``, kept out of the trace format.
+NO_ROUTE = "NO_ROUTE"                  # aodv: no route for a data packet
+NO_REVERSE_ROUTE = "NO_REVERSE_ROUTE"  # aodv: no route back toward an RREP's originator
+BUFFER_OVERFLOW = "BUFFER_OVERFLOW"    # aodv: pushed out of a full route-wait buffer
+RETRY_EXHAUSTED = "RETRY_EXHAUSTED"    # aodv: still buffered when discovery gave up
+DEAD_SENDER = "DEAD_SENDER"            # engine: a sender with no energy left
+LET_REJECT = "LET_REJECT"              # engine: a link MLET predicts breaks too soon
+DROP_RANGE = "DROP_RANGE"              # saodv: a random tag out of range
+DROP_MISMATCH = "DROP_MISMATCH"        # saodv: a channel the tags do not imply
 
 
 class PacketKind(Enum):

@@ -14,13 +14,14 @@ from enum import Enum
 from random import Random
 from typing import Tuple
 
+from . import model
 from .model import CommonHeader
 
 
-class VerifyOutcome(Enum):
+class VerifyOutcome(Enum):  # a drop's value is its reason, as `model` names it
     ACCEPT = "ACCEPT"
-    DROP_RANGE = "DROP_RANGE"
-    DROP_MISMATCH = "DROP_MISMATCH"
+    DROP_RANGE = model.DROP_RANGE
+    DROP_MISMATCH = model.DROP_MISMATCH
 
 
 def draw_random_values(rng: Random) -> Tuple[float, float]:

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from manetsim import engine, model
-from manetsim.cli import build_parser, main, sweep_accept_fractions
+from manetsim.cli import MAX_JOBS, build_parser, main, sweep_accept_fractions
 from manetsim.config import (ConfigError, check_config, load_config, parse_config_text,
                              validate_config)
 
@@ -136,6 +136,23 @@ def test_run_missing_config_exits_3(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 3
     assert not (tmp_path / "out").exists()  # no partial outputs
+
+
+@pytest.mark.parametrize("command", [("run",), ("sweep", "--k", "2", "--reps", "1")],
+                         ids=lambda c: c[0])
+def test_a_missing_or_directory_config_is_an_io_error(tmp_path, capsys, command):
+    # The config loader's OSError is the one error path: main prints it, exit 3.
+    for config in (tmp_path / "nope.cfg", tmp_path):
+        out = tmp_path / "out"
+        argv = [command[0], "--config", str(config), *command[1:]]
+        if command[0] == "run":
+            argv += ["--out", str(out)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error: ") and str(config) in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
 
 
 def test_run_invalid_config_lists_all_violations(tmp_path, capsys):
@@ -315,7 +332,8 @@ def test_sweep_rejects_bad_k_list(capsys):
                  ("--k", "2", "--reps", "1000001"),
                  ("--k", "2", "--jobs", "0"),
                  ("--k", "2", "--jobs", "-1"),
-                 ("--k", "2", "--jobs", "33")):
+                 ("--k", "2", "--jobs", "33"),
+                 ("--k", ",", "--reps", "2")):
         assert main(["sweep", "--config", cfg, *args]) == 2, args
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -331,6 +349,16 @@ def test_sweep_rejects_bad_k_list(capsys):
     assert captured.err.splitlines()[-1] == ("manetsim sweep: error: argument --jobs: "
                                              "invalid int value: 'x'")
     assert captured.err.count("error") == 1
+
+
+def test_sweep_lists_every_bad_argument_at_once(capsys):
+    # The CLI stopped at its first failed check, so --jobs went unreported.
+    cfg = str(CONFIG_DIR / "attack_demo.cfg")
+    assert main(["sweep", "--config", cfg, "--k", "2", "--reps", "0", "--jobs", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: reps: must be an int in 1..1000000, got 0\n"
+                            f"config error: jobs: must be an int in 1..{MAX_JOBS}, got 0\n")
 
 
 def test_sweep_rejects_a_config_with_no_attacker(tmp_path, capsys, monkeypatch):
@@ -510,6 +538,26 @@ def test_a_bad_k_fails_before_any_run(monkeypatch):
         sweep_accept_fractions(cfg, [2, 0, 1000001, -1], reps=2, jobs=2)
     assert exc.value.violations == ["k: must be >= 1, got -1", "k: must be >= 1, got 0",
                                     "k: must be <= 1000000, got 1000001"]
+    _assert_no_child_left()
+
+
+def test_the_sweep_checks_its_own_arguments(monkeypatch):
+    # The pool raised ValueError on reps=0, no k or jobs=0, and jobs had no upper bound.
+    cfg = validate_config(parse_config_text(QUICK_SWEEP_CFG))
+    monkeypatch.setattr(engine, "Simulation", None)  # any run would raise TypeError
+    with pytest.raises(ConfigError) as exc:
+        sweep_accept_fractions(cfg, [], reps=0, jobs=0)
+    assert exc.value.violations == ["k: names no channel count",
+                                    "reps: must be an int in 1..1000000, got 0",
+                                    f"jobs: must be an int in 1..{MAX_JOBS}, got 0"]
+    with pytest.raises(ConfigError) as exc:  # checked here, never by forking that many
+        sweep_accept_fractions(cfg, [1, 2], reps=1, jobs=MAX_JOBS + 1)
+    assert exc.value.violations == [f"jobs: must be an int in 1..{MAX_JOBS}, "
+                                    f"got {MAX_JOBS + 1}"]
+    with pytest.raises(ConfigError) as exc:
+        sweep_accept_fractions(cfg, [1], reps=1000001, jobs=2.0)
+    assert exc.value.violations == ["reps: must be an int in 1..1000000, got 1000001",
+                                    f"jobs: must be an int in 1..{MAX_JOBS}, got 2.0"]
     _assert_no_child_left()
 
 

@@ -29,6 +29,8 @@ def test_all_defaults_is_valid_and_deterministic():
     assert cfg1.speed_min == 0.0 and cfg1.speed_max == 5.0 and cfg1.pause == 2.0
     # default background traffic: one constant-bit-rate flow toward node 0
     assert cfg1.flows == (FlowSpec(src=24, dst=0, rate=4.0, size=100, start=1.0),)
+    # Only a config file gets it: a config built in code has no flows.
+    assert ScenarioConfig().flows == () and check_config(ScenarioConfig()).flows == ()
 
 
 def test_table_values_accepted():
@@ -68,6 +70,8 @@ def test_mlet_protocol_defaults_threshold_on():
     assert validate_config({"rp": "AODV_MLET"}).let_threshold == 5.0
     assert validate_config({"rp": "SAODV"}).let_threshold == 0.0
     assert validate_config({"rp": "AODV_MLET", "let_threshold": 1.5}).let_threshold == 1.5
+    # Only a config file gets the 5.0: built in code, the threshold stays 0.0.
+    assert check_config(ScenarioConfig(protocol=Protocol.AODV_MLET)).let_threshold == 0.0
 
 
 def test_attacker_target_must_be_honest_node():
@@ -88,6 +92,24 @@ def test_flows_none_disables_default_flow():
 
 def test_single_node_has_no_default_flow():
     assert validate_config({"nn": 1}).flows == ()
+
+
+def test_list_values_skip_empty_entries_alike():
+    # flows rejected an empty entry, as "entry 1: expected src:dst:rate:size[:start]",
+    # where nodes and mlet_applies_to skipped it.
+    one = validate_config({"flows": "1:0:4:100:1"})
+    for text in ("1:0:4:100:1;", ";1:0:4:100:1", " ; 1:0:4:100:1 ;; "):
+        assert validate_config({"flows": text}) == one, text
+    assert validate_config({"flows": ";"}) == validate_config({"flows": "none"})
+    nodes = validate_config({"nn": 2, "nodes": "1,1; 2,2"})
+    assert validate_config({"nn": 2, "nodes": ";1,1;; 2,2;"}) == nodes
+    kinds = validate_config({"mlet_applies_to": "RREQ,DATA"})
+    assert validate_config({"mlet_applies_to": ",rreq, ,data,"}) == kinds
+    # Entry numbers count the kept entries.
+    with pytest.raises(ConfigError) as exc:
+        validate_config({"flows": ";1:1:4:100;;0:1"})
+    assert exc.value.violations == ["flows: entry 0: src and dst must differ",
+                                    "flows: entry 1: expected src:dst:rate:size[:start]"]
 
 
 def test_nodes_entry_count_must_match_nn():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from manetsim import engine
+from manetsim import aodv, engine, model
 from manetsim.analyze import parse_metrics_csv
 from manetsim.config import (MAX_NODES, ConfigError, FlowSpec, Protocol, ScenarioConfig,
                              Sophistication, check_config, load_config, validate_config)
@@ -320,6 +320,32 @@ def test_report_summary_mentions_key_counters():
     assert "protocol=SAODV" in text
     assert "malicious_drops" in text
     assert "DROP_MISMATCH" in text
+
+
+#: The eight drop reasons, each defined once, in `model`.
+DROP_REASONS = ("NO_ROUTE", "NO_REVERSE_ROUTE", "BUFFER_OVERFLOW", "RETRY_EXHAUSTED",
+                "DEAD_SENDER", "LET_REJECT", "DROP_RANGE", "DROP_MISMATCH")
+
+
+def test_the_layers_name_their_drop_reasons_from_model():
+    for name in DROP_REASONS:
+        assert getattr(model, name) == name
+    for name in DROP_REASONS[:4]:
+        assert getattr(aodv, name) is getattr(model, name)
+    assert engine.DEAD_SENDER is model.DEAD_SENDER and engine.LET_REJECT is model.LET_REJECT
+    assert VerifyOutcome.DROP_RANGE.value is model.DROP_RANGE
+    assert VerifyOutcome.DROP_MISMATCH.value is model.DROP_MISMATCH
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
+def test_every_drop_reason_a_summary_prints_is_one_of_models(path):
+    report = Simulation(load_config(str(path))).run()
+    lines = [line for line in report.summary_lines() if line.startswith("drops by reason: ")]
+    assert len(lines) <= 1
+    for part in lines[0].split()[3:] if lines else ():
+        reason, count = part.split("=")
+        assert reason in DROP_REASONS and getattr(model, reason) == reason, part
+        assert int(count) > 0, part
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
